@@ -618,8 +618,10 @@ std::string usage() {
          "              long-running analysis service: one JSON request per stdin\n"
          "              line (analyze/prob/explain/validate/optimize/health/\n"
          "              telemetry),\n"
-         "              one JSON response per stdout line, bit-identical to the\n"
-         "              one-shot CLI on the same inputs (see DESIGN.md). Every\n"
+         "              one JSON response per stdout line, in input order and\n"
+         "              sent as soon as ready, bit-identical to the one-shot CLI\n"
+         "              on the same inputs (see DESIGN.md). --batch N bounds the\n"
+         "              lines read but not yet answered (default 32). Every\n"
          "              request gets a telemetry record (queue wait, service time,\n"
          "              batch id, cache hit, outcome); the 'telemetry' kind returns\n"
          "              windowed rates, latency quantiles, and per-kind SLO burn.\n"
@@ -627,7 +629,8 @@ std::string usage() {
          "              256, --flight-capacity) and dumps them as JSONL on the\n"
          "              first shed, a bound violation, a telemetry request with\n"
          "              \"dump\":true, or shutdown. --metrics-prom FILE rewrites a\n"
-         "              Prometheus text-format scrape file once per cycle.\n"
+         "              Prometheus text-format scrape file at most once per\n"
+         "              window bucket and at shutdown.\n"
          "  version     print version and build configuration\n"
          "  help\n"
          "--jobs N selects N worker threads for sweep/sensitivity/optimize/\n"

@@ -32,6 +32,7 @@ bool Captain::admits(RequestKind kind) const {
 }
 
 void Captain::observe(PressureState pressure) {
+  std::lock_guard<std::mutex> lock(observe_m_);
   switch (pressure) {
     case PressureState::kSaturated:
       ok_streak_ = 0;
@@ -75,7 +76,7 @@ void Captain::record_shed(RequestKind kind) {
 
 void Captain::set_mode(ServeMode next) {
   mode_.store(next, std::memory_order_relaxed);
-  ++mode_changes_;
+  mode_changes_.fetch_add(1, std::memory_order_relaxed);
   obs::count("serve.captain.mode_changes");
   switch (next) {
     case ServeMode::kFull: obs::instant("serve.captain.mode.full"); break;

@@ -14,22 +14,24 @@
 //                message — affordable under normal load, first luxury
 //                to drop when essentials are at risk)
 //
-// The Captain samples ring pressure once per scheduling cycle
+// The Captain samples ring pressure once per admitted request
 // (observe()). degrade_after consecutive kSaturated samples step one
 // mode down; recover_after consecutive kOk samples step one mode up;
 // kElevated holds the current mode and resets both streaks. Hysteresis
 // comes from recover_after > degrade_after, so a ring oscillating
 // around the saturation threshold does not flap modes.
 //
-// Thread safety: observe() runs only on the scheduler thread; admits()
-// and record_shed() are called from worker threads mid-batch, so the
-// mode is an atomic and the shed counters are atomics. Every mode
+// Thread safety: observe() may run on any thread (the stdio loop
+// samples on whichever thread admitted the request), so the streaks sit
+// behind a mutex; admits() and record_shed() are called from worker
+// threads mid-request, so the mode and the counters are atomics. Every mode
 // change and every shed decision is emitted as an obs event
 // (serve.captain.* counters + instants), making degradation observable
 // rather than a silent quality cliff.
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "symcan/serve/request.hpp"
@@ -59,7 +61,7 @@ class Captain {
   /// Whether the current mode admits this request kind (worker threads).
   bool admits(RequestKind kind) const;
 
-  /// Record one pressure sample (scheduler thread only); may change mode.
+  /// Record one pressure sample (any thread); may change mode.
   void observe(PressureState pressure);
 
   /// Account a shed decision for an inadmissible request (worker
@@ -69,16 +71,17 @@ class Captain {
   std::int64_t shed_optimize() const { return shed_optimize_.load(std::memory_order_relaxed); }
   std::int64_t shed_explain() const { return shed_explain_.load(std::memory_order_relaxed); }
   std::int64_t shed_prob() const { return shed_prob_.load(std::memory_order_relaxed); }
-  std::int64_t mode_changes() const { return mode_changes_; }
+  std::int64_t mode_changes() const { return mode_changes_.load(std::memory_order_relaxed); }
 
  private:
   void set_mode(ServeMode next);
 
   CaptainConfig cfg_;
   std::atomic<ServeMode> mode_{ServeMode::kFull};
-  int saturated_streak_ = 0;  ///< Scheduler thread only.
-  int ok_streak_ = 0;         ///< Scheduler thread only.
-  std::int64_t mode_changes_ = 0;  ///< Scheduler thread only.
+  std::mutex observe_m_;
+  int saturated_streak_ = 0;  ///< Guarded by observe_m_.
+  int ok_streak_ = 0;         ///< Guarded by observe_m_.
+  std::atomic<std::int64_t> mode_changes_{0};
   std::atomic<std::int64_t> shed_optimize_{0};
   std::atomic<std::int64_t> shed_explain_{0};
   std::atomic<std::int64_t> shed_prob_{0};

@@ -321,11 +321,13 @@ std::vector<ServeResponse> ServeCore::handle_batch(const std::vector<QueuedReque
                             [&](const QueuedRequest& q) { return handle_queued(q, batch_id); });
 }
 
-PushOutcome ServeCore::submit(ServeRequest req, std::optional<QueuedRequest>* victim) {
+PushOutcome ServeCore::submit(ServeRequest req, std::optional<QueuedRequest>* victim,
+                              std::uint64_t seq) {
   QueuedRequest q;
   q.req = std::move(req);
   q.enqueue_ns = now_ns();
   q.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  q.seq = seq;
 
   // Remember enough to write a telemetry record if the ring refuses it.
   RequestTelemetry t;
@@ -367,6 +369,15 @@ std::vector<QueuedRequest> ServeCore::take_batch() {
   const std::int64_t now = now_ns();
   for (QueuedRequest& q : batch) q.dequeue_ns = now;
   return batch;
+}
+
+std::optional<std::pair<std::uint64_t, ServeResponse>> ServeCore::handle_next() {
+  std::vector<QueuedRequest> one = ring_.pop_batch(1);
+  if (one.empty()) return std::nullopt;
+  QueuedRequest& q = one.front();
+  q.dequeue_ns = now_ns();
+  const std::uint64_t batch_id = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  return std::make_pair(q.seq, handle_queued(q, batch_id));
 }
 
 bool ServeCore::dump_flight(const char* reason) {

@@ -11,7 +11,8 @@
 //     K-matrices stay warm across requests and across batches,
 //   - a bounded parsed-matrix memo keyed by the exact CSV text (and
 //     diagnostic policy), so re-submitted matrices skip the parser,
-//   - a ParallelExecutor for batch fan-out,
+//   - a ParallelExecutor for batch fan-out (or for a transport loop
+//     that occupies every one of its threads, as serve --stdio does),
 //   - the telemetry plane: a RequestTelemetry record per request
 //     (queue-wait / service-time decomposition, batch id, cache
 //     hit/miss, outcome), rolling-window latency/rate aggregates and
@@ -26,6 +27,11 @@
 // and byte-for-byte equal to the one-shot CLI on the same inputs
 // (tests/serve/serve_differential_test.cpp). Telemetry rides alongside
 // the response and never feeds back into its bytes.
+//
+// Handlers never use the core's executor (prob and optimize force their
+// inner fan-out to jobs = 1): a transport may run its loop on every
+// executor thread, and a nested parallel_map with more than one item
+// would then wait forever for a free worker.
 
 #include <array>
 #include <atomic>
@@ -34,6 +40,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -86,9 +93,11 @@ struct ServeConfig {
   RtaCacheConfig cache;
   /// Parsed-matrix memo entries (distinct CSV texts held ready).
   std::size_t matrix_cache_capacity = 64;
-  /// ParallelExecutor width for handle_batch (0 = hardware).
+  /// ParallelExecutor width: handle_batch's fan-out and the stdio loop's
+  /// thread count (0 = hardware).
   int jobs = 0;
-  /// Requests coalesced per scheduling cycle.
+  /// take_batch() pops at most this many requests; the stdio transport
+  /// keeps at most this many lines read but not yet answered.
   std::size_t batch_max = 32;
   DiagnosticPolicy policy = DiagnosticPolicy::kLenient;
   TelemetryConfig telemetry;
@@ -96,7 +105,8 @@ struct ServeConfig {
   /// version_string()); empty omits the key's content, not the key.
   std::string build_info;
   /// When non-empty, the stdio server rewrites the Prometheus exposition
-  /// of the global obs registry here once per scheduling cycle.
+  /// of the global obs registry here at most once per telemetry window
+  /// bucket, and once more at shutdown.
   std::string metrics_prom_path;
 };
 
@@ -108,6 +118,9 @@ struct QueuedRequest {
   std::int64_t enqueue_ns = 0;
   std::int64_t dequeue_ns = 0;
   std::uint64_t flow = 0;
+  /// The transport's arrival number; the stdio loop routes the response
+  /// to this place in its transcript.
+  std::uint64_t seq = 0;
 };
 
 class ServeCore {
@@ -134,11 +147,24 @@ class ServeCore {
   std::vector<ServeResponse> handle_batch(const std::vector<QueuedRequest>& reqs);
 
   /// Ring producer / consumer sides for transports. submit() stamps the
-  /// enqueue time and assigns the flow id; rejected / evicted / timed-
-  /// out requests are recorded in telemetry here, since no worker will
-  /// ever see them.
-  PushOutcome submit(ServeRequest req, std::optional<QueuedRequest>* victim = nullptr);
+  /// enqueue time, assigns the flow id and carries `seq` along;
+  /// rejected / evicted / timed-out requests are recorded in telemetry
+  /// here, since no worker will ever see them.
+  PushOutcome submit(ServeRequest req, std::optional<QueuedRequest>* victim = nullptr,
+                     std::uint64_t seq = 0);
   std::vector<QueuedRequest> take_batch();
+
+  /// Single-request transport path: pop the oldest queued request, stamp
+  /// its dequeue time and answer it on the calling thread as a batch of
+  /// one. Returns its seq with the response, or nullopt when the ring is
+  /// empty (a drop-oldest eviction can leave a producer nothing to pop).
+  /// Never enters the executor, so a loop running on every executor
+  /// thread may call it.
+  std::optional<std::pair<std::uint64_t, ServeResponse>> handle_next();
+
+  /// The executor handle_batch fans out on. A transport may occupy all
+  /// of its threads with one loop (see the class comment).
+  ParallelExecutor& executor() { return pool_; }
 
   BoundedRing<QueuedRequest>& ring() { return ring_; }
   Captain& captain() { return captain_; }

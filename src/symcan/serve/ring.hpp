@@ -1,7 +1,7 @@
 #pragma once
 
-// Bounded multi-producer / single-consumer request ring for `symcan
-// serve`.
+// Bounded multi-producer / multi-consumer request ring for `symcan
+// serve` (one mutex; the stdio loop pushes and pops on every thread).
 //
 // The ring is the service's only admission point, so its contract is
 // spelled out and contract-tested (tests/serve/ring_test.cpp): every
@@ -26,7 +26,7 @@
 // Pressure states (PressureState): a load-shedding signal derived from
 // occupancy — kOk below elevated_fraction, kElevated from there up to
 // saturated_fraction, kSaturated above. The Captain samples it once per
-// scheduling cycle; the thresholds are config so the contract tests can
+// admitted request; the thresholds are config so the contract tests can
 // walk every transition with a tiny ring.
 
 #include <chrono>
@@ -133,7 +133,7 @@ class BoundedRing {
     return PushOutcome::kAccepted;
   }
 
-  /// Dequeue up to `max` requests in FIFO order (consumer thread).
+  /// Dequeue up to `max` requests in FIFO order (any thread).
   /// Never blocks; an empty ring yields an empty batch.
   std::vector<T> pop_batch(std::size_t max) {
     std::vector<T> out;

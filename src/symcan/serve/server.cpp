@@ -1,9 +1,12 @@
 #include "symcan/serve/server.hpp"
 
+#include <condition_variable>
+#include <deque>
 #include <istream>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "symcan/obs/export.hpp"
 #include "symcan/obs/obs.hpp"
@@ -19,82 +22,173 @@ bool blank(const std::string& line) {
   return true;
 }
 
+ServeResponse rejected_response(const std::string& id, RequestKind kind, const char* why) {
+  ServeResponse resp;
+  resp.id = id;
+  resp.kind = kind;
+  resp.status = ResponseStatus::kRejected;
+  resp.exit_code = 2;
+  Diagnostic d;
+  d.source = "serve";
+  d.line = 0;
+  d.message = why;
+  resp.diagnostics = {d};
+  return resp;
+}
+
+/// The state one run_stdio_serve call shares between its threads.
+class StdioLoop {
+ public:
+  StdioLoop(ServeCore& core, std::istream& in, std::ostream& out)
+      : core_{core}, in_{in}, out_{out}, window_{core.config().batch_max} {}
+
+  /// One thread's share of the loop; returns at EOF. An exception stops
+  /// every thread (the unanswered line would stall the writer forever).
+  void run() {
+    try {
+      std::string text;
+      std::size_t line_no = 0;
+      std::uint64_t seq = 0;
+      while (read_line(text, line_no, seq)) serve_line(text, line_no, seq);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(write_m_);
+        aborted_ = true;
+      }
+      written_cv_.notify_all();
+      throw;
+    }
+  }
+
+  /// Rewrite the Prometheus scrape file (no-op without a path).
+  void write_scrape() const {
+    if (core_.config().metrics_prom_path.empty()) return;
+    try {
+      obs::write_file(core_.config().metrics_prom_path,
+                      obs::metrics_to_prometheus(obs::metrics()));
+    } catch (const std::exception&) {
+      // Scrape-file trouble must not take the service down.
+    }
+  }
+
+ private:
+  /// Under the read token: wait for room in the window, then read the
+  /// next non-blank line and give it the next arrival number.
+  bool read_line(std::string& text, std::size_t& line_no, std::uint64_t& seq) {
+    std::lock_guard<std::mutex> token(read_m_);
+    if (eof_) return false;
+    {
+      std::unique_lock<std::mutex> lock(write_m_);
+      written_cv_.wait(lock, [&] { return aborted_ || next_seq_ - written_ < window_; });
+      if (aborted_) return false;
+    }
+    while (std::getline(in_, text)) {
+      ++line_no_;
+      if (!text.empty() && text.back() == '\r') text.pop_back();
+      if (blank(text)) continue;
+      line_no = line_no_;
+      seq = next_seq_++;
+      return true;
+    }
+    eof_ = true;
+    return false;
+  }
+
+  /// Outside the token: parse, admit through the ring, answer.
+  void serve_line(const std::string& text, std::size_t line_no, std::uint64_t seq) {
+    Diagnostics diags{core_.config().policy, "serve request"};
+    auto req = request_from_jsonl(text, line_no, diags);
+    if (!req) {
+      answer(seq, invalid_response("", diags));
+      return;
+    }
+    // submit() consumes the request, so remember what a rejection
+    // response needs before handing it over.
+    const std::string req_id = req->id;
+    const RequestKind req_kind = req->kind;
+    std::optional<QueuedRequest> victim;
+    const PushOutcome outcome = core_.submit(std::move(*req), &victim, seq);
+    if (outcome == PushOutcome::kRejected) {
+      answer(seq,
+             rejected_response(req_id, req_kind, "request ring full (overflow policy: reject)"));
+      return;
+    }
+    if (outcome == PushOutcome::kTimedOut) {
+      answer(seq,
+             rejected_response(req_id, req_kind, "request ring full past the block deadline"));
+      return;
+    }
+    if (victim)
+      answer(victim->seq, rejected_response(victim->req.id, victim->req.kind,
+                                            "evicted by a newer request (overflow policy: "
+                                            "drop-oldest)"));
+    core_.captain().observe(core_.ring().pressure());
+    // The popped request may be another thread's (FIFO); each accepted
+    // push pops once, so every queued request is handled by someone.
+    if (auto next = core_.handle_next()) answer(next->first, next->second);
+  }
+
+  /// The in-order writer: park the response at its arrival number, then
+  /// emit and flush every consecutive finished one.
+  void answer(std::uint64_t seq, const ServeResponse& resp) {
+    std::string line = response_to_jsonl(resp);
+    line += '\n';
+    std::lock_guard<std::mutex> lock(write_m_);
+    const std::size_t slot = seq - written_;
+    if (pending_.size() <= slot) pending_.resize(slot + 1);
+    pending_[slot] = std::move(line);
+    if (slot != 0) return;  // An earlier response is still being worked on.
+    while (!pending_.empty() && pending_.front()) {
+      out_ << *pending_.front();
+      pending_.pop_front();
+      ++written_;
+    }
+    out_.flush();
+    written_cv_.notify_all();
+
+    // Periodic Prometheus exposition: at most once per telemetry window
+    // bucket, so an external collector reads a fresh snapshot without a
+    // file rewrite per request.
+    if (core_.config().metrics_prom_path.empty()) return;
+    const std::int64_t now = core_.now_ns();
+    if (now >= next_scrape_ns_) {
+      next_scrape_ns_ = now + core_.config().telemetry.window_bucket_ms * 1'000'000;
+      write_scrape();
+    }
+  }
+
+  ServeCore& core_;
+  std::istream& in_;
+  std::ostream& out_;
+  const std::size_t window_;
+
+  std::mutex read_m_;           ///< The read token.
+  std::size_t line_no_ = 0;     ///< Guarded by read_m_.
+  std::uint64_t next_seq_ = 0;  ///< Guarded by read_m_.
+  bool eof_ = false;            ///< Guarded by read_m_.
+
+  std::mutex write_m_;  ///< Guards out_ and the fields below.
+  std::condition_variable written_cv_;
+  /// Finished responses by arrival number, starting at written_.
+  std::deque<std::optional<std::string>> pending_;
+  std::uint64_t written_ = 0;
+  std::int64_t next_scrape_ns_ = 0;
+  bool aborted_ = false;
+};
+
 }  // namespace
 
 int run_stdio_serve(ServeCore& core, std::istream& in, std::ostream& out) {
-  std::string line;
-  std::size_t line_no = 0;
-  bool eof = false;
-  while (!eof) {
-    // Read one cycle's worth of lines.
-    std::vector<std::pair<std::size_t, std::string>> lines;
-    while (lines.size() < core.config().batch_max) {
-      if (!std::getline(in, line)) {
-        eof = true;
-        break;
-      }
-      ++line_no;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!blank(line)) lines.emplace_back(line_no, line);
-    }
-    if (lines.empty() && eof) break;
-
-    // Parse; answer malformed lines immediately, enqueue the rest.
-    for (auto& [no, text] : lines) {
-      Diagnostics diags{core.config().policy, "serve request"};
-      auto req = request_from_jsonl(text, no, diags);
-      if (!req) {
-        out << response_to_jsonl(invalid_response("", diags)) << "\n";
-        continue;
-      }
-      // submit() consumes the request, so remember what a rejection
-      // response needs before handing it over.
-      const std::string req_id = req->id;
-      const RequestKind req_kind = req->kind;
-      std::optional<QueuedRequest> victim;
-      const PushOutcome outcome = core.submit(std::move(*req), &victim);
-      const auto reject = [&](const std::string& id, RequestKind kind, const char* why) {
-        ServeResponse resp;
-        resp.id = id;
-        resp.kind = kind;
-        resp.status = ResponseStatus::kRejected;
-        resp.exit_code = 2;
-        Diagnostic d;
-        d.source = "serve";
-        d.line = 0;
-        d.message = why;
-        resp.diagnostics = {d};
-        out << response_to_jsonl(resp) << "\n";
-      };
-      if (outcome == PushOutcome::kRejected)
-        reject(req_id, req_kind, "request ring full (overflow policy: reject)");
-      else if (outcome == PushOutcome::kTimedOut)
-        reject(req_id, req_kind, "request ring full past the block deadline");
-      else if (victim)
-        reject(victim->req.id, victim->req.kind,
-               "evicted by a newer request (overflow policy: drop-oldest)");
-    }
-
-    // One pressure sample per cycle, then drain and answer the batch.
-    core.captain().observe(core.ring().pressure());
-    const std::vector<QueuedRequest> batch = core.take_batch();
-    for (const ServeResponse& resp : core.handle_batch(batch))
-      out << response_to_jsonl(resp) << "\n";
-    out.flush();
-
-    // Periodic Prometheus exposition: rewrite the scrape file once per
-    // cycle so an external collector always reads a fresh snapshot.
-    if (!core.config().metrics_prom_path.empty()) {
-      try {
-        obs::write_file(core.config().metrics_prom_path,
-                        obs::metrics_to_prometheus(obs::metrics()));
-      } catch (const std::exception&) {
-        // Scrape-file trouble must not take the service down.
-      }
-    }
-  }
-  // Shutdown is one of the flight recorder's dump triggers: the last N
-  // requests are exactly what a post-mortem wants.
+  StdioLoop loop{core, in, out};
+  ParallelExecutor& pool = core.executor();
+  pool.parallel_map_indexed(static_cast<std::size_t>(pool.threads()), [&](std::size_t) {
+    loop.run();
+    return 0;
+  });
+  // The scrape file ends with the whole run's counts, and shutdown is one
+  // of the flight recorder's dump triggers: the last N requests are
+  // exactly what a post-mortem wants.
+  loop.write_scrape();
   core.dump_flight("shutdown");
   return 0;
 }

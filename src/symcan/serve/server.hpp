@@ -3,22 +3,34 @@
 // The JSONL-over-stdio transport for `symcan serve --stdio`.
 //
 // One request object per input line, one response object per output
-// line. The loop is deliberately deterministic so CI can replay a
-// committed request file and diff the bytes:
+// line. The loop is a leader/followers loop: it runs once on every
+// thread of the core's ParallelExecutor (the calling thread included;
+// --jobs sets the width, no thread is created), and each pass goes
 //
-//   cycle:  read up to batch_max lines
-//           -> parse; malformed lines answer immediately (kInvalid), in
-//              arrival order, without occupying a ring slot
-//           -> submit the rest to the ring; overflow casualties answer
-//              immediately (kRejected)
-//           -> one Captain pressure sample
-//           -> pop a batch, handle it via the executor, emit responses
-//              in request order
+//   token:  the thread holding the read token waits until fewer than
+//           batch_max lines are unanswered, reads and numbers one line,
+//           and releases the token to the next thread
+//   parse:  a malformed line is answered kInvalid without touching the
+//           ring
+//   admit:  submit to the ring (overflow casualties are answered
+//           kRejected), one Captain pressure sample, pop one request
+//   handle: answer the popped request inline on this thread
+//   write:  hand the response to the in-order writer, which emits and
+//           flushes every consecutive finished response
 //
-// Responses within a cycle are therefore in arrival order (invalid and
-// rejected first, then the handled batch), and the whole transcript is
-// a pure function of the input lines and the ServeConfig — at any
-// --jobs width, by the handle_batch determinism contract.
+// The transcript is in arrival order: response k is the answer to the
+// k-th non-blank line (or, under drop-oldest, its rejection), whichever
+// thread produced it. batch_max (--batch) bounds the lines read but not
+// yet written, which is the reorder window behind a slow head-of-line
+// request. A closed-loop client that waits for each answer before
+// sending the next line gets it at once. The transcript is a pure
+// function of the input lines and the ServeConfig at any --jobs width,
+// by the handle() determinism contract; only telemetry (batch ids,
+// stamps) varies.
+//
+// Handlers must not re-enter the executor: the loop occupies every one
+// of its threads, so a nested parallel_map with more than one item would
+// wait forever (see ServeCore).
 
 #include <iosfwd>
 

@@ -39,7 +39,7 @@ struct RequestTelemetry {
   std::int64_t dequeue_ns = 0;  ///< Scheduler popped the request.
   std::int64_t start_ns = 0;    ///< A worker began handling it.
   std::int64_t finish_ns = 0;   ///< Response fully rendered.
-  std::uint64_t batch_id = 0;   ///< Scheduling cycle that carried it.
+  std::uint64_t batch_id = 0;   ///< handle_batch / handle_next call that carried it.
   std::uint64_t flow = 0;       ///< Trace-context id (obs::FlowScope).
   std::int8_t matrix_cache = -1;  ///< 1 hit, 0 miss, -1 not consulted.
   std::uint64_t response_bytes = 0;
