@@ -337,6 +337,15 @@ TEST_F(GoldenTest, ExplainJson) {
   check_json("explain.json", out_.str());
 }
 
+TEST_F(GoldenTest, AnalyzeProbText) {
+  // Non-degenerate probabilities, so the fault ladder, both luck deltas
+  // and the residue rounding all reach the rendered table.
+  const int rc = run({"analyze", matrix_, "--prob", "--worst-case", "--fault-ppm", "1000",
+                      "--stuff-ppm", "500000", "--jitter-ppm", "250000"});
+  ASSERT_TRUE(rc == 0 || rc == 1) << err_.str();
+  check_text("analyze_prob.txt", out_.str());
+}
+
 TEST_F(GoldenTest, MonitorHealthTableOverCommittedTrace) {
   // The committed trace (data/case_study_trace.jsonl) was recorded with
   // `simulate --millis 120 --seed 5 --errors sporadic --error-gap-ms 10`;

@@ -1,5 +1,5 @@
 // The service's headline determinism promise: a serve response for
-// analyze / explain / validate is byte-for-byte what the one-shot CLI
+// analyze / prob / explain / validate is byte-for-byte what the one-shot CLI
 // prints for the same question, and `serve --stdio` emits exactly the
 // bytes the in-process ServeCore produces. Labeled `determinism` so CI
 // also runs it under TSan.
@@ -92,6 +92,32 @@ TEST_F(ServeDifferentialTest, AnalyzeBestCaseOverrideKnown) {
   req.override_known = true;
   expect_matches_cli(req,
                      {"analyze", path_, "--best-case", "--jitter", "0.10", "--override-known"});
+}
+
+TEST_F(ServeDifferentialTest, ProbMatchesCliColdAndWarm) {
+  // The serve side solves rung ladders through the shared ladder cache,
+  // the CLI through the uncached analysis; both answers must be the same
+  // bytes, and so must a second, cache-served answer.
+  ServeRequest req = base_request(RequestKind::kProb);
+  req.preset = pipeline::AssumptionPreset::kWorstCase;
+  req.fault_ppm = 1000;
+  req.stuff_ppm = 500'000;
+  req.jitter_ppm = 250'000;
+  const std::vector<std::string> args = {"analyze",      path_,    "--prob",       "--worst-case",
+                                         "--fault-ppm",  "1000",   "--stuff-ppm",  "500000",
+                                         "--jitter-ppm", "250000"};
+  expect_matches_cli(req, args);
+  ServeCore core;
+  const ServeResponse cold = core.handle(req);
+  const ServeResponse warm = core.handle(req);
+  EXPECT_GT(core.rta_cache().prob_stats().hits, 0);
+  EXPECT_EQ(warm.output, run_cli_args(args).out);
+  EXPECT_EQ(cold.output, warm.output);
+  // Capped ladders take a different cache key and must still match.
+  req.max_rungs = 2;
+  expect_matches_cli(req, {"analyze", path_, "--prob", "--worst-case", "--fault-ppm", "1000",
+                           "--stuff-ppm", "500000", "--jitter-ppm", "250000", "--max-rungs",
+                           "2"});
 }
 
 TEST_F(ServeDifferentialTest, ExplainTextAndJson) {
