@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "symcan/analysis/columnar.hpp"
-#include "symcan/analysis/rta_context.hpp"
 #include "symcan/obs/obs.hpp"
 
 namespace symcan {
@@ -45,32 +44,23 @@ CanRta::CanRta(KMatrix km, CanRtaConfig cfg) : km_{std::move(km)}, cfg_{std::mov
 }
 
 MessageResult CanRta::analyze_message(std::size_t index) const {
-  // The two halves of the shared busy-period core (rta_context.hpp):
-  // resolve the message's interference context, then run the fixed point
-  // on it. IncrementalRta memoizes between exactly these two calls.
-  return analysis::solve_message(analysis::build_message_context(km_, cfg_, index));
+  const std::size_t row[] = {index};
+  return std::move(analysis::solve_rows(km_, cfg_, row).front());
 }
 
-BusResult CanRta::analyze() const {
+BusResult CanRta::analyze() const { return analysis::analyze_bus(km_, cfg_); }
+
+namespace analysis {
+
+BusResult analyze_bus(const KMatrix& km, const CanRtaConfig& cfg) {
   SYMCAN_OBS_SPAN("rta.can.analyze");
   BusResult out;
-  out.utilization = km_.utilization(cfg_.worst_case_stuffing);
-  out.messages.reserve(km_.size());
-  // Columnar whole-bus path: one pack resolves every context, then each
-  // solve runs allocation-free over the shared columns. Bit-identical to
-  // the per-message analyze_message() loop (the layout-differential
-  // suite pins this). The pack arena is thread-local so repeated
-  // analyses reuse its capacity.
-  static thread_local analysis::ColumnarBus bus;
-  analysis::pack_bus(km_, cfg_, bus);
-  for (std::size_t i = 0; i < km_.size(); ++i) {
-    MessageResult r = analysis::solve_columnar(bus, i);
-    r.name = km_.messages()[i].name;
-    r.id = km_.messages()[i].id;
-    out.messages.push_back(std::move(r));
-  }
+  out.utilization = km.utilization(cfg.worst_case_stuffing);
+  out.messages = solve_rows(km, cfg);
   flush_rta_observations(out);
   return out;
 }
+
+}  // namespace analysis
 
 }  // namespace symcan

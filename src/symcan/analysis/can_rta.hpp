@@ -108,20 +108,30 @@ struct BusResult {
 /// runs surface comparable metrics.
 void flush_rta_observations(const BusResult& out);
 
+namespace analysis {
+
+/// Whole-bus analysis of an already validated matrix: one pack, one
+/// solve per message (analysis/columnar.hpp). CanRta::analyze() and the
+/// cache-off IncrementalRta::analyze() both run exactly this.
+BusResult analyze_bus(const KMatrix& km, const CanRtaConfig& cfg);
+
+}  // namespace analysis
+
 /// Analyzer bound to one K-Matrix and one configuration. Stateless after
 /// construction; cheap to copy the config and re-run for what-if sweeps.
 /// The matrix is stored by value so temporaries are safe to pass.
 ///
-/// The per-message computation is build_message_context() + solve_message()
-/// from rta_context.hpp — the shared busy-period core that
-/// IncrementalRta memoizes. Use CanRta directly for one-shot analyses;
-/// prefer IncrementalRta in hot loops that re-analyze edited matrices
-/// (optimizers, sweeps, extensibility searches).
+/// Every verdict comes from the packed busy-period core (columnar.hpp):
+/// analyze() packs the whole bus, analyze_message() packs one row.
+/// IncrementalRta memoizes the same core. Use CanRta directly for
+/// one-shot analyses; prefer IncrementalRta in hot loops that re-analyze
+/// edited matrices (optimizers, sweeps, extensibility searches).
 class CanRta {
  public:
   CanRta(KMatrix km, CanRtaConfig cfg);
 
-  /// Analyze one message (index into KMatrix::messages()).
+  /// Analyze one message (index into KMatrix::messages()); throws
+  /// std::out_of_range on a bad index.
   MessageResult analyze_message(std::size_t index) const;
 
   /// Analyze every message.

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -15,28 +16,136 @@ namespace symcan::analysis {
 
 namespace {
 
-/// Same fixed point as rta_context.cpp's, minus the recorder — the
-/// columnar path never explains, so the hooks would inline to nothing
-/// anyway. Iteration counting and divergence handling are identical.
-template <typename F>
-Duration fixed_point(Duration x0, Duration horizon, std::int64_t& iterations, F&& f) {
-  Duration x = x0;
-  for (;;) {
-    ++iterations;
-    const Duration next = f(x);
-    if (next == x) return x;
-    if (next > horizon) return Duration::infinite();
-    assert(next > x);
-    x = next;
+// --- The interference rule ------------------------------------------------
+
+/// Per-message facts the interference rule reads, resolved once per
+/// (matrix, config) in one O(n) pass. Held thread-local by its users, so
+/// the vectors keep their capacity across calls.
+struct BusFacts {
+  std::vector<std::uint64_t> rank;
+  std::vector<Duration> cost;  ///< Frame time under the configured stuffing.
+  std::vector<EventModel> activation;
+  std::vector<std::size_t> sender_of;
+  std::vector<char> is_tt;  ///< Offset-scheduled, and offsets are in use.
+  // Per sender, indexed by sender_of.
+  std::vector<const std::string*> senders;
+  std::vector<std::uint64_t> max_rank;
+  std::vector<char> basic;  ///< basicCAN controller, queues modelled.
+  std::vector<int> tx_buffers;
+  std::vector<Duration> lp_frames;  ///< scan_row() scratch.
+
+  void resolve(const KMatrix& km, const CanRtaConfig& cfg) {
+    const auto& msgs = km.messages();
+    rank.clear();
+    cost.clear();
+    activation.clear();
+    sender_of.clear();
+    is_tt.clear();
+    senders.clear();
+    for (const CanMessage& m : msgs) {
+      rank.push_back(m.arbitration_rank());
+      cost.push_back(m.wcet(km.timing(), cfg.worst_case_stuffing));
+      activation.push_back(m.activation());
+      is_tt.push_back(cfg.use_offsets && m.tt_offset.has_value());
+      std::size_t s = 0;
+      while (s < senders.size() && *senders[s] != m.sender) ++s;
+      if (s == senders.size()) senders.push_back(&m.sender);
+      sender_of.push_back(s);
+    }
+    max_rank.assign(senders.size(), 0);
+    basic.assign(senders.size(), 0);
+    tx_buffers.assign(senders.size(), 0);
+    for (std::size_t s = 0; s < senders.size(); ++s) {
+      const EcuNode* node = km.find_node(*senders[s]);
+      basic[s] = cfg.model_controller_queues && node != nullptr &&
+                 node->controller == ControllerType::kBasicCan;
+      tx_buffers[s] = node != nullptr ? node->tx_buffers : 0;
+    }
+    for (std::size_t k = 0; k < rank.size(); ++k)
+      max_rank[sender_of[k]] = std::max(max_rank[sender_of[k]], rank[k]);
   }
+};
+
+/// Blocking terms of one message's row.
+struct RowBlocking {
+  Duration bus = Duration::zero();    ///< One already-started lower-priority frame.
+  Duration intra = Duration::zero();  ///< Committed basicCAN FIFO entries.
+  Duration max_retx = Duration::zero();
+  /// The message `bus` charges, first in matrix order among equals.
+  std::size_t frame = std::numeric_limits<std::size_t>::max();
+};
+
+/// The interference rule; nothing else in the analysis restates it.
+/// Message i competes at its effective rank: its own, degraded to its
+/// node's worst rank on a basicCAN controller (committed FIFO entries
+/// cannot be overtaken). Then, over every other message k:
+///  * k interferes if it beats the effective rank from another node, or
+///    i's own rank from i's node (same-node frames between the two queue
+///    behind i in the FIFO; their head start is the committed term);
+///  * the non-preemptive bus blocks i for the largest frame below the
+///    effective rank;
+///  * a fault can force retransmission of i, of any frame at or above
+///    the effective rank, or of the blocking frame;
+///  * on basicCAN, the tx_buffers largest same-node lower-priority frames
+///    may already sit in the controller and cannot be aborted.
+/// `on_interferer(k)` is called for each interferer, in matrix order.
+template <typename F>
+RowBlocking scan_row(BusFacts& f, std::size_t i, F&& on_interferer) {
+  const std::size_t s = f.sender_of[i];
+  const std::uint64_t own = f.rank[i];
+  const std::uint64_t eff = f.basic[s] ? f.max_rank[s] : own;
+  RowBlocking b;
+  b.max_retx = f.cost[i];
+  f.lp_frames.clear();
+  for (std::size_t k = 0; k < f.rank.size(); ++k) {
+    if (k == i) continue;
+    const std::uint64_t rk = f.rank[k];
+    if (rk > eff) {
+      if (f.cost[k] > b.bus) {
+        b.bus = f.cost[k];
+        b.frame = k;
+      }
+    } else {
+      b.max_retx = max(b.max_retx, f.cost[k]);
+    }
+    if (f.sender_of[k] == s) {
+      if (rk < own)
+        on_interferer(k);
+      else if (f.basic[s] && rk > own)
+        f.lp_frames.push_back(f.cost[k]);
+    } else if (rk < eff) {
+      on_interferer(k);
+    }
+  }
+  b.max_retx = max(b.max_retx, b.bus);
+  if (!f.lp_frames.empty()) {
+    std::sort(f.lp_frames.begin(), f.lp_frames.end(), std::greater<>{});
+    const std::size_t committed =
+        std::min(f.lp_frames.size(), static_cast<std::size_t>(f.tx_buffers[s]));
+    for (std::size_t c = 0; c < committed; ++c) b.intra += f.lp_frames[c];
+  }
+  return b;
 }
 
-Duration frame_time(const KMatrix& km, const CanRtaConfig& cfg, const CanMessage& m) {
-  return m.wcet(km.timing(), cfg.worst_case_stuffing);
+BusFacts& facts_scratch() {
+  static thread_local BusFacts facts;
+  return facts;
 }
 
-/// Deadline under cfg's override policy; mirrors effective_deadline() in
-/// rta_context.cpp (the differential suite pins the two together).
+void check_rows(const KMatrix& km, std::span<const std::size_t> rows) {
+  for (const std::size_t i : rows)
+    if (i >= km.size()) throw std::out_of_range("bad message index");
+}
+
+/// Every message index of `km`, in order (the whole-bus row list).
+std::span<const std::size_t> all_rows(const KMatrix& km) {
+  static thread_local std::vector<std::size_t> rows;
+  while (rows.size() < km.size()) rows.push_back(rows.size());
+  return {rows.data(), km.size()};
+}
+
+/// Deadline under cfg's override policy, without copying the message.
+/// Must mirror CanMessage::deadline() per policy exactly.
 Duration effective_deadline(const CanMessage& m, const CanRtaConfig& cfg) {
   const DeadlinePolicy policy =
       (!cfg.deadline_override || m.deadline_policy == DeadlinePolicy::kExplicit)
@@ -53,9 +162,15 @@ Duration effective_deadline(const CanMessage& m, const CanRtaConfig& cfg) {
   return Duration::infinite();
 }
 
-auto member_order_key(const TtGroup::Member& m) {
-  return std::make_tuple(m.period.count_ns(), m.offset.count_ns(), m.jitter.count_ns(),
-                         m.cost.count_ns());
+TtGroup::Member tt_member(const CanMessage& m, Duration cost) {
+  return TtGroup::Member{m.period, *m.tt_offset, m.jitter, cost};
+}
+
+void push_hp(ColumnarBus& out, const EventModel& em, Duration cost) {
+  out.hp_period.push_back(em.period());
+  out.hp_jitter.push_back(em.jitter());
+  out.hp_dmin.push_back(em.min_distance());
+  out.hp_cost.push_back(cost);
 }
 
 }  // namespace
@@ -79,166 +194,84 @@ void ColumnarBus::clear() {
 }
 
 void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out) {
+  pack_bus(km, cfg, out, all_rows(km));
+}
+
+void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
+              std::span<const std::size_t> rows, std::vector<ContextLabels>* labels) {
+  check_rows(km, rows);
   const auto& msgs = km.messages();
-  const std::size_t n = msgs.size();
+  BusFacts& f = facts_scratch();
+  f.resolve(km, cfg);
 
   out.clear();
   out.timing = km.timing();
   out.horizon = cfg.horizon;
   out.errors = cfg.errors;
+  if (labels != nullptr) labels->assign(rows.size(), ContextLabels{});
 
-  out.cost.reserve(n);
-  out.bcrt.reserve(n);
-  out.deadline.reserve(n);
-  out.blocking.reserve(n);
-  out.max_retx.reserve(n);
-  out.act_period.reserve(n);
-  out.act_jitter.reserve(n);
-  out.act_dmin.reserve(n);
-  out.hp_begin.reserve(n + 1);
-  out.tt_begin.reserve(n + 1);
+  // Offset-scheduled interferers of the row in flight, per sender.
+  static thread_local std::vector<std::vector<std::size_t>> groups;
+  static thread_local std::vector<TtGroup::Member> members;
+  if (groups.size() < f.senders.size()) groups.resize(f.senders.size());
 
-  // Pre-pass, mirroring bus_fingerprints(): per message its rank, frame
-  // time, sender index and normalized activation parameters, so every
-  // pairwise step below is a compare plus a push.
-  std::vector<const std::string*> senders;
-  std::vector<std::uint64_t> rank(n);
-  std::vector<std::size_t> sender_of(n);
-  std::vector<char> is_tt(n, 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    rank[k] = msgs[k].arbitration_rank();
-    out.cost.push_back(frame_time(km, cfg, msgs[k]));
-    out.bcrt.push_back(msgs[k].bcet(km.timing()));
-    out.deadline.push_back(effective_deadline(msgs[k], cfg));
-    const EventModel em = msgs[k].activation();
-    out.act_period.push_back(em.period());
-    out.act_jitter.push_back(em.jitter());
-    out.act_dmin.push_back(em.min_distance());
-    std::size_t s = senders.size();
-    for (std::size_t j = 0; j < senders.size(); ++j)
-      if (*senders[j] == msgs[k].sender) {
-        s = j;
-        break;
-      }
-    if (s == senders.size()) senders.push_back(&msgs[k].sender);
-    sender_of[k] = s;
-    is_tt[k] = cfg.use_offsets && msgs[k].tt_offset.has_value();
-  }
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::size_t i = rows[r];
+    const CanMessage& m = msgs[i];
+    ContextLabels* lab = labels != nullptr ? &(*labels)[r] : nullptr;
+    out.cost.push_back(f.cost[i]);
+    out.bcrt.push_back(m.bcet(km.timing()));
+    out.deadline.push_back(effective_deadline(m, cfg));
+    out.act_period.push_back(f.activation[i].period());
+    out.act_jitter.push_back(f.activation[i].jitter());
+    out.act_dmin.push_back(f.activation[i].min_distance());
 
-  // Effective-rank resolution: basicCAN senders degrade every message to
-  // the node's worst rank (what effective_rank() resolves one message at
-  // a time).
-  std::vector<std::uint64_t> sender_max_rank(senders.size(), 0);
-  std::vector<char> sender_basic(senders.size(), 0);
-  std::vector<int> sender_tx_buffers(senders.size(), 0);
-  for (std::size_t s = 0; s < senders.size(); ++s) {
-    const EcuNode* node = km.find_node(*senders[s]);
-    sender_basic[s] = cfg.model_controller_queues && node != nullptr &&
-                      node->controller == ControllerType::kBasicCan;
-    sender_tx_buffers[s] = node != nullptr ? node->tx_buffers : 0;
-  }
-  for (std::size_t k = 0; k < n; ++k)
-    sender_max_rank[sender_of[k]] = std::max(sender_max_rank[sender_of[k]], rank[k]);
-
-  // Canonical hp order, established once: indices sorted by the legacy
-  // quad (period, jitter, min distance, cost). Scanning interferers in
-  // this order emits every message's hp rows already sorted, replacing n
-  // per-message sorts with one global one. Ties carry identical quads,
-  // so any tie order is bit-identical to the legacy per-message sort.
-  std::vector<std::size_t> by_quad(n);
-  for (std::size_t k = 0; k < n; ++k) by_quad[k] = k;
-  const auto quad = [&](std::size_t k) {
-    return std::make_tuple(out.act_period[k].count_ns(), out.act_jitter[k].count_ns(),
-                           out.act_dmin[k].count_ns(), out.cost[k].count_ns());
-  };
-  std::sort(by_quad.begin(), by_quad.end(),
-            [&](std::size_t a, std::size_t b) { return quad(a) < quad(b); });
-
-  // Per-message scratch, reused across the loop (capacity only grows).
-  std::vector<std::vector<TtGroup::Member>> group_members(senders.size());
-  std::vector<std::size_t> group_order;
-  std::vector<Duration> lp_frames;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t eff_rank =
-        sender_basic[sender_of[i]] ? sender_max_rank[sender_of[i]] : rank[i];
-
-    Duration bus_blocking = Duration::zero();
-    Duration max_retx = out.cost[i];
-    for (auto& g : group_members) g.clear();
-    lp_frames.clear();
+    for (std::size_t s = 0; s < f.senders.size(); ++s) groups[s].clear();
     out.hp_begin.push_back(out.hp_period.size());
-    // Scan in quad order: hp rows land in out.hp_* pre-sorted; the max /
-    // sum-after-sort aggregates below are order-independent.
-    for (const std::size_t k : by_quad) {
-      if (k == i) continue;
-      if (rank[k] > eff_rank) bus_blocking = max(bus_blocking, out.cost[k]);
-      if (rank[k] <= eff_rank) max_retx = max(max_retx, out.cost[k]);
-      if (sender_basic[sender_of[i]] && sender_of[k] == sender_of[i] && rank[k] > rank[i])
-        lp_frames.push_back(out.cost[k]);
-      const bool interferes =
-          sender_of[k] == sender_of[i] ? rank[k] < rank[i] : rank[k] < eff_rank;
-      if (!interferes) continue;
-      if (is_tt[k]) {
-        group_members[sender_of[k]].push_back(
-            TtGroup::Member{msgs[k].period, *msgs[k].tt_offset, msgs[k].jitter, out.cost[k]});
-      } else {
-        out.hp_period.push_back(out.act_period[k]);
-        out.hp_jitter.push_back(out.act_jitter[k]);
-        out.hp_dmin.push_back(out.act_dmin[k]);
-        out.hp_cost.push_back(out.cost[k]);
+    const RowBlocking b = scan_row(f, i, [&](std::size_t k) {
+      if (f.is_tt[k]) {
+        groups[f.sender_of[k]].push_back(k);
+        return;
       }
-    }
-    max_retx = max(max_retx, bus_blocking);
-
-    // Committed-FIFO blocking of basicCAN senders: the top tx_buffers
-    // same-node lower-priority frames, summed largest first (the exact
-    // order intra_node_blocking() adds them in).
-    Duration intra = Duration::zero();
-    if (!lp_frames.empty()) {
-      std::sort(lp_frames.begin(), lp_frames.end(), std::greater<>{});
-      const std::size_t committed = std::min<std::size_t>(
-          lp_frames.size(), static_cast<std::size_t>(sender_tx_buffers[sender_of[i]]));
-      for (std::size_t f = 0; f < committed; ++f) intra += lp_frames[f];
-    }
-    out.blocking.push_back(bus_blocking + intra);
-    out.max_retx.push_back(max_retx);
-
-    // Canonical group order: members sorted by their quad, groups sorted
-    // lexicographically by member quads (ties are groups with identical
-    // quad sequences, interchangeable to the solver — same as legacy).
-    group_order.clear();
-    for (std::size_t s = 0; s < group_members.size(); ++s)
-      if (!group_members[s].empty()) {
-        std::sort(group_members[s].begin(), group_members[s].end(),
-                  [](const TtGroup::Member& x, const TtGroup::Member& y) {
-                    return member_order_key(x) < member_order_key(y);
-                  });
-        group_order.push_back(s);
-      }
-    std::sort(group_order.begin(), group_order.end(), [&](std::size_t x, std::size_t y) {
-      return std::lexicographical_compare(
-          group_members[x].begin(), group_members[x].end(), group_members[y].begin(),
-          group_members[y].end(),
-          [](const TtGroup::Member& a, const TtGroup::Member& b) {
-            return member_order_key(a) < member_order_key(b);
-          });
+      push_hp(out, f.activation[k], f.cost[k]);
+      if (lab != nullptr) lab->hp.push_back(msgs[k].name);
     });
+    out.blocking.push_back(b.bus + b.intra);
+    out.max_retx.push_back(b.max_retx);
+    if (lab != nullptr) {
+      lab->bus_blocking = b.bus;
+      lab->intra_node_blocking = b.intra;
+      if (b.frame < msgs.size()) lab->blocking_frame = msgs[b.frame].name;
+    }
 
-    // Pre-build the groups; a failed build (unbounded hyperperiod) falls
-    // back to offset-blind event models appended after the sorted hp rows
-    // — the same append position solve_message_impl() uses.
+    // Each sender's offset-scheduled interferers form one TtGroup; a
+    // group whose hyperperiod is unbounded falls back to offset-blind
+    // event models among the hp entries.
     out.tt_begin.push_back(out.tt_groups.size());
-    for (const std::size_t s : group_order) {
-      if (auto g = TtGroup::build(group_members[s])) {
+    for (std::size_t s = 0; s < f.senders.size(); ++s) {
+      std::vector<std::size_t>& group = groups[s];
+      if (group.empty()) continue;
+      if (lab != nullptr) {
+        // Name members in schedule order, ties by name.
+        std::sort(group.begin(), group.end(), [&](std::size_t x, std::size_t y) {
+          return std::tie(msgs[x].period, *msgs[x].tt_offset, msgs[x].jitter, f.cost[x],
+                          msgs[x].name) < std::tie(msgs[y].period, *msgs[y].tt_offset,
+                                                   msgs[y].jitter, f.cost[y], msgs[y].name);
+        });
+      }
+      members.clear();
+      for (const std::size_t k : group) members.push_back(tt_member(msgs[k], f.cost[k]));
+      if (auto g = TtGroup::build(members)) {
         out.tt_groups.push_back(std::move(*g));
+        if (lab != nullptr) {
+          lab->tt_sender.push_back(*f.senders[s]);
+          auto& names = lab->tt_members.emplace_back();
+          for (const std::size_t k : group) names.push_back(msgs[k].name);
+        }
       } else {
-        for (const auto& member : group_members[s]) {
-          const EventModel em = EventModel::periodic_jitter(member.period, member.jitter);
-          out.hp_period.push_back(em.period());
-          out.hp_jitter.push_back(em.jitter());
-          out.hp_dmin.push_back(em.min_distance());
-          out.hp_cost.push_back(member.cost);
+        for (const std::size_t k : group) {
+          push_hp(out, EventModel::periodic_jitter(msgs[k].period, msgs[k].jitter), f.cost[k]);
+          if (lab != nullptr) lab->hp.push_back(msgs[k].name);
         }
       }
     }
@@ -253,33 +286,92 @@ ColumnarBus pack_bus(const KMatrix& km, const CanRtaConfig& cfg) {
   return bus;
 }
 
-MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i, const ErrorModel& errors) {
-  if (i + 1 >= bus.hp_begin.size())
-    throw std::out_of_range("solve_columnar: bad index");
+// --- The busy-period solver ---------------------------------------------
+
+namespace {
+
+/// Iterate a monotone fixed point x = f(x) starting from x0, bounded by
+/// `horizon`. Returns the fixed point, or infinite() when it diverges.
+/// `iterations` accumulates the number of evaluations of f. `rec(x)`
+/// observes each iterate (the inputs to f, ending with the fixed point
+/// itself).
+template <typename F, typename R>
+Duration fixed_point(Duration x0, Duration horizon, std::int64_t& iterations, F&& f, R&& rec) {
+  Duration x = x0;
+  for (;;) {
+    rec(x);
+    ++iterations;
+    const Duration next = f(x);
+    if (next == x) return x;
+    if (next > horizon) return Duration::infinite();
+    // f is non-decreasing in x for all our interference terms, so the
+    // iteration is non-decreasing; a decrease would indicate a modelling
+    // bug, which we guard in debug builds.
+    assert(next > x);
+    x = next;
+  }
+}
+
+/// Solver-trajectory recorders. Every hook of the null recorder inlines
+/// to nothing, so the plain solve pays no bookkeeping; the tracing
+/// recorder fills a SolveTrace, keeping the window iterates of the
+/// instance that attains the WCRT.
+struct NullSolveRecorder {
+  void busy_iterate(Duration) {}
+  void begin_instance(std::int64_t) {}
+  void window_iterate(Duration) {}
+  void instance_result(std::int64_t, Duration, Duration) {}
+};
+
+struct TracingSolveRecorder {
+  explicit TracingSolveRecorder(SolveTrace& trace) : out(trace) {}
+
+  SolveTrace& out;
+  std::vector<Duration> scratch;  ///< Iterates of the instance in flight.
+  Duration best_response = -Duration::infinite();
+
+  void busy_iterate(Duration x) { out.busy_iterates.push_back(x); }
+  void begin_instance(std::int64_t) { scratch.clear(); }
+  void window_iterate(Duration x) { scratch.push_back(x); }
+  void instance_result(std::int64_t q, Duration w, Duration response) {
+    // Strict '>' mirrors wcrt = max(wcrt, response): the first instance
+    // attaining the maximum is the critical one.
+    if (response > best_response) {
+      best_response = response;
+      out.critical_instance = q;
+      out.critical_window = w;
+      out.window_iterates = scratch;
+    }
+  }
+};
+
+template <typename Rec>
+MessageResult solve_row(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors,
+                        Rec& rec) {
+  if (r + 1 >= bus.hp_begin.size()) throw std::out_of_range("solve_columnar: bad row");
 
   const Duration tau_bit = bus.timing.bit_time();
-  const Duration c_m = bus.cost[i];
-  const Duration act_p = bus.act_period[i];
-  const Duration act_j = bus.act_jitter[i];
-  const Duration act_d = bus.act_dmin[i];
+  const Duration c_m = bus.cost[r];
+  const Duration act_p = bus.act_period[r];
+  const Duration act_j = bus.act_jitter[r];
+  const Duration act_d = bus.act_dmin[r];
 
   MessageResult res;
-  res.bcrt = bus.bcrt[i];
-  res.deadline = bus.deadline[i];
-  res.blocking = bus.blocking[i];
-  const Duration blocking = bus.blocking[i];
-  const Duration max_retx = bus.max_retx[i];
+  res.bcrt = bus.bcrt[r];
+  res.deadline = bus.deadline[r];
+  res.blocking = bus.blocking[r];
+  const Duration blocking = bus.blocking[r];
+  const Duration max_retx = bus.max_retx[r];
 
-  const std::size_t hp_lo = bus.hp_begin[i];
-  const std::size_t hp_hi = bus.hp_begin[i + 1];
-  const std::size_t tt_lo = bus.tt_begin[i];
-  const std::size_t tt_hi = bus.tt_begin[i + 1];
+  const std::size_t hp_lo = bus.hp_begin[r];
+  const std::size_t hp_hi = bus.hp_begin[r + 1];
+  const std::size_t tt_lo = bus.tt_begin[r];
+  const std::size_t tt_hi = bus.tt_begin[r + 1];
 
   const auto hp_interference = [&](Duration window) {
     Duration total = Duration::zero();
     for (std::size_t k = hp_lo; k < hp_hi; ++k)
-      total +=
-          columnar_eta_plus(window, bus.hp_period[k], bus.hp_jitter[k], bus.hp_dmin[k]) * bus.hp_cost[k];
+      total += eta_plus(window, bus.hp_period[k], bus.hp_jitter[k], bus.hp_dmin[k]) * bus.hp_cost[k];
     for (std::size_t g = tt_lo; g < tt_hi; ++g) total += bus.tt_groups[g].interference(window);
     return total;
   };
@@ -288,11 +380,16 @@ MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i, const ErrorM
     return errors.overhead(window, max_retx, bus.timing);
   };
 
+  // Length of the level-m busy period: processor demand of m itself, all
+  // higher-priority traffic, blocking, and fault recovery.
   std::int64_t iterations = 0;
-  const Duration busy = fixed_point(blocking + c_m, bus.horizon, iterations, [&](Duration t) {
-    return blocking + columnar_eta_plus(t, act_p, act_j, act_d) * c_m + hp_interference(t) +
-           error_overhead(t);
-  });
+  const Duration busy = fixed_point(
+      blocking + c_m, bus.horizon, iterations,
+      [&](Duration t) {
+        return blocking + eta_plus(t, act_p, act_j, act_d) * c_m + hp_interference(t) +
+               error_overhead(t);
+      },
+      [&](Duration x) { rec.busy_iterate(x); });
   res.fixedpoint_iterations = iterations;
   if (busy.is_infinite()) {
     res.wcrt = Duration::infinite();
@@ -303,13 +400,22 @@ MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i, const ErrorM
   }
   res.busy_period = busy;
 
-  const std::int64_t q_max = columnar_eta_plus(busy, act_p, act_j, act_d);
+  const std::int64_t q_max = eta_plus(busy, act_p, act_j, act_d);
   res.instances = q_max;
   Duration wcrt = Duration::zero();
   for (std::int64_t q = 0; q < q_max; ++q) {
-    const Duration w = fixed_point(blocking + q * c_m, bus.horizon, iterations, [&](Duration t) {
-      return blocking + q * c_m + hp_interference(t + tau_bit) + error_overhead(t + c_m);
-    });
+    // Queueing delay of instance q (0-based): blocking, q earlier
+    // instances of m, higher-priority frames that win arbitration before
+    // instance q gets the bus (a frame queued up to one bit time after
+    // the arbitration decision still wins), and fault recovery covering
+    // the window up to the end of instance q's transmission.
+    rec.begin_instance(q);
+    const Duration w = fixed_point(
+        blocking + q * c_m, bus.horizon, iterations,
+        [&](Duration t) {
+          return blocking + q * c_m + hp_interference(t + tau_bit) + error_overhead(t + c_m);
+        },
+        [&](Duration x) { rec.window_iterate(x); });
     res.fixedpoint_iterations = iterations;
     if (w.is_infinite()) {
       res.wcrt = Duration::infinite();
@@ -317,17 +423,196 @@ MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i, const ErrorM
       res.schedulable = false;
       return res;
     }
-    const Duration response = w + c_m - columnar_delta_min(q + 1, act_p, act_j, act_d);
+    // Instance q arrives no earlier than delta_min(q+1) after the busy
+    // period starts; its response time is measured from its own arrival.
+    const Duration response = w + c_m - delta_min(q + 1, act_p, act_j, act_d);
+    rec.instance_result(q, w, response);
     wcrt = max(wcrt, response);
-    if (w + c_m <= columnar_delta_min(q + 2, act_p, act_j, act_d)) break;
+    // Early exit: once the busy period drains before the next arrival,
+    // later instances cannot be worse.
+    if (w + c_m <= delta_min(q + 2, act_p, act_j, act_d)) break;
   }
   res.wcrt = wcrt;
   res.schedulable = !res.deadline.is_infinite() ? wcrt <= res.deadline : true;
   return res;
 }
 
-MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i) {
-  return solve_columnar(bus, i, *bus.errors);
+}  // namespace
+
+MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors) {
+  NullSolveRecorder rec;
+  return solve_row(bus, r, errors, rec);
+}
+
+MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r) {
+  return solve_columnar(bus, r, *bus.errors);
+}
+
+MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors,
+                             SolveTrace& trace) {
+  trace = SolveTrace{};
+  TracingSolveRecorder rec{trace};
+  return solve_row(bus, r, errors, rec);
+}
+
+std::vector<MessageResult> solve_rows(const KMatrix& km, const CanRtaConfig& cfg,
+                                      std::span<const std::size_t> rows) {
+  static thread_local ColumnarBus bus;
+  pack_bus(km, cfg, bus, rows);
+  std::vector<MessageResult> out;
+  out.reserve(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    MessageResult& res = out.emplace_back(solve_columnar(bus, r));
+    res.name = km.messages()[rows[r]].name;
+    res.id = km.messages()[rows[r]].id;
+  }
+  return out;
+}
+
+std::vector<MessageResult> solve_rows(const KMatrix& km, const CanRtaConfig& cfg) {
+  return solve_rows(km, cfg, all_rows(km));
+}
+
+// --- Fingerprints ---------------------------------------------------------
+
+namespace {
+
+/// Two-lane 128-bit mixer: lane a is FNV-1a, lane b a SplitMix-style
+/// add-xor-multiply chain. Both lanes see every word, with different
+/// diffusion, so a collision requires defeating both simultaneously.
+class KeyMixer {
+ public:
+  KeyMixer() = default;
+  explicit KeyMixer(std::uint64_t seed) { mix(seed); }
+  void mix(std::uint64_t v) {
+    a_ = (a_ ^ v) * 0x100000001b3ULL;
+    b_ += v + 0x9e3779b97f4a7c15ULL;
+    b_ = (b_ ^ (b_ >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    b_ ^= b_ >> 27;
+  }
+  void mix(Duration d) { mix(static_cast<std::uint64_t>(d.count_ns())); }
+  void mix(const EventModel& em) {
+    mix(em.period());
+    mix(em.jitter());
+    mix(em.min_distance());
+  }
+  ContextKey key() const { return ContextKey{a_, b_}; }
+
+ private:
+  std::uint64_t a_ = 0xcbf29ce484222325ULL;
+  std::uint64_t b_ = 0x58a3f9e1d2c4b605ULL;
+};
+
+/// Multiset accumulator: elements are hashed individually through a
+/// seeded KeyMixer and combined with wrapping addition per lane, so the
+/// accumulated value is independent of element order.
+struct MultisetAcc {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t n = 0;
+
+  void add(const ContextKey& k) {
+    a += k.a;
+    b += k.b;
+    ++n;
+  }
+};
+
+ContextKey hp_entry_hash(const EventModel& em, Duration cost) {
+  KeyMixer h{0x68702d656e747279ULL};  // "hp-entry"
+  h.mix(em);
+  h.mix(cost);
+  return h.key();
+}
+
+ContextKey tt_member_hash(const TtGroup::Member& m) {
+  KeyMixer h{0x74742d6d656d6265ULL};  // "tt-membe"
+  h.mix(m.period);
+  h.mix(m.offset);
+  h.mix(m.jitter);
+  h.mix(m.cost);
+  return h.key();
+}
+
+ContextKey tt_group_hash(const MultisetAcc& members) {
+  KeyMixer h{0x74742d67726f7570ULL};  // "tt-group"
+  h.mix(members.a);
+  h.mix(members.b);
+  h.mix(members.n);
+  return h.key();
+}
+
+}  // namespace
+
+std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& cfg) {
+  return bus_fingerprints(km, cfg, all_rows(km));
+}
+
+std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& cfg,
+                                         std::span<const std::size_t> rows) {
+  check_rows(km, rows);
+  const auto& msgs = km.messages();
+  BusFacts& f = facts_scratch();
+  f.resolve(km, cfg);
+
+  // Each message's element hash once; every pairwise step below is then
+  // a compare plus a few additions.
+  static thread_local std::vector<ContextKey> element;
+  static thread_local std::vector<MultisetAcc> groups;
+  element.clear();
+  for (std::size_t k = 0; k < msgs.size(); ++k)
+    element.push_back(f.is_tt[k] ? tt_member_hash(tt_member(msgs[k], f.cost[k]))
+                                 : hp_entry_hash(f.activation[k], f.cost[k]));
+
+  // Raw config switches. Strictly redundant — every switch is already
+  // resolved into the row values — but hashed anyway so a future config
+  // field that leaks into the solver without reaching the row shows up
+  // as a test failure, not a stale hit.
+  const std::uint64_t switches =
+      static_cast<std::uint64_t>(cfg.worst_case_stuffing) |
+      (static_cast<std::uint64_t>(cfg.model_controller_queues) << 1) |
+      (static_cast<std::uint64_t>(cfg.use_offsets) << 2) |
+      (cfg.deadline_override ? 0x10ULL + static_cast<std::uint64_t>(*cfg.deadline_override)
+                             : 0x8ULL);
+  const std::uint64_t errors_fp = cfg.errors->fingerprint();
+
+  std::vector<ContextKey> keys;
+  keys.reserve(rows.size());
+  for (const std::size_t i : rows) {
+    const CanMessage& m = msgs[i];
+    MultisetAcc hp;
+    groups.assign(f.senders.size(), MultisetAcc{});
+    const RowBlocking b = scan_row(f, i, [&](std::size_t k) {
+      if (f.is_tt[k])
+        groups[f.sender_of[k]].add(element[k]);
+      else
+        hp.add(element[k]);
+    });
+    MultisetAcc tt;
+    for (const MultisetAcc& g : groups)
+      if (g.n > 0) tt.add(tt_group_hash(g));
+
+    KeyMixer h;
+    h.mix(switches);
+    h.mix(errors_fp);
+    h.mix(static_cast<std::uint64_t>(km.timing().bits_per_second()));
+    h.mix(km.timing().bit_time());
+    h.mix(f.cost[i]);
+    h.mix(m.bcet(km.timing()));
+    h.mix(effective_deadline(m, cfg));
+    h.mix(f.activation[i]);
+    h.mix(b.bus + b.intra);
+    h.mix(b.max_retx);
+    h.mix(cfg.horizon);
+    h.mix(hp.a);
+    h.mix(hp.b);
+    h.mix(hp.n);
+    h.mix(tt.a);
+    h.mix(tt.b);
+    h.mix(tt.n);
+    keys.push_back(h.key());
+  }
+  return keys;
 }
 
 }  // namespace symcan::analysis

@@ -1,56 +1,52 @@
 #pragma once
 
-// Columnar (structure-of-arrays) form of the busy-period solve core.
+// The busy-period core of the CAN response-time analysis, in columnar
+// (structure-of-arrays) form. It has two halves:
 //
-// build_message_context() + solve_message() resolve and solve one message
-// at a time through an object graph: a MessageContext owns its own hp
-// vector, its own offset-group member lists and its own strings, so every
-// solve on the hot path (GA fitness grids, sweeps, `symcan serve`) pays a
-// dozen allocations before the fixed point even starts. pack_bus()
-// instead resolves a *whole* K-Matrix + config into contiguous columns in
-// one pass:
+//   pack_bus(km, cfg, out[, rows])  — resolve everything the verdicts of
+//       the chosen messages can depend on into contiguous columns, one
+//       row per message: its own cost/deadline/event model, the
+//       blocking terms, the higher-priority interference set and the
+//       offset-scheduled sender groups. Without `rows` every message is
+//       packed and row i is message i; with `rows`, row r is message
+//       rows[r], so a caller that needs three verdicts packs three rows.
 //
-//   * per-message scalars (cost, bcrt, deadline, blocking, max_retx) and
-//     the activation event-model parameters as parallel arrays;
+//   solve_columnar(bus, r)          — run the Davis/Tindell busy-period
+//       fixed point on row r alone, with zero heap traffic. Equal rows
+//       give bit-identical MessageResults, iteration counts included.
+//
+// CanRta, IncrementalRta, the probabilistic rung ladders and `explain`
+// all solve through these two functions. IncrementalRta keys its cache
+// by bus_fingerprints(), which scans the matrix through the same
+// interference rule as the pack and hashes every value a packed row
+// holds, so a fingerprint hit is a proof that the fresh solve would
+// produce the same bits.
+//
+// Layout of one pack:
+//
+//   * per-row scalars (cost, bcrt, deadline, blocking, max_retx) and the
+//     activation event-model parameters as parallel arrays;
 //   * the higher-priority interference sets as one shared CSR block
-//     (hp_begin[i] .. hp_begin[i+1]) of (period, jitter, dmin, cost)
+//     (hp_begin[r] .. hp_begin[r+1]) of (period, jitter, dmin, cost)
 //     columns;
-//   * the offset groups pre-built into TtGroups (CSR again), with the
-//     groups whose hyperperiod is unbounded already expanded into their
-//     offset-blind fallback entries at the tail of the hp rows.
+//   * the offset groups pre-built into TtGroups (CSR again); a group
+//     whose hyperperiod is unbounded is expanded into its offset-blind
+//     fallback entries among the row's hp entries instead.
 //
-// solve_columnar() then runs the identical Davis/Tindell fixed point over
-// the columns with zero heap traffic per solve. Bit-exactness contract:
-// for every message i,
-//
-//   solve_columnar(pack_bus(km, cfg), i)  ==  solve_message(
-//       build_message_context(km, cfg, i))
-//
-// in every field, iteration counts included (the name/id identity is
-// patched by the caller; it never reaches the solver). This holds because
-// the pack resolves exactly the values build_message_context() resolves,
-// in exactly the legacy summation order: the hp rows are canonically
-// sorted (period, jitter, min distance, cost) with group-build-fallback
-// members appended after, groups are built from canonically sorted member
-// lists in canonical group order, and every eta+/delta_min evaluation
-// replicates EventModel verbatim on normalized parameters. All sums are
-// saturating integer arithmetic over non-negative terms, so the layout
-// change cannot even in principle introduce rounding drift — the
-// layout-differential suite (tests/analysis/columnar_differential_test
-// .cpp) pins the equality across assumption presets and seeded matrices
-// anyway.
+// Row contents are sets: every interference term is non-negative and
+// Duration arithmetic saturates, so the busy-window sums, and with them
+// every verdict, are independent of the order the pack emits entries in.
 //
 // Arena lifetime: a ColumnarBus is a bundle of vectors that only ever
 // grow; pack_bus() into an existing instance clear()s and refills them,
-// reusing capacity. Hot loops keep one thread_local instance per worker
-// (IncrementalRta::analyze() packs lazily on the first cache miss), so
-// steady-state re-analysis performs no allocation at all — the arena the
-// per-solve scratch lives in is the packed bus itself.
+// reusing capacity. Hot loops keep one thread_local instance per worker,
+// so steady-state re-analysis performs no allocation at all.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "symcan/analysis/error_model.hpp"
@@ -66,35 +62,13 @@ class KMatrix;
 
 namespace analysis {
 
-/// EventModel::eta_plus on raw columns. The parameters are stored
-/// through the EventModel getters at pack time, so the invariants
-/// (p > 0, j >= 0, 0 <= d <= p) hold by construction and this replicates
-/// event_model.cpp operation for operation — inline, so the fixed-point
-/// loop reads three contiguous lanes instead of chasing an object.
-inline std::int64_t columnar_eta_plus(Duration dt, Duration p, Duration j, Duration d) {
-  if (dt <= Duration::zero()) return 0;
-  const std::int64_t periodic_bound = ceil_div(dt + j, p);
-  if (d <= Duration::zero()) return periodic_bound;
-  const std::int64_t burst_bound = ceil_div(dt, d) + 1;
-  return std::min(periodic_bound, burst_bound);
-}
-
-/// EventModel::delta_min on raw columns; same contract as above.
-inline Duration columnar_delta_min(std::int64_t n, Duration p, Duration j, Duration d) {
-  if (n <= 1) return Duration::zero();
-  const Duration periodic = (n - 1) * p - j;
-  const Duration burst = (n - 1) * d;
-  return max(max(periodic, burst), Duration::zero());
-}
-
-/// One whole bus resolved under one config, ready to solve. Index-
-/// parallel to KMatrix::messages().
+/// Packed rows, ready to solve.
 struct ColumnarBus {
   BitTiming timing{500'000};
   Duration horizon = Duration::s(10);
   std::shared_ptr<const ErrorModel> errors;
 
-  // Per-message scalar columns.
+  // Per-row scalar columns.
   std::vector<Duration> cost;      ///< C_m under the configured stuffing.
   std::vector<Duration> bcrt;      ///< Unstuffed frame time.
   std::vector<Duration> deadline;  ///< Resolved against any override.
@@ -105,22 +79,20 @@ struct ColumnarBus {
   std::vector<Duration> act_jitter;
   std::vector<Duration> act_dmin;
 
-  /// Higher-priority interference CSR: message i's entries occupy
-  /// [hp_begin[i], hp_begin[i+1]) of the four column arrays — the
-  /// canonically sorted event-model interferers first, then the
-  /// offset-blind fallbacks of any group whose hyperperiod was
-  /// unbounded (in canonical group/member order, matching the legacy
-  /// solver's append order).
+  /// Higher-priority interference CSR: row r's entries occupy
+  /// [hp_begin[r], hp_begin[r+1]) of the four column arrays — the
+  /// interferers analyzed through their event models plus the
+  /// offset-blind fallbacks of any group whose hyperperiod was unbounded.
   std::vector<std::size_t> hp_begin;
   std::vector<Duration> hp_period;
   std::vector<Duration> hp_jitter;
   std::vector<Duration> hp_dmin;
   std::vector<Duration> hp_cost;
 
-  /// Pre-built offset groups CSR: message i's groups occupy
-  /// [tt_begin[i], tt_begin[i+1]) of tt_groups, in canonical group
-  /// order. Building happens once per pack instead of once per solve —
-  /// TtGroup::interference() is const and safe to share.
+  /// Pre-built offset groups CSR: row r's groups occupy
+  /// [tt_begin[r], tt_begin[r+1]) of tt_groups. Building happens once per
+  /// pack instead of once per solve — TtGroup::interference() is const
+  /// and safe to share.
   std::vector<std::size_t> tt_begin;
   std::vector<TtGroup> tt_groups;
 
@@ -130,24 +102,100 @@ struct ColumnarBus {
   void clear();
 };
 
-/// Resolve every message of `km` under `cfg` into `out`, reusing its
-/// capacity. Mirrors build_message_context() for all indices at once in
-/// one O(n^2) pass (the same asymptotics one legacy context build pays).
+/// Human-readable identities of one packed row, filled by pack_bus() on
+/// request. Pure output identity — never read by the solver — consumed
+/// by the provenance layer (analysis/provenance.hpp) to name the terms
+/// of a breakdown.
+struct ContextLabels {
+  /// Parallel to the row's hp entries: the interfering message of each,
+  /// group fallbacks included.
+  std::vector<std::string> hp;
+  /// Parallel to the row's offset groups: the sending node of each group
+  /// and the names of its members.
+  std::vector<std::string> tt_sender;
+  std::vector<std::vector<std::string>> tt_members;
+  std::string blocking_frame;  ///< Largest lower-priority bus frame; "" if none.
+  Duration bus_blocking = Duration::zero();
+  Duration intra_node_blocking = Duration::zero();
+};
+
+/// Resolve every message of `km` under `cfg` into `out` (row i is
+/// message i), reusing its capacity.
 void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out);
 
-/// Convenience: pack into a fresh instance.
+/// Resolve only the messages `rows` names: row r is message rows[r].
+/// `labels`, when non-null, receives one ContextLabels per row. Throws
+/// std::out_of_range when a row names no message.
+void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
+              std::span<const std::size_t> rows, std::vector<ContextLabels>* labels = nullptr);
+
+/// Convenience: pack the whole bus into a fresh instance.
 ColumnarBus pack_bus(const KMatrix& km, const CanRtaConfig& cfg);
 
-/// Run the busy-period fixed point on packed message `i` using
-/// `bus.errors`. Allocation-free; the result's name/id are left empty for
-/// the caller to patch (they never influence the solver).
-MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i);
+/// Everything the solver visited on the way to one verdict, recorded by
+/// the tracing overload of solve_columnar(). The iterate sequences are
+/// the successive window values of the monotone fixed points — the
+/// convergence trajectory `symcan explain` renders.
+struct SolveTrace {
+  std::vector<Duration> busy_iterates;  ///< Busy-period fixed-point iterates.
+  std::int64_t critical_instance = 0;   ///< 0-based q attaining the WCRT.
+  Duration critical_window = Duration::zero();  ///< Fixed point w(q*).
+  std::vector<Duration> window_iterates;        ///< Iterates of w(q*).
+};
+
+/// Run the busy-period fixed point on packed row `r` using `bus.errors`.
+/// Allocation-free; the result's name/id are left empty for the caller
+/// to patch (they never influence the solver).
+MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r);
 
 /// Same solve with the error model replaced per call — the grid-sweep
-/// path, where only the fault assumption varies between points and the
+/// and rung-ladder path, where only the fault assumption varies and the
 /// packed columns stay valid (the error model enters the solver solely
 /// through its overhead term).
-MessageResult solve_columnar(const ColumnarBus& bus, std::size_t i, const ErrorModel& errors);
+MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors);
+
+/// Same solve, additionally recording its trajectory into `trace`. It
+/// runs the plain solve's code (the recorder only observes), so an
+/// explained verdict *is* the verdict.
+MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors,
+                             SolveTrace& trace);
+
+/// Pack the messages `rows` names and solve every row: element r is the
+/// verdict of message rows[r], its name and ID patched in. The packing
+/// arena is thread-local. Every deterministic verdict — CanRta and the
+/// cache misses of IncrementalRta — comes from here.
+std::vector<MessageResult> solve_rows(const KMatrix& km, const CanRtaConfig& cfg,
+                                      std::span<const std::size_t> rows);
+
+/// Same for every message of `km`, in matrix order.
+std::vector<MessageResult> solve_rows(const KMatrix& km, const CanRtaConfig& cfg);
+
+/// 128-bit cache key of one packed row. Two lanes of independent mixing
+/// make accidental collisions (which would silently corrupt cached
+/// results) vanishingly unlikely at any realistic cache size.
+struct ContextKey {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  friend bool operator==(const ContextKey&, const ContextKey&) = default;
+};
+
+struct ContextKeyHash {
+  std::size_t operator()(const ContextKey& k) const noexcept {
+    return static_cast<std::size_t>(k.a ^ (k.b * 0x9e3779b97f4a7c15ULL));
+  }
+};
+
+/// Fingerprint of every message's row, without packing: a stable 128-bit
+/// key over every value pack_bus() would put in the row, the raw config
+/// switches and the error model. The interference sets are hashed as
+/// multisets (commutative combine), so the key does not depend on the
+/// order of the matrix. Element i belongs to message i.
+std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& cfg);
+
+/// Fingerprints of the messages `rows` names only: element r belongs to
+/// message rows[r] and equals element rows[r] of the whole-bus call.
+std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& cfg,
+                                         std::span<const std::size_t> rows);
 
 }  // namespace analysis
 }  // namespace symcan

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "symcan/analysis/columnar.hpp"
+#include "symcan/model/event_model.hpp"
 #include "symcan/obs/obs.hpp"
 
 namespace symcan {
@@ -202,13 +202,13 @@ EcuResult EcuRta::analyze() const {
     const auto hp_interference = [&](Duration w) {
       Duration total = Duration::zero();
       for (std::size_t k = lo; k < hi; ++k)
-        total += analysis::columnar_eta_plus(w, hp_p[k], hp_j[k], hp_d[k]) * hp_cost[k];
+        total += eta_plus(w, hp_p[k], hp_j[k], hp_d[k]) * hp_cost[k];
       return total;
     };
 
     std::int64_t iterations = 0;
     const Duration busy = fixed_point(b + c_me, horizon_, iterations, [&](Duration t) {
-      return b + analysis::columnar_eta_plus(t, act_p[i], act_j[i], act_d[i]) * c_me +
+      return b + eta_plus(t, act_p[i], act_j[i], act_d[i]) * c_me +
              hp_interference(t);
     });
     res.fixedpoint_iterations = iterations;
@@ -221,7 +221,7 @@ EcuResult EcuRta::analyze() const {
     }
     res.busy_period = busy;
 
-    const std::int64_t q_max = analysis::columnar_eta_plus(busy, act_p[i], act_j[i], act_d[i]);
+    const std::int64_t q_max = eta_plus(busy, act_p[i], act_j[i], act_d[i]);
     res.instances = q_max;
     Duration wcrt = Duration::zero();
     bool window_diverged = false;
@@ -237,8 +237,8 @@ EcuResult EcuRta::analyze() const {
         window_diverged = true;
         break;
       }
-      wcrt = max(wcrt, w - analysis::columnar_delta_min(q + 1, act_p[i], act_j[i], act_d[i]));
-      if (w <= analysis::columnar_delta_min(q + 2, act_p[i], act_j[i], act_d[i])) break;
+      wcrt = max(wcrt, w - delta_min(q + 1, act_p[i], act_j[i], act_d[i]));
+      if (w <= delta_min(q + 2, act_p[i], act_j[i], act_d[i])) break;
     }
     if (!window_diverged) {
       res.wcrt = wcrt;

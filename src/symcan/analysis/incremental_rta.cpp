@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "symcan/analysis/columnar.hpp"
 #include "symcan/can/kmatrix.hpp"
 #include "symcan/obs/obs.hpp"
 #include "symcan/util/parallel.hpp"
@@ -10,12 +9,6 @@
 namespace symcan::analysis {
 
 namespace {
-
-/// Misses a run must accumulate before the whole bus gets packed for the
-/// columnar miss path. Roughly pack_bus cost divided by one legacy
-/// build + solve on the case study — below it the legacy path is
-/// cheaper, above it the pack amortizes across the remaining misses.
-constexpr std::int64_t kPackMissThreshold = 4;
 
 /// SplitMix64-style chain (same shape as the fingerprint helpers).
 std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
@@ -25,232 +18,126 @@ std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   return h ^ (h >> 31);
 }
 
-/// Ladder cache key: the context fingerprint with the ladder shape
+/// Ladder cache key: the row fingerprint with the ladder shape
 /// (max_rungs) mixed into both lanes under a plane tag, so ladder keys
 /// can never alias verdict keys or each other across shapes.
-ContextKey ladder_key(const ContextKey& ctx, std::int64_t max_rungs) {
-  return {mix64(ctx.a ^ 0x1adde7, static_cast<std::uint64_t>(max_rungs)),
-          mix64(ctx.b, static_cast<std::uint64_t>(max_rungs))};
+ContextKey ladder_key(const ContextKey& row, std::int64_t max_rungs) {
+  return {mix64(row.a ^ 0x1adde7, static_cast<std::uint64_t>(max_rungs)),
+          mix64(row.b, static_cast<std::uint64_t>(max_rungs))};
+}
+
+/// Identity is not part of a key: a structurally equal message in
+/// another matrix (e.g. a GA neighbour after an ID swap) reuses the
+/// verdict under its own name and ID.
+void relabel(MessageResult& r, const CanMessage& m) {
+  r.name = m.name;
+  r.id = m.id;
+}
+
+void add(RtaCacheStats& into, const RtaCacheStats& d) {
+  into.hits += d.hits;
+  into.misses += d.misses;
+  into.evictions += d.evictions;
 }
 
 }  // namespace
 
-IncrementalRta::IncrementalRta(RtaCacheConfig cfg) : cfg_{cfg} {
-  if (cfg_.capacity == 0) throw std::invalid_argument("IncrementalRta: capacity must be >= 1");
-  if (cfg_.shards == 0) throw std::invalid_argument("IncrementalRta: shards must be >= 1");
-  // More shards than entries would create empty shards with capacity 0;
-  // clamp so every shard can hold at least one entry.
-  const std::size_t shards = cfg_.shards > cfg_.capacity ? cfg_.capacity : cfg_.shards;
-  shard_capacity_ = cfg_.capacity / shards;
+// --- Sharded LRU ----------------------------------------------------------
+
+template <typename V>
+IncrementalRta::ShardedLru<V>::ShardedLru(const RtaCacheConfig& cfg) {
+  if (cfg.capacity == 0) throw std::invalid_argument("IncrementalRta: capacity must be >= 1");
+  if (cfg.shards == 0) throw std::invalid_argument("IncrementalRta: shards must be >= 1");
+  // More shards than entries would create shards with capacity 0; clamp
+  // so every shard can hold at least one entry.
+  const std::size_t shards = cfg.shards > cfg.capacity ? cfg.capacity : cfg.shards;
+  capacity_ = cfg.capacity / shards;
   shards_.reserve(shards);
-  prob_shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    prob_shards_.push_back(std::make_unique<ProbShard>());
-  }
+  for (std::size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
-IncrementalRta::Shard& IncrementalRta::shard_for(const ContextKey& key) {
+template <typename V>
+typename IncrementalRta::ShardedLru<V>::Shard& IncrementalRta::ShardedLru<V>::shard_for(
+    const ContextKey& key) {
   // The fingerprint is already uniformly mixed, so its hash modulo the
-  // shard count spreads keys evenly; a key deterministically lives in
-  // exactly one shard.
+  // shard count spreads keys evenly.
   return *shards_[ContextKeyHash{}(key) % shards_.size()];
 }
 
-MessageResult IncrementalRta::analyze_one(const KMatrix& km, const CanRtaConfig& cfg,
-                                          std::size_t index, RtaCacheStats& delta) {
-  // The fingerprint is computed straight from the matrix — a hit never
-  // pays for context construction (the allocating part of an analysis).
-  return analyze_keyed(message_fingerprint(km, cfg, index), km, cfg, index, delta);
-}
-
-MessageResult IncrementalRta::analyze_keyed(const ContextKey& key, const KMatrix& km,
-                                            const CanRtaConfig& cfg, std::size_t index,
-                                            RtaCacheStats& delta, ColumnarBus* scratch,
-                                            bool* packed) {
+template <typename V>
+std::optional<V> IncrementalRta::ShardedLru<V>::find(const ContextKey& key,
+                                                     RtaCacheStats& delta) {
   Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock{shard.m};
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      ++delta.hits;
-      MessageResult res = it->second->second;
-      // Identity is not part of the key: a structurally equal message in
-      // another matrix (e.g. a GA neighbour after an ID swap) reuses the
-      // verdict under its own name and ID.
-      res.name = km.messages()[index].name;
-      res.id = km.messages()[index].id;
-      return res;
-    }
+  std::lock_guard<std::mutex> lock{shard.m};
+  const auto it = shard.map.find(key);
+  if (it == shard.map.end()) {
+    ++delta.misses;
+    return std::nullopt;
   }
-
-  // Miss: solve outside the lock. Two workers may race on the same key
-  // and both solve; the results are bit-identical, so the duplicate
-  // insert below is harmless (the second becomes a refresh). Whole-bus
-  // callers hand in a columnar scratch: packing the whole bus costs a
-  // handful of legacy build + solve calls, so the first few misses of a
-  // run take the legacy path and the pack only happens once enough
-  // misses accumulate to amortize it — near-all-hit analyses (the GA
-  // steady state) never pay for a pack they would barely use. Both miss
-  // paths are bit-identical, so the threshold is purely a speed knob.
-  MessageResult res;
-  if (scratch != nullptr && (*packed || delta.misses >= kPackMissThreshold)) {
-    if (!*packed) {
-      pack_bus(km, cfg, *scratch);
-      *packed = true;
-    }
-    res = solve_columnar(*scratch, index);
-    res.name = km.messages()[index].name;
-    res.id = km.messages()[index].id;
-  } else {
-    res = solve_message(build_message_context(km, cfg, index));
-  }
-  ++delta.misses;
-  {
-    std::lock_guard<std::mutex> lock{shard.m};
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-      shard.lru.emplace_front(key, res);
-      shard.map.emplace(key, shard.lru.begin());
-      if (shard.lru.size() > shard_capacity_) {
-        shard.map.erase(shard.lru.back().first);
-        shard.lru.pop_back();
-        ++delta.evictions;
-      }
-    }
-  }
-  return res;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  ++delta.hits;
+  return it->second->second;
 }
 
-IncrementalRta::ProbShard& IncrementalRta::prob_shard_for(const ContextKey& key) {
-  return *prob_shards_[ContextKeyHash{}(key) % prob_shards_.size()];
+template <typename V>
+void IncrementalRta::ShardedLru<V>::insert(const ContextKey& key, const V& value,
+                                           RtaCacheStats& delta) {
+  Shard& shard = shard_for(key);
+  std::lock_guard<std::mutex> lock{shard.m};
+  const auto it = shard.map.find(key);
+  if (it != shard.map.end()) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return;
+  }
+  shard.lru.emplace_front(key, value);
+  shard.map.emplace(key, shard.lru.begin());
+  if (shard.lru.size() > capacity_) {
+    shard.map.erase(shard.lru.back().first);
+    shard.lru.pop_back();
+    ++delta.evictions;
+  }
 }
 
-RungLadder IncrementalRta::ladder_keyed(const ContextKey& key, const KMatrix& km,
-                                        const ProbRtaConfig& cfg, std::size_t index,
-                                        RtaCacheStats& delta) {
-  ProbShard& shard = prob_shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock{shard.m};
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      ++delta.hits;
-      RungLadder ladder = it->second->second;
-      ladder.det.name = km.messages()[index].name;
-      ladder.det.id = km.messages()[index].id;
-      return ladder;
-    }
-  }
-  // Miss: solve the ladder outside the lock (racing solvers produce
-  // bit-identical ladders, so a duplicate insert is a refresh).
-  RungLadder ladder = solve_rung_ladder(build_message_context(km, cfg.rta, index), cfg.max_rungs);
-  ++delta.misses;
-  {
-    std::lock_guard<std::mutex> lock{shard.m};
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-      shard.lru.emplace_front(key, ladder);
-      shard.map.emplace(key, shard.lru.begin());
-      if (shard.lru.size() > shard_capacity_) {
-        shard.map.erase(shard.lru.back().first);
-        shard.lru.pop_back();
-        ++delta.evictions;
-      }
-    }
-  }
-  return ladder;
+template <typename V>
+void IncrementalRta::ShardedLru<V>::add_stats(const RtaCacheStats& delta) {
+  std::lock_guard<std::mutex> lock{shards_.front()->m};
+  add(shards_.front()->stats, delta);
 }
 
-void IncrementalRta::flush_prob_observations(const RtaCacheStats& delta) {
-  {
-    std::lock_guard<std::mutex> lock{prob_shards_.front()->m};
-    RtaCacheStats& s = prob_shards_.front()->stats;
-    s.hits += delta.hits;
-    s.misses += delta.misses;
-    s.evictions += delta.evictions;
-  }
-  if (!obs::enabled()) return;
-  auto& m = obs::metrics();
-  m.counter("rta.prob.cache.hits").add(delta.hits);
-  m.counter("rta.prob.cache.misses").add(delta.misses);
-  m.counter("rta.prob.cache.evictions").add(delta.evictions);
+template <typename V>
+RtaCacheStats IncrementalRta::ShardedLru<V>::stats() const {
+  std::lock_guard<std::mutex> lock{shards_.front()->m};
+  return shards_.front()->stats;
 }
 
-ProbMessageResult IncrementalRta::analyze_message_prob(const KMatrix& km,
-                                                       const ProbRtaConfig& cfg,
-                                                       std::size_t index) {
-  validate_prob_config(cfg);
-  if (!cfg.rta.errors)
-    throw std::invalid_argument("IncrementalRta: error model must not be null");
-  if (!cfg_.enabled)
-    return mix_ladder(solve_rung_ladder(build_message_context(km, cfg.rta, index), cfg.max_rungs),
-                      cfg);
-  RtaCacheStats delta;
-  const ContextKey key = ladder_key(message_fingerprint(km, cfg.rta, index), cfg.max_rungs);
-  ProbMessageResult res = mix_ladder(ladder_keyed(key, km, cfg, index, delta), cfg);
-  flush_prob_observations(delta);
-  return res;
+template <typename V>
+std::size_t IncrementalRta::ShardedLru<V>::size() const {
+  std::size_t n = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock{shard->m};
+    n += shard->map.size();
+  }
+  return n;
 }
 
-ProbBusResult IncrementalRta::analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg) {
-  validate_prob_config(cfg);
-  if (!cfg.rta.errors)
-    throw std::invalid_argument("IncrementalRta: error model must not be null");
-  if (cfg_.validate_input) km.validate();
-  SYMCAN_OBS_SPAN("rta.prob.analyze");
-  ProbBusResult out;
-  out.utilization = km.utilization(cfg.rta.worst_case_stuffing);
-  if (!cfg_.enabled) {
-    ProbRtaConfig inner = cfg;  // analyze_prob re-validates; fan-out below
-    ParallelExecutor exec{cfg.parallelism};
-    out.messages = exec.parallel_map_indexed_tiled(
-        km.size(), static_cast<std::size_t>(cfg.tile), [&](std::size_t i) {
-          return mix_ladder(
-              solve_rung_ladder(build_message_context(km, inner.rta, i), inner.max_rungs), inner);
-        });
-    return out;
+template <typename V>
+void IncrementalRta::ShardedLru<V>::clear() {
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock{shard->m};
+    shard->lru.clear();
+    shard->map.clear();
   }
-  // Whole-bus lookup path: one pre-hashed pass yields every context key.
-  const std::vector<ContextKey> keys = bus_fingerprints(km, cfg.rta);
-  std::vector<RtaCacheStats> deltas(km.size());
-  ParallelExecutor exec{cfg.parallelism};
-  out.messages = exec.parallel_map_indexed_tiled(
-      km.size(), static_cast<std::size_t>(cfg.tile), [&](std::size_t i) {
-        return mix_ladder(
-            ladder_keyed(ladder_key(keys[i], cfg.max_rungs), km, cfg, i, deltas[i]), cfg);
-      });
-  RtaCacheStats delta;
-  for (const auto& d : deltas) {
-    delta.hits += d.hits;
-    delta.misses += d.misses;
-    delta.evictions += d.evictions;
-  }
-  flush_prob_observations(delta);
-  if (obs::enabled()) {
-    std::int64_t convolutions = 0;
-    for (const auto& m : out.messages) convolutions += m.convolutions;
-    obs::count("prob.messages", static_cast<std::int64_t>(out.messages.size()));
-    obs::count("prob.convolutions", convolutions);
-  }
-  return out;
 }
+
+template class IncrementalRta::ShardedLru<MessageResult>;
+template class IncrementalRta::ShardedLru<RungLadder>;
+
+// --- IncrementalRta -------------------------------------------------------
+
+IncrementalRta::IncrementalRta(RtaCacheConfig cfg) : cfg_{cfg}, verdicts_{cfg}, ladders_{cfg} {}
 
 void IncrementalRta::flush_cache_observations(const RtaCacheStats& delta) {
-  {
-    // Lifetime counters live on shard 0; per-shard deltas are already
-    // merged into `delta` by the callers.
-    std::lock_guard<std::mutex> lock{shards_.front()->m};
-    RtaCacheStats& s = shards_.front()->stats;
-    s.hits += delta.hits;
-    s.misses += delta.misses;
-    s.evictions += delta.evictions;
-  }
+  verdicts_.add_stats(delta);
   if (!obs::enabled()) return;
   auto& m = obs::metrics();
   m.counter("rta.cache.hits").add(delta.hits);
@@ -259,32 +146,48 @@ void IncrementalRta::flush_cache_observations(const RtaCacheStats& delta) {
   m.gauge("rta.cache.size").set(static_cast<double>(size()));
 }
 
+void IncrementalRta::flush_prob_observations(const RtaCacheStats& delta) {
+  ladders_.add_stats(delta);
+  if (!obs::enabled()) return;
+  auto& m = obs::metrics();
+  m.counter("rta.prob.cache.hits").add(delta.hits);
+  m.counter("rta.prob.cache.misses").add(delta.misses);
+  m.counter("rta.prob.cache.evictions").add(delta.evictions);
+}
+
 BusResult IncrementalRta::analyze(const KMatrix& km, const CanRtaConfig& cfg) {
   if (!cfg.errors) throw std::invalid_argument("IncrementalRta: error model must not be null");
   if (cfg_.validate_input) km.validate();
+  RtaCacheStats delta;
+  if (!cfg_.enabled) {
+    BusResult out = analyze_bus(km, cfg);
+    flush_cache_observations(delta);
+    return out;
+  }
   SYMCAN_OBS_SPAN("rta.can.analyze");
   BusResult out;
   out.utilization = km.utilization(cfg.worst_case_stuffing);
-  out.messages.reserve(km.size());
-  RtaCacheStats delta;
-  // Columnar scratch for the miss path, thread-local so every analyze()
-  // on a worker reuses the same arena (capacity only grows; `packed`
-  // scopes validity to this run).
-  static thread_local ColumnarBus scratch;
-  bool packed = false;
-  if (cfg_.enabled) {
-    // Whole-bus lookup path: one pre-hashed pass over the matrix yields
-    // every message's key at a fraction of n independent fingerprints.
-    const std::vector<ContextKey> keys = bus_fingerprints(km, cfg);
-    for (std::size_t i = 0; i < km.size(); ++i)
-      out.messages.push_back(analyze_keyed(keys[i], km, cfg, i, delta, &scratch, &packed));
-  } else {
-    pack_bus(km, cfg, scratch);
-    for (std::size_t i = 0; i < km.size(); ++i) {
-      MessageResult r = solve_columnar(scratch, i);
-      r.name = km.messages()[i].name;
-      r.id = km.messages()[i].id;
-      out.messages.push_back(std::move(r));
+  out.messages.resize(km.size());
+  // Look every key up first; only the misses get packed and solved.
+  const std::vector<ContextKey> keys = bus_fingerprints(km, cfg);
+  static thread_local std::vector<std::size_t> misses;
+  misses.clear();
+  for (std::size_t i = 0; i < km.size(); ++i) {
+    if (std::optional<MessageResult> hit = verdicts_.find(keys[i], delta)) {
+      out.messages[i] = std::move(*hit);
+      relabel(out.messages[i], km.messages()[i]);
+    } else {
+      misses.push_back(i);
+    }
+  }
+  if (!misses.empty()) {
+    // Solve outside any lock. Two workers may race on the same key and
+    // both solve; the results are bit-identical, so the second insert is
+    // a refresh.
+    std::vector<MessageResult> fresh = solve_rows(km, cfg, misses);
+    for (std::size_t r = 0; r < misses.size(); ++r) {
+      verdicts_.insert(keys[misses[r]], fresh[r], delta);
+      out.messages[misses[r]] = std::move(fresh[r]);
     }
   }
   flush_rta_observations(out);
@@ -295,43 +198,79 @@ BusResult IncrementalRta::analyze(const KMatrix& km, const CanRtaConfig& cfg) {
 MessageResult IncrementalRta::analyze_message(const KMatrix& km, const CanRtaConfig& cfg,
                                               std::size_t index) {
   if (!cfg.errors) throw std::invalid_argument("IncrementalRta: error model must not be null");
+  const std::size_t row[] = {index};
   RtaCacheStats delta;
-  MessageResult res = cfg_.enabled ? analyze_one(km, cfg, index, delta)
-                                   : solve_message(build_message_context(km, cfg, index));
-  flush_cache_observations(delta);
-  return res;
-}
-
-RtaCacheStats IncrementalRta::stats() const {
-  std::lock_guard<std::mutex> lock{shards_.front()->m};
-  return shards_.front()->stats;
-}
-
-RtaCacheStats IncrementalRta::prob_stats() const {
-  std::lock_guard<std::mutex> lock{prob_shards_.front()->m};
-  return prob_shards_.front()->stats;
-}
-
-std::size_t IncrementalRta::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock{shard->m};
-    n += shard->map.size();
+  std::optional<ContextKey> key;
+  std::optional<MessageResult> res;
+  if (cfg_.enabled) {
+    key = bus_fingerprints(km, cfg, row).front();
+    res = verdicts_.find(*key, delta);
   }
-  return n;
+  if (res) {
+    relabel(*res, km.messages()[index]);
+  } else {
+    res = std::move(solve_rows(km, cfg, row).front());
+    if (key) verdicts_.insert(*key, *res, delta);
+  }
+  flush_cache_observations(delta);
+  return std::move(*res);
+}
+
+ProbBusResult IncrementalRta::analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg) {
+  validate_prob_config(cfg);
+  if (!cfg.rta.errors)
+    throw std::invalid_argument("IncrementalRta: error model must not be null");
+  if (!cfg_.enabled) return analysis::analyze_prob(km, cfg);
+  if (cfg_.validate_input) km.validate();
+  SYMCAN_OBS_SPAN("rta.prob.analyze");
+  ProbBusResult out;
+  out.utilization = km.utilization(cfg.rta.worst_case_stuffing);
+
+  // Look every ladder up first, then pack the missed rows once; the
+  // fan-out solves them on the shared read-only bus.
+  const std::size_t n = km.size();
+  std::vector<ContextKey> keys = bus_fingerprints(km, cfg.rta);
+  std::vector<std::optional<RungLadder>> ladders(n);
+  std::vector<std::size_t> misses;
+  std::vector<std::size_t> row_of(n, 0);
+  RtaCacheStats delta;
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = ladder_key(keys[i], cfg.max_rungs);
+    ladders[i] = ladders_.find(keys[i], delta);
+    if (ladders[i]) {
+      relabel(ladders[i]->det, km.messages()[i]);
+    } else {
+      row_of[i] = misses.size();
+      misses.push_back(i);
+    }
+  }
+  ColumnarBus bus;
+  if (!misses.empty()) pack_bus(km, cfg.rta, bus, misses);
+  std::vector<RtaCacheStats> deltas(n);
+  ParallelExecutor exec{cfg.parallelism};
+  out.messages = exec.parallel_map_indexed_tiled(
+      n, static_cast<std::size_t>(cfg.tile), [&](std::size_t i) {
+        if (!ladders[i]) {
+          ladders[i] = solve_rung_ladder(bus, row_of[i], cfg.max_rungs);
+          relabel(ladders[i]->det, km.messages()[i]);
+          ladders_.insert(keys[i], *ladders[i], deltas[i]);
+        }
+        return mix_ladder(*ladders[i], cfg);
+      });
+  for (const RtaCacheStats& d : deltas) add(delta, d);
+  flush_prob_observations(delta);
+  if (obs::enabled()) {
+    std::int64_t convolutions = 0;
+    for (const auto& m : out.messages) convolutions += m.convolutions;
+    obs::count("prob.messages", static_cast<std::int64_t>(out.messages.size()));
+    obs::count("prob.convolutions", convolutions);
+  }
+  return out;
 }
 
 void IncrementalRta::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock{shard->m};
-    shard->lru.clear();
-    shard->map.clear();
-  }
-  for (auto& shard : prob_shards_) {
-    std::lock_guard<std::mutex> lock{shard->m};
-    shard->lru.clear();
-    shard->map.clear();
-  }
+  verdicts_.clear();
+  ladders_.clear();
 }
 
 }  // namespace symcan::analysis

@@ -1,25 +1,26 @@
 #pragma once
 
 // Incremental CAN response-time analysis: a memoizing layer over the
-// shared busy-period core (rta_context.hpp) for the hot loops that
+// packed busy-period core (columnar.hpp) for the hot loops that
 // re-analyze *edited* matrices thousands of times — GA/NSGA-II fitness
 // evaluation, jitter/error sweeps, sensitivity probes and extensibility
 // searches.
 //
-// A CAN message's verdict depends only on its effective interference
-// context: the higher-priority message set (event models + frame times,
-// offset groups per sender), the blocking maxima contributed by
-// lower-priority and same-node traffic, the error model, and the
-// analysis configuration. IncrementalRta resolves that context per
-// message, fingerprints it (128 bits), and looks the fingerprint up in a
-// bounded LRU map of solved MessageResults. Two GA neighbours that
+// A CAN message's verdict depends only on its packed row: the
+// higher-priority message set (event models + frame times, offset groups
+// per sender), the blocking maxima contributed by lower-priority and
+// same-node traffic, the error model, and the analysis configuration.
+// IncrementalRta fingerprints every row straight from the matrix
+// (bus_fingerprints, 128 bits, no pack) and looks the keys up in a
+// bounded LRU map of solved MessageResults. Only the rows that missed
+// are then packed and solved — a hit never packs. Two GA neighbours that
 // differ in one ID swap therefore only re-solve the messages inside the
 // swapped priority span; a jitter sweep re-solves only the messages the
 // swept jitter actually reaches.
 //
-// Soundness: the solver reads nothing but the context, and the
-// fingerprint covers every context field, so a hit is bit-identical to a
-// fresh solve (iteration counts included) — locked down by
+// Soundness: the solver reads nothing but the packed row, and the
+// fingerprint covers every value of the row, so a hit is bit-identical
+// to a fresh solve (iteration counts included) — locked down by
 // tests/analysis/incremental_rta_test.cpp and the fuzzed differential
 // harness in tests/integration/rta_cache_differential_test.cpp.
 //
@@ -29,32 +30,33 @@
 // bit-identical, sharing the cache cannot perturb parallel determinism.
 //
 // Sharding: the key space is split across `shards` independent LRUs,
-// each with its own lock, selected by the context fingerprint's own
-// hash. A GA fan-out or the `symcan serve` batcher therefore does not
-// serialize every worker on one mutex; with shards == 1 (the default)
-// the behaviour is exactly the historical single-LRU cache. Sharding
-// changes only lock granularity and eviction locality — never verdicts.
+// each with its own lock, selected by the fingerprint's own hash. A GA
+// fan-out or the `symcan serve` workers therefore do not serialize on
+// one mutex; with shards == 1 (the default) the behaviour is exactly the
+// historical single-LRU cache. Sharding changes only lock granularity
+// and eviction locality — never verdicts. Verdicts and rung ladders use
+// the same sharded LRU, one instance each.
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "symcan/analysis/can_rta.hpp"
+#include "symcan/analysis/columnar.hpp"
 #include "symcan/analysis/prob_rta.hpp"
-#include "symcan/analysis/rta_context.hpp"
 
 namespace symcan::analysis {
 
-struct ColumnarBus;
-
-/// Cache policy. `enabled = false` degrades to plain context + solve
-/// (still avoiding the per-call KMatrix/config copies of CanRta), which
-/// is what the --rta-cache off ablation measures.
+/// Cache policy. `enabled = false` degrades to the uncached analyses
+/// (analysis::analyze_bus, analysis::analyze_prob) without the per-call
+/// KMatrix/config copies of CanRta, which is what the --rta-cache off
+/// ablation measures.
 struct RtaCacheConfig {
   bool enabled = true;
   /// Maximum number of cached per-message results, summed over all
@@ -93,86 +95,85 @@ class IncrementalRta {
   explicit IncrementalRta(RtaCacheConfig cfg = {});
 
   /// Analyze every message of `km` under `cfg`, reusing cached verdicts
-  /// for unchanged interference contexts. Bit-identical to
+  /// for unchanged rows. Every key is looked up first; only the messages
+  /// that missed are packed and solved. Bit-identical to
   /// CanRta{km, cfg}.analyze() in every field.
   BusResult analyze(const KMatrix& km, const CanRtaConfig& cfg);
 
   /// Analyze one message (index into km.messages()); the single-message
-  /// entry point the sensitivity binary searches iterate on.
+  /// entry point the sensitivity binary searches iterate on. Throws
+  /// std::out_of_range on a bad index.
   MessageResult analyze_message(const KMatrix& km, const CanRtaConfig& cfg, std::size_t index);
 
   /// Probabilistic analysis with a warm rung-ladder cache: the expensive
   /// half of a probabilistic verdict (the deterministic solve plus one
   /// conditional solve per fault count — see analysis/prob_rta.hpp) is
-  /// content-addressed by the message's context fingerprint mixed with
-  /// the ladder shape, so a probability sweep over one matrix solves
-  /// each ladder once and only redoes the cheap fixed-point mixture per
-  /// sweep point. Bit-identical to the uncached analysis::analyze_prob.
+  /// content-addressed by the message's row fingerprint mixed with the
+  /// ladder shape, so a probability sweep over one matrix solves each
+  /// ladder once and only redoes the cheap fixed-point mixture per sweep
+  /// point. The missed rows are packed once and their ladders solved in
+  /// the fan-out. Bit-identical to the uncached analysis::analyze_prob.
   ProbBusResult analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg);
-  ProbMessageResult analyze_message_prob(const KMatrix& km, const ProbRtaConfig& cfg,
-                                         std::size_t index);
 
   const RtaCacheConfig& config() const { return cfg_; }
   /// Aggregated over all shards.
-  RtaCacheStats stats() const;
+  RtaCacheStats stats() const { return verdicts_.stats(); }
   /// Rung-ladder cache counters (the prob plane keeps its own stats).
-  RtaCacheStats prob_stats() const;
-  /// Total cached entries, summed over all shards.
-  std::size_t size() const;
+  RtaCacheStats prob_stats() const { return ladders_.stats(); }
+  /// Total cached verdicts, summed over all shards.
+  std::size_t size() const { return verdicts_.size(); }
   /// Effective shard count (>= 1) after clamping to capacity.
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t shard_count() const { return verdicts_.shard_count(); }
 
   /// Drop all cached entries in every shard (stats are kept).
   void clear();
 
  private:
-  /// One independent LRU with its own lock. Entries are routed by the
-  /// fingerprint's hash, so a key lives in exactly one shard.
-  struct Shard {
-    using Entry = std::pair<ContextKey, MessageResult>;
-    mutable std::mutex m;
-    std::list<Entry> lru;  ///< Front = most recently used; guarded by m.
-    std::unordered_map<ContextKey, std::list<Entry>::iterator, ContextKeyHash> map;
-    RtaCacheStats stats;  ///< Guarded by m.
+  /// `shards` independent LRU maps from row fingerprints to values, each
+  /// with its own lock; a key lives in exactly one shard, picked by its
+  /// hash. Lifetime counters live on shard 0.
+  template <typename V>
+  class ShardedLru {
+   public:
+    /// Validates and clamps the capacity and shard count of `cfg`.
+    explicit ShardedLru(const RtaCacheConfig& cfg);
+    /// Copy of the cached value, refreshed to most recently used. Counts
+    /// a hit or a miss into `delta`.
+    std::optional<V> find(const ContextKey& key, RtaCacheStats& delta);
+    /// Insert `value`, or refresh the entry a racing solver inserted
+    /// first (its value is bit-identical). Counts evictions into `delta`.
+    void insert(const ContextKey& key, const V& value, RtaCacheStats& delta);
+    /// Fold one run's counters into the lifetime stats.
+    void add_stats(const RtaCacheStats& delta);
+    RtaCacheStats stats() const;
+    std::size_t size() const;
+    std::size_t shard_count() const { return shards_.size(); }
+    void clear();
+
+   private:
+    struct Shard {
+      using Entry = std::pair<ContextKey, V>;
+      mutable std::mutex m;
+      std::list<Entry> lru;  ///< Front = most recently used; guarded by m.
+      std::unordered_map<ContextKey, typename std::list<Entry>::iterator, ContextKeyHash> map;
+      RtaCacheStats stats;  ///< Guarded by m.
+    };
+    Shard& shard_for(const ContextKey& key);
+
+    std::size_t capacity_ = 0;  ///< Per-shard entry budget.
+    /// unique_ptr keeps Shard (mutex member) immovable while the vector
+    /// stays constructible; sized once, never resized.
+    std::vector<std::unique_ptr<Shard>> shards_;
   };
 
-  /// The prob plane's shard: same sharding scheme, RungLadder payload.
-  /// Ladders and verdicts never share a key space (the ladder key mixes
-  /// in the ladder shape), so the planes stay independent.
-  struct ProbShard {
-    using Entry = std::pair<ContextKey, RungLadder>;
-    mutable std::mutex m;
-    std::list<Entry> lru;  ///< Front = most recently used; guarded by m.
-    std::unordered_map<ContextKey, std::list<Entry>::iterator, ContextKeyHash> map;
-    RtaCacheStats stats;  ///< Guarded by m.
-  };
-
-  Shard& shard_for(const ContextKey& key);
-  ProbShard& prob_shard_for(const ContextKey& key);
-  /// Cached rung-ladder resolution for one message (mirrors
-  /// analyze_keyed: lookup under the shard lock, solve outside it).
-  RungLadder ladder_keyed(const ContextKey& key, const KMatrix& km, const ProbRtaConfig& cfg,
-                          std::size_t index, RtaCacheStats& delta);
-  void flush_prob_observations(const RtaCacheStats& delta);
-  MessageResult analyze_one(const KMatrix& km, const CanRtaConfig& cfg, std::size_t index,
-                            RtaCacheStats& delta);
-  /// Cache lookup + miss resolution for one message. When `scratch` is
-  /// non-null, misses beyond a small threshold solve on the columnar
-  /// path, packing the whole bus into `scratch` once (`*packed` tracks
-  /// it); the first few misses — and every miss when `scratch` is null —
-  /// run the legacy build + solve. Both miss paths are bit-identical, so
-  /// the choice is purely a speed knob for whole-bus runs.
-  MessageResult analyze_keyed(const ContextKey& key, const KMatrix& km, const CanRtaConfig& cfg,
-                              std::size_t index, RtaCacheStats& delta,
-                              ColumnarBus* scratch = nullptr, bool* packed = nullptr);
   void flush_cache_observations(const RtaCacheStats& delta);
+  void flush_prob_observations(const RtaCacheStats& delta);
 
   RtaCacheConfig cfg_;
-  std::size_t shard_capacity_ = 0;  ///< Per-shard entry budget.
-  /// unique_ptr keeps Shard (mutex member) immovable while the vector
-  /// stays constructible; sized once in the constructor, never resized.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<ProbShard>> prob_shards_;
+  ShardedLru<MessageResult> verdicts_;
+  /// Ladders and verdicts never share a key space (the ladder key mixes
+  /// in the ladder shape), so the planes stay independent.
+  ShardedLru<RungLadder> ladders_;
 };
 
 }  // namespace symcan::analysis

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "symcan/can/kmatrix.hpp"
@@ -12,14 +11,6 @@
 namespace symcan::analysis {
 
 namespace {
-
-/// SplitMix64-style chain (same shape as the error-model fingerprints).
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  h += v + 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
 
 constexpr std::int64_t kPpmOne = 1'000'000;
 
@@ -207,20 +198,13 @@ void validate_prob_config(const ProbRtaConfig& cfg) {
   if (cfg.tile < 0) throw std::invalid_argument("tile must be >= 0");
 }
 
-std::uint64_t prob_config_fingerprint(const ProbRtaConfig& cfg) {
-  std::uint64_t h = mix64(0x50b, static_cast<std::uint64_t>(cfg.fault_ppm));
-  h = mix64(h, static_cast<std::uint64_t>(cfg.stuff_ppm));
-  h = mix64(h, static_cast<std::uint64_t>(cfg.jitter_ppm));
-  return mix64(h, static_cast<std::uint64_t>(cfg.max_rungs));
-}
-
 // --- rung ladder ---------------------------------------------------------
 
-RungLadder solve_rung_ladder(const MessageContext& ctx, std::int64_t max_rungs) {
+RungLadder solve_rung_ladder(const ColumnarBus& bus, std::size_t r, std::int64_t max_rungs) {
   RungLadder ladder;
-  ladder.det = solve_message(ctx);
-  ladder.stuff_savings = ctx.cost - ctx.bcrt;
-  ladder.jitter = ctx.activation.jitter();
+  ladder.det = solve_columnar(bus, r);
+  ladder.stuff_savings = bus.cost[r] - bus.bcrt[r];
+  ladder.jitter = bus.act_jitter[r];
   if (ladder.det.diverged || ladder.det.wcrt.is_infinite()) {
     ladder.rungs = {ladder.det.wcrt};
     return ladder;
@@ -228,19 +212,17 @@ RungLadder solve_rung_ladder(const MessageContext& ctx, std::int64_t max_rungs) 
   // Fault counts the configured model admits inside the deterministic
   // busy period: every materialized-fault pattern the probabilistic run
   // can see is conditioned on one of these counts.
-  const std::int64_t admitted = ctx.errors->max_faults(ladder.det.busy_period + ctx.cost);
+  const std::int64_t admitted = bus.errors->max_faults(ladder.det.busy_period + bus.cost[r]);
   const std::int64_t k_stop = std::min(admitted, max_rungs);
   ladder.rungs.reserve(static_cast<std::size_t>(k_stop) + 1);
   Duration prev = Duration::zero();
-  MessageContext rung_ctx = ctx;
   for (std::int64_t k = 0; k < k_stop; ++k) {
-    rung_ctx.errors = std::make_shared<FixedFaults>(k);
-    const MessageResult r = solve_message(rung_ctx);
+    const MessageResult rung = solve_columnar(bus, r, FixedFaults{k});
     // Clamp into [previous rung, deterministic WCRT]: monotone ladder,
     // and det.wcrt bounds any run the deterministic model admits, so the
     // clamp is sound even when a conditional fixed point diverges.
-    Duration v = r.diverged || r.wcrt.is_infinite() ? ladder.det.wcrt
-                                                    : std::min(r.wcrt, ladder.det.wcrt);
+    Duration v = rung.diverged || rung.wcrt.is_infinite() ? ladder.det.wcrt
+                                                          : std::min(rung.wcrt, ladder.det.wcrt);
     v = std::max(v, prev);
     ladder.rungs.push_back(v);
     prev = v;
@@ -305,11 +287,26 @@ std::size_t ProbBusResult::miss_count(std::uint64_t threshold_weight) const {
 
 // --- entry points --------------------------------------------------------
 
+namespace {
+
+/// Ladder of packed row `r`, labelled as message `m`, mixed under `cfg`.
+ProbMessageResult analyze_row(const ColumnarBus& bus, std::size_t r, const CanMessage& m,
+                              const ProbRtaConfig& cfg) {
+  RungLadder ladder = solve_rung_ladder(bus, r, cfg.max_rungs);
+  ladder.det.name = m.name;
+  ladder.det.id = m.id;
+  return mix_ladder(ladder, cfg);
+}
+
+}  // namespace
+
 ProbMessageResult analyze_message_prob(const KMatrix& km, const ProbRtaConfig& cfg,
                                        std::size_t index) {
   validate_prob_config(cfg);
-  const MessageContext ctx = build_message_context(km, cfg.rta, index);
-  return mix_ladder(solve_rung_ladder(ctx, cfg.max_rungs), cfg);
+  const std::size_t row[] = {index};
+  ColumnarBus bus;
+  pack_bus(km, cfg.rta, bus, row);
+  return analyze_row(bus, 0, km.messages()[index], cfg);
 }
 
 ProbBusResult analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg) {
@@ -319,9 +316,11 @@ ProbBusResult analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg) {
   ParallelExecutor exec{cfg.parallelism};
   {
     SYMCAN_OBS_SPAN("prob.analyze");
+    ColumnarBus bus;
+    pack_bus(km, cfg.rta, bus);
     out.messages = exec.parallel_map_indexed_tiled(
         km.size(), static_cast<std::size_t>(cfg.tile),
-        [&](std::size_t i) { return analyze_message_prob(km, cfg, i); });
+        [&](std::size_t i) { return analyze_row(bus, i, km.messages()[i], cfg); });
   }
   out.utilization = km.utilization(cfg.rta.worst_case_stuffing);
   if (obs::enabled()) {
@@ -331,62 +330,6 @@ ProbBusResult analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg) {
     obs::count("prob.convolutions", convolutions);
   }
   return out;
-}
-
-ProbProvenance explain_message_prob(const KMatrix& km, const ProbRtaConfig& cfg,
-                                    std::size_t index) {
-  validate_prob_config(cfg);
-  ProbProvenance out;
-  out.det = explain_message(km, cfg.rta, index);
-
-  // Re-walk the ladder with the tracing solver (identical code path, so
-  // the traced rungs ARE the rungs mix_ladder sees).
-  const MessageContext ctx = build_message_context(km, cfg.rta, index);
-  RungLadder ladder;
-  ladder.det = solve_message(ctx);
-  ladder.stuff_savings = ctx.cost - ctx.bcrt;
-  ladder.jitter = ctx.activation.jitter();
-  if (ladder.det.diverged || ladder.det.wcrt.is_infinite()) {
-    ladder.rungs = {ladder.det.wcrt};
-  } else {
-    const std::int64_t admitted = ctx.errors->max_faults(ladder.det.busy_period + ctx.cost);
-    const std::int64_t k_stop = std::min(admitted, cfg.max_rungs);
-    Duration prev = Duration::zero();
-    MessageContext rung_ctx = ctx;
-    for (std::int64_t k = 0; k < k_stop; ++k) {
-      rung_ctx.errors = std::make_shared<FixedFaults>(k);
-      SolveTrace trace;
-      const MessageResult r = solve_message(rung_ctx, trace);
-      Duration v = r.diverged || r.wcrt.is_infinite() ? ladder.det.wcrt
-                                                      : std::min(r.wcrt, ladder.det.wcrt);
-      v = std::max(v, prev);
-      out.rungs.push_back({k, v, r.wcrt, r.fixedpoint_iterations, trace.critical_instance,
-                           trace.busy_iterates.size()});
-      ladder.rungs.push_back(v);
-      prev = v;
-    }
-    ladder.rungs.push_back(ladder.det.wcrt);
-    out.rungs.push_back({k_stop, ladder.det.wcrt, ladder.det.wcrt,
-                         ladder.det.fixedpoint_iterations, out.det.critical_instance,
-                         out.det.busy_iterates.size()});
-  }
-  out.prob = mix_ladder(ladder, cfg);
-  return out;
-}
-
-std::string prob_provenance_to_text(const ProbProvenance& p) {
-  std::ostringstream os;
-  os << "message " << p.det.name << " (id " << p.det.id << ")\n";
-  os << "  deterministic wcrt " << to_string(p.det.result.wcrt) << ", deadline "
-     << to_string(p.det.result.deadline) << "\n";
-  os << "  miss probability " << p.prob.miss_ppm() << " ppm ("
-     << p.prob.response.atoms().size() << " atoms, upper support "
-     << to_string(p.prob.response.max_value()) << ")\n";
-  os << "  fault rungs:\n";
-  for (const auto& r : p.rungs)
-    os << "    k=" << r.faults << "  R_k " << to_string(r.wcrt) << "  (iterations "
-       << r.fixedpoint_iterations << ", q* " << r.critical_instance << ")\n";
-  return os.str();
 }
 
 }  // namespace symcan::analysis

@@ -8,8 +8,8 @@
 // the integration question OEMs actually ask is "what fraction of frames
 // miss at 10^-6?". This module answers it soundly and deterministically:
 //
-//  1. Rung ladder. The busy-period core (rta_context.hpp) is solved once
-//     per possible fault count k with a FixedFaults(k) error model,
+//  1. Rung ladder. The packed busy-period core (columnar.hpp) is solved
+//     once per possible fault count k with a FixedFaults(k) error model,
 //     giving conditional bounds R_0 <= R_1 <= ... <= R_K. The top rung
 //     is the deterministic WCRT itself (K is the fault count the
 //     configured error model admits inside the deterministic busy
@@ -44,8 +44,7 @@
 #include <vector>
 
 #include "symcan/analysis/can_rta.hpp"
-#include "symcan/analysis/provenance.hpp"
-#include "symcan/analysis/rta_context.hpp"
+#include "symcan/analysis/columnar.hpp"
 #include "symcan/util/time.hpp"
 
 namespace symcan::analysis {
@@ -155,19 +154,14 @@ struct ProbRtaConfig {
 /// Throws std::invalid_argument on out-of-range ppm / max_rungs.
 void validate_prob_config(const ProbRtaConfig& cfg);
 
-/// Stable identity of every field that can change a probabilistic
-/// verdict given a fixed message context (excludes rta — the context
-/// fingerprint covers it — and the parallelism/tile speed knobs).
-std::uint64_t prob_config_fingerprint(const ProbRtaConfig& cfg);
-
 /// The cacheable intermediate: the deterministic verdict plus the
-/// conditional rung ladder. Depends only on the message context and
+/// conditional rung ladder. Depends only on the packed row and
 /// max_rungs — IncrementalRta caches it so probability sweeps re-solve
 /// nothing and only redo the (cheap) mixture per sweep point.
 struct RungLadder {
   MessageResult det;            ///< Bit-exact CanRta::analyze_message().
   std::vector<Duration> rungs;  ///< R_0..R_K, monotone, R_K == det.wcrt.
-  /// Worst-case-stuffing saving (ctx.cost - ctx.bcrt) and the activation
+  /// Worst-case-stuffing saving (cost - bcrt of the row) and the activation
   /// jitter — the supports of the two luck deltas the mixture convolves.
   Duration stuff_savings = Duration::zero();
   Duration jitter = Duration::zero();
@@ -195,50 +189,25 @@ struct ProbBusResult {
   std::size_t miss_count(std::uint64_t threshold_weight = 0) const;
 };
 
-/// Solve the rung ladder for one already-built context. `det`, when
-/// non-null, receives the deterministic verdict the ladder is anchored
-/// to (same object as the returned .det).
-RungLadder solve_rung_ladder(const MessageContext& ctx, std::int64_t max_rungs);
+/// Solve the rung ladder of packed row `r`: the deterministic solve, then
+/// one solve per fault count on the same row with a FixedFaults error
+/// model. As with solve_columnar(), det's name/id are left for the
+/// caller to patch.
+RungLadder solve_rung_ladder(const ColumnarBus& bus, std::size_t r, std::int64_t max_rungs);
 
 /// Mix a solved ladder into the final distribution under `cfg` — the
 /// cheap per-sweep-point half (pure integer; no solver calls).
 ProbMessageResult mix_ladder(const RungLadder& ladder, const ProbRtaConfig& cfg);
 
-/// Analyze one message (build context + ladder + mixture).
+/// Analyze one message (one-row pack + ladder + mixture).
 ProbMessageResult analyze_message_prob(const KMatrix& km, const ProbRtaConfig& cfg,
                                        std::size_t index);
 
-/// Analyze every message, fanned out over util::ParallelExecutor with
-/// slot-indexed tiling — bit-identical at any jobs x tile combination.
+/// Analyze every message: one whole-bus pack, then the ladders and
+/// mixtures fanned out over util::ParallelExecutor with slot-indexed
+/// tiling on the shared read-only bus — bit-identical at any jobs x tile
+/// combination.
 ProbBusResult analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg);
-
-/// One rung of the explained ladder: the conditional bound plus the
-/// solver trajectory that produced it (recorded by the same tracing
-/// solve_message() overload `symcan explain` uses, so the numbers *are*
-/// the verdict).
-struct RungTrace {
-  std::int64_t faults = 0;
-  Duration wcrt = Duration::zero();     ///< Clamped rung value used.
-  Duration unclamped = Duration::zero();  ///< Raw conditional fixed point.
-  std::int64_t fixedpoint_iterations = 0;
-  std::int64_t critical_instance = 0;
-  std::size_t busy_iterates = 0;
-};
-
-/// Full provenance of one probabilistic verdict: the deterministic
-/// decomposition (analysis/provenance.hpp) plus the per-rung solver
-/// trajectories. prob.det is bit-identical to det.result.
-struct ProbProvenance {
-  Provenance det;
-  ProbMessageResult prob;
-  std::vector<RungTrace> rungs;
-};
-
-ProbProvenance explain_message_prob(const KMatrix& km, const ProbRtaConfig& cfg,
-                                    std::size_t index);
-
-/// Human-readable ladder + distribution summary.
-std::string prob_provenance_to_text(const ProbProvenance& p);
 
 }  // namespace symcan::analysis
 

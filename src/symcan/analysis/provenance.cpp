@@ -5,9 +5,9 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "symcan/analysis/rta_context.hpp"
-#include "symcan/analysis/tt_schedule.hpp"
+#include "symcan/analysis/columnar.hpp"
 #include "symcan/can/kmatrix.hpp"
+#include "symcan/model/event_model.hpp"
 #include "symcan/obs/export.hpp"
 
 namespace symcan::analysis {
@@ -18,66 +18,56 @@ Duration Provenance::sum_of_parts() const {
 }
 
 Provenance explain_message(const KMatrix& km, const CanRtaConfig& cfg, std::size_t index) {
-  ContextLabels labels;
-  const MessageContext ctx = build_message_context(km, cfg, index, &labels);
+  static thread_local ColumnarBus bus;
+  std::vector<ContextLabels> labels;
+  const std::size_t row[] = {index};
+  pack_bus(km, cfg, bus, row, &labels);
+  const ContextLabels& names = labels.front();
   SolveTrace trace;
 
   Provenance p;
-  p.result = solve_message(ctx, trace);
-  p.name = ctx.name;
-  p.id = ctx.id;
-  p.blocking_frame = labels.blocking_frame;
-  p.bus_blocking = labels.bus_blocking;
-  p.intra_node_blocking = labels.intra_node_blocking;
-  p.own_cost = ctx.cost;
+  p.result = solve_columnar(bus, 0, *bus.errors, trace);
+  p.name = p.result.name = km.messages()[index].name;
+  p.id = p.result.id = km.messages()[index].id;
+  p.blocking_frame = names.blocking_frame;
+  p.bus_blocking = names.bus_blocking;
+  p.intra_node_blocking = names.intra_node_blocking;
+  p.own_cost = bus.cost[0];
   p.busy_iterates = std::move(trace.busy_iterates);
   if (p.result.diverged) return p;  // No finite window to decompose.
 
   // Re-evaluate every term of the window recurrence at the recorded
   // fixed point w(q*). Because w* satisfies the recurrence exactly, the
   // terms sum back to w* in integer arithmetic — no residual, no
-  // rounding. This mirrors solve_message()'s interference evaluation
-  // including the TtGroup build fallback, so each share is precisely
-  // what the solver charged.
+  // rounding — and each share is precisely what the solver charged.
   const Duration w = trace.critical_window;
-  const Duration probe = w + ctx.timing.bit_time();
+  const Duration probe = w + bus.timing.bit_time();
   p.critical_instance = trace.critical_instance;
   p.critical_window = w;
   p.window_iterates = std::move(trace.window_iterates);
-  p.preceding_instances = trace.critical_instance * ctx.cost;
-  p.arrival_credit = ctx.activation.delta_min(trace.critical_instance + 1);
-  p.error_overhead = ctx.errors->overhead(w + ctx.cost, ctx.max_retx, ctx.timing);
+  p.preceding_instances = trace.critical_instance * bus.cost[0];
+  p.arrival_credit =
+      delta_min(trace.critical_instance + 1, bus.act_period[0], bus.act_jitter[0], bus.act_dmin[0]);
+  p.error_overhead = bus.errors->overhead(w + bus.cost[0], bus.max_retx[0], bus.timing);
 
-  for (std::size_t i = 0; i < ctx.hp.size(); ++i) {
-    const auto& [em, cost] = ctx.hp[i];
+  // Entries analyzed through event models, offset-group fallbacks
+  // included, decompose into per-release counts.
+  for (std::size_t k = bus.hp_begin[0]; k < bus.hp_begin[1]; ++k) {
     InterferenceShare s;
-    s.name = labels.hp[i];
-    s.preemptions = em.eta_plus(probe);
-    s.contribution = s.preemptions * cost;
+    s.name = names.hp[k - bus.hp_begin[0]];
+    s.preemptions = eta_plus(probe, bus.hp_period[k], bus.hp_jitter[k], bus.hp_dmin[k]);
+    s.contribution = s.preemptions * bus.hp_cost[k];
     p.interference.push_back(std::move(s));
   }
-  for (std::size_t i = 0; i < ctx.tt.size(); ++i) {
-    if (auto g = TtGroup::build(ctx.tt[i])) {
-      // Offset-group demand is bounded jointly over the hyperperiod;
-      // it has no exact per-member split, so the group is one share.
-      InterferenceShare s;
-      s.name = labels.tt_sender[i];
-      s.members = labels.tt_members[i];
-      s.offset_group = true;
-      s.contribution = g->interference(probe);
-      p.interference.push_back(std::move(s));
-    } else {
-      // Hyperperiod too large: the solver fell back to offset-blind
-      // event models, so the members decompose individually after all.
-      for (std::size_t j = 0; j < ctx.tt[i].size(); ++j) {
-        const TtGroup::Member& m = ctx.tt[i][j];
-        InterferenceShare s;
-        s.name = labels.tt_members[i][j];
-        s.preemptions = EventModel::periodic_jitter(m.period, m.jitter).eta_plus(probe);
-        s.contribution = s.preemptions * m.cost;
-        p.interference.push_back(std::move(s));
-      }
-    }
+  // Offset-group demand is bounded jointly over the hyperperiod; it has
+  // no exact per-member split, so each group is one share.
+  for (std::size_t g = bus.tt_begin[0]; g < bus.tt_begin[1]; ++g) {
+    InterferenceShare s;
+    s.name = names.tt_sender[g - bus.tt_begin[0]];
+    s.members = names.tt_members[g - bus.tt_begin[0]];
+    s.offset_group = true;
+    s.contribution = bus.tt_groups[g].interference(probe);
+    p.interference.push_back(std::move(s));
   }
   std::sort(p.interference.begin(), p.interference.end(),
             [](const InterferenceShare& a, const InterferenceShare& b) {

@@ -11,14 +11,15 @@
 //   w*    = B_bus + B_intra + q*·C_m + Σ_k I_k(w* + τ_bit) + E(w* + C_m)
 //   bound = w* + C_m − δ_min(q* + 1)
 //
-// explain_message() records the solver's trajectory (via the tracing
-// solve_message() overload, which runs the identical code path — an
-// explained verdict *is* the verdict), then evaluates each interference
-// term once more at w* against the labelled context, attributing every
-// nanosecond of the bound to a blocking frame, an interferer, an offset
-// group, the error model, or the message itself. sum_check() asserts the
-// reconstruction; the differential test in tests/analysis pins it across
-// assumption presets.
+// explain_message() packs the message's row with labels (pack_bus), runs
+// the tracing solve_columnar() overload on it — the plain solve's code
+// with a recorder attached, so an explained verdict *is* the verdict —
+// then evaluates each term of the packed row once more at w*,
+// attributing every nanosecond of the bound to a blocking frame, an
+// interferer, an offset group, the error model, or the message itself.
+// An offset group whose hyperperiod is unbounded is packed as ordinary
+// per-member entries and decomposes like them. sum_check() asserts the
+// reconstruction; tests/analysis pins it across assumption presets.
 //
 // This is the audit trail the paper's data-sheet exchange needs (Figure
 // 6): a guarantee a supplier can question is only useful if the OEM can
@@ -90,7 +91,8 @@ struct Provenance {
 
 /// Analyze message `index` of `km` under `cfg` with full provenance.
 /// The embedded verdict is bit-identical to CanRta(km, cfg)
-/// .analyze_message(index), iteration counts included.
+/// .analyze_message(index), iteration counts included. Throws
+/// std::out_of_range on a bad index.
 Provenance explain_message(const KMatrix& km, const CanRtaConfig& cfg, std::size_t index);
 
 /// Index of the message named `name`, or nullopt.

@@ -25,24 +25,9 @@ std::int64_t EventModel::max_burst_size() const {
   return ceil_div(jitter_, period_) + 1;
 }
 
-std::int64_t EventModel::eta_plus(Duration dt) const {
-  if (dt <= Duration::zero()) return 0;
-  const std::int64_t periodic_bound = ceil_div(dt + jitter_, period_);
-  if (dmin_ <= Duration::zero()) return periodic_bound;
-  const std::int64_t burst_bound = ceil_div(dt, dmin_) + 1;
-  return std::min(periodic_bound, burst_bound);
-}
-
 std::int64_t EventModel::eta_minus(Duration dt) const {
   if (dt <= jitter_) return 0;
   return floor_div(dt - jitter_, period_);
-}
-
-Duration EventModel::delta_min(std::int64_t n) const {
-  if (n <= 1) return Duration::zero();
-  const Duration periodic = (n - 1) * period_ - jitter_;
-  const Duration burst = (n - 1) * dmin_;
-  return max(max(periodic, burst), Duration::zero());
 }
 
 Duration EventModel::delta_max(std::int64_t n) const {

@@ -30,6 +30,25 @@
 
 namespace symcan {
 
+/// eta+ of the event model (p, j, d) on raw parameters: the one kernel
+/// behind EventModel::eta_plus and the packed solver columns, which
+/// store the parameters through the EventModel getters so the model
+/// invariants (p > 0, j >= 0, 0 <= d <= p) hold.
+inline std::int64_t eta_plus(Duration dt, Duration p, Duration j, Duration d) {
+  if (dt <= Duration::zero()) return 0;
+  const std::int64_t periodic_bound = ceil_div(dt + j, p);
+  if (d <= Duration::zero()) return periodic_bound;
+  const std::int64_t burst_bound = ceil_div(dt, d) + 1;
+  return periodic_bound < burst_bound ? periodic_bound : burst_bound;
+}
+
+/// delta_min of the event model (p, j, d) on raw parameters; same
+/// contract as eta_plus() above.
+inline Duration delta_min(std::int64_t n, Duration p, Duration j, Duration d) {
+  if (n <= 1) return Duration::zero();
+  return max(max((n - 1) * p - j, (n - 1) * d), Duration::zero());
+}
+
 /// Periodic-with-jitter(-and-burst) standard event model.
 ///
 /// Invariants: period > 0; jitter >= 0; 0 <= min_distance <= period.
@@ -72,7 +91,9 @@ class EventModel {
   /// length dt. eta+(0) == 0; for dt > 0:
   ///   min( ceil((dt + J)/P), ceil(dt/d_min) + 1 )   (second term only
   /// when d_min > 0).
-  std::int64_t eta_plus(Duration dt) const;
+  std::int64_t eta_plus(Duration dt) const {
+    return symcan::eta_plus(dt, period_, jitter_, dmin_);
+  }
 
   /// eta-(dt): guaranteed minimum number of events in any window of
   /// length dt: floor(max(0, dt - J)/P).
@@ -81,7 +102,7 @@ class EventModel {
   /// delta_min(n): minimum time span containing n consecutive events
   /// (n >= 2): max((n-1)*d_min, (n-1)*P - J). The pseudo-inverse of
   /// eta+. delta_min(0) = delta_min(1) = 0.
-  Duration delta_min(std::int64_t n) const;
+  Duration delta_min(std::int64_t n) const { return symcan::delta_min(n, period_, jitter_, dmin_); }
 
   /// delta_max(n): maximum time span of n consecutive events (n >= 2):
   /// (n-1)*P + J. delta_max(0) = delta_max(1) = 0.

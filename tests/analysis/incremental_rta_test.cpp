@@ -2,18 +2,22 @@
 // fresh analysis, bit for bit, in every MessageResult field — iteration
 // counts included. These are the targeted unit tests behind the fuzzed
 // differential harness (tests/integration/rta_cache_differential_test.cpp):
-// equality across assumption presets, agreement of the three fingerprint
-// entry points, partial reuse after an ID swap, LRU bounding, and the
+// equality across assumption presets, agreement of the fingerprint entry
+// points, partial reuse after an ID swap, edits that miss an exact
+// number of rows (serially and on a shared cache), LRU bounding, and the
 // disabled-cache degradation path.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <vector>
 #include <unordered_set>
 
 #include "symcan/analysis/incremental_rta.hpp"
 #include "symcan/analysis/presets.hpp"
-#include "symcan/analysis/rta_context.hpp"
+#include "symcan/analysis/provenance.hpp"
+#include "symcan/util/parallel.hpp"
 #include "symcan/opt/assignment.hpp"
 #include "symcan/workload/powertrain.hpp"
 
@@ -117,22 +121,24 @@ TEST_P(IncrementalRtaConfigs, ColdAndWarmRunsMatchFreshAnalysisBitExactly) {
 }
 
 TEST_P(IncrementalRtaConfigs, FingerprintEntryPointsAgree) {
-  // The cheap lookup paths (single-message pass, whole-bus batch pass)
-  // must produce exactly the key the context-based fingerprint defines —
-  // otherwise hits and misses would depend on which entry point filled
-  // the cache.
+  // The single-message lookup path (a one-row fingerprint) must produce
+  // exactly the key the whole-bus pass does — otherwise hits and misses
+  // would depend on which entry point filled the cache. Any row list
+  // yields its keys in row order.
   const KMatrix km = matrix();
   const CanRtaConfig cfg = config();
   const std::vector<analysis::ContextKey> batch = analysis::bus_fingerprints(km, cfg);
   ASSERT_EQ(batch.size(), km.size());
+  std::vector<std::size_t> reversed;
   for (std::size_t i = 0; i < km.size(); ++i) {
     SCOPED_TRACE(km.messages()[i].name);
-    const analysis::ContextKey from_ctx =
-        analysis::context_fingerprint(analysis::build_message_context(km, cfg, i), cfg);
-    const analysis::ContextKey direct = analysis::message_fingerprint(km, cfg, i);
-    EXPECT_EQ(from_ctx, direct);
-    EXPECT_EQ(from_ctx, batch[i]);
+    const std::size_t row[] = {i};
+    EXPECT_EQ(analysis::bus_fingerprints(km, cfg, row).front(), batch[i]);
+    reversed.insert(reversed.begin(), i);
   }
+  const std::vector<analysis::ContextKey> keys = analysis::bus_fingerprints(km, cfg, reversed);
+  ASSERT_EQ(keys.size(), km.size());
+  for (std::size_t r = 0; r < keys.size(); ++r) EXPECT_EQ(keys[r], batch[reversed[r]]);
 }
 
 TEST_P(IncrementalRtaConfigs, SingleMessageEntryPointMatchesFresh) {
@@ -192,6 +198,89 @@ TEST(IncrementalRtaTest, IdSwapOnlyResolvesChangedContexts) {
   // The swap must not invalidate the whole bus — most verdicts are reused.
   EXPECT_LT(expected_new, km.size());
   EXPECT_GT(after.hits - before.hits, 0);
+}
+
+/// `km` with the jitter of the message at priority position n - k
+/// raised, so exactly the k lowest-priority rows change: the edited
+/// message's own row and the rows of everything it interferes with.
+/// k == n edits the highest-priority message and changes every row.
+KMatrix edit_lowest(const KMatrix& km, std::size_t k) {
+  KMatrix out = km;
+  CanMessage& m = out.messages()[km.priority_order()[km.size() - k]];
+  m.jitter = m.jitter + Duration::us(250);
+  return out;
+}
+
+std::vector<std::size_t> miss_counts(const KMatrix& km) { return {1, 3, 4, 5, km.size()}; }
+
+TEST(IncrementalRtaTest, EditsMissExactlyTheChangedRows) {
+  // Every miss count a GA or sweep produces takes the same path: look
+  // all keys up, pack only the missed rows, solve them. Each edit must
+  // miss exactly its changed rows and still equal a fresh analysis.
+  const KMatrix km = test_matrix(5, 24, 0.55);
+  for (const CanRtaConfig& cfg : {worst_case_assumptions(), sporadic_assumptions()}) {
+    IncrementalRta rta;
+    rta.analyze(km, cfg);
+    for (const std::size_t k : miss_counts(km)) {
+      SCOPED_TRACE("edit missing " + std::to_string(k) + " rows");
+      const KMatrix edited = edit_lowest(km, k);
+      const RtaCacheStats before = rta.stats();
+      expect_identical(rta.analyze(edited, cfg), CanRta{edited, cfg}.analyze());
+      EXPECT_EQ(rta.stats().misses - before.misses, static_cast<std::int64_t>(k));
+      EXPECT_EQ(rta.stats().hits - before.hits, static_cast<std::int64_t>(km.size() - k));
+    }
+  }
+}
+
+TEST(IncrementalRtaTest, EditsOnASharedCacheAcrossWorkersMatchFresh) {
+  // Four workers analyze the edits concurrently against one sharded
+  // cache (deterministic and probabilistic planes): misses may race, but
+  // every answer must equal the uncached analysis.
+  const KMatrix km = test_matrix(5, 24, 0.55);
+  const CanRtaConfig cfg = worst_case_assumptions();
+  ProbRtaConfig prob;
+  prob.rta = cfg;
+  prob.fault_ppm = 10'000;
+  prob.stuff_ppm = 500'000;
+  std::vector<KMatrix> edits;
+  for (int round = 0; round < 3; ++round)
+    for (const std::size_t k : miss_counts(km)) edits.push_back(edit_lowest(km, k));
+
+  RtaCacheConfig shared;
+  shared.shards = 4;
+  IncrementalRta rta{shared};
+  rta.analyze(km, cfg);
+  rta.analyze_prob(km, prob);
+  ParallelExecutor exec{4};
+  const std::vector<int> done = exec.parallel_map_indexed_tiled(edits.size(), 1, [&](std::size_t e) {
+    expect_identical(rta.analyze(edits[e], cfg), CanRta{edits[e], cfg}.analyze());
+    const ProbBusResult cached = rta.analyze_prob(edits[e], prob);
+    const ProbBusResult fresh = analyze_prob(edits[e], prob);
+    EXPECT_EQ(cached.messages.size(), fresh.messages.size());
+    for (std::size_t i = 0; i < fresh.messages.size() && i < cached.messages.size(); ++i) {
+      EXPECT_EQ(cached.messages[i].det.name, fresh.messages[i].det.name);
+      EXPECT_EQ(cached.messages[i].det.wcrt, fresh.messages[i].det.wcrt);
+      EXPECT_EQ(cached.messages[i].rungs, fresh.messages[i].rungs);
+      EXPECT_EQ(cached.messages[i].response.atoms(), fresh.messages[i].response.atoms());
+    }
+    return 1;
+  });
+  EXPECT_EQ(done.size(), edits.size());
+  EXPECT_GT(rta.stats().hits, 0);
+  EXPECT_GT(rta.prob_stats().hits, 0);
+}
+
+TEST(IncrementalRtaTest, BadIndexThrowsOutOfRange) {
+  const KMatrix km = test_matrix(3, 8, 0.30);
+  const CanRtaConfig cfg = best_case_assumptions();
+  EXPECT_THROW(CanRta(km, cfg).analyze_message(km.size()), std::out_of_range);
+  EXPECT_THROW(analysis::explain_message(km, cfg, km.size()), std::out_of_range);
+  IncrementalRta cached;
+  EXPECT_THROW(cached.analyze_message(km, cfg, km.size()), std::out_of_range);
+  RtaCacheConfig off;
+  off.enabled = false;
+  IncrementalRta uncached{off};
+  EXPECT_THROW(uncached.analyze_message(km, cfg, km.size()), std::out_of_range);
 }
 
 TEST(IncrementalRtaTest, StructurallyEqualMatrixIsRelabeledNotResolved) {

@@ -21,9 +21,7 @@ namespace symcan {
 namespace {
 
 using analysis::analyze_message_prob;
-using analysis::explain_message_prob;
 using analysis::mix_ladder;
-using analysis::ProbProvenance;
 using analysis::RungLadder;
 using analysis::solve_rung_ladder;
 
@@ -278,35 +276,16 @@ TEST(ProbDifferential, MixLadderIsPureFunctionOfLadder) {
   cfg.fault_ppm = 123'456;
   cfg.stuff_ppm = 777'777;
   for (std::size_t i = 0; i < km.size(); ++i) {
-    const RungLadder ladder =
-        solve_rung_ladder(analysis::build_message_context(km, cfg.rta, i), cfg.max_rungs);
+    const std::size_t row[] = {i};
+    analysis::ColumnarBus bus;
+    analysis::pack_bus(km, cfg.rta, bus, row);
+    const RungLadder ladder = solve_rung_ladder(bus, 0, cfg.max_rungs);
     const ProbMessageResult mixed = mix_ladder(ladder, cfg);
     const ProbMessageResult direct = analyze_message_prob(km, cfg, i);
     EXPECT_EQ(mixed.response.atoms(), direct.response.atoms());
     EXPECT_EQ(mixed.miss_weight, direct.miss_weight);
     EXPECT_EQ(mixed.rungs, direct.rungs);
   }
-}
-
-TEST(ProbDifferential, ExplainMatchesAnalyzeAndRecordsRungs) {
-  const KMatrix km = seeded_matrix(89, 16, 0.50);
-  ProbRtaConfig cfg;
-  cfg.rta = worst_case_assumptions();
-  cfg.fault_ppm = 300'000;
-  const ProbProvenance p = explain_message_prob(km, cfg, km.size() - 1);
-  const ProbMessageResult direct = analyze_message_prob(km, cfg, km.size() - 1);
-  expect_same_result(p.prob.det, direct.det, "explain");
-  EXPECT_EQ(p.prob.miss_weight, direct.miss_weight);
-  EXPECT_EQ(p.prob.response.atoms(), direct.response.atoms());
-  ASSERT_EQ(p.rungs.size(), direct.rungs.size());
-  for (std::size_t r = 0; r < p.rungs.size(); ++r) {
-    EXPECT_EQ(p.rungs[r].wcrt, direct.rungs[r]);
-    EXPECT_EQ(p.rungs[r].faults, static_cast<std::int64_t>(r));
-    if (r > 0) EXPECT_GE(p.rungs[r].wcrt, p.rungs[r - 1].wcrt);
-  }
-  const std::string text = analysis::prob_provenance_to_text(p);
-  EXPECT_NE(text.find(p.prob.det.name), std::string::npos);
-  EXPECT_NE(text.find("rung"), std::string::npos);
 }
 
 // ------------------------------------------------ warm rung-ladder cache --
@@ -365,7 +344,7 @@ TEST(ProbCache, PerMessagePathMatchesBusPath) {
   analysis::IncrementalRta rta;
   const ProbBusResult bus = rta.analyze_prob(km, cfg);
   for (std::size_t i = 0; i < km.size(); ++i) {
-    const ProbMessageResult one = rta.analyze_message_prob(km, cfg, i);
+    const ProbMessageResult one = analyze_message_prob(km, cfg, i);
     EXPECT_EQ(one.response.atoms(), bus.messages[i].response.atoms());
     EXPECT_EQ(one.miss_weight, bus.messages[i].miss_weight);
     expect_same_result(one.det, bus.messages[i].det, "per-message");

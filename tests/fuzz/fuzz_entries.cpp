@@ -8,7 +8,6 @@
 #include "symcan/analysis/can_rta.hpp"
 #include "symcan/analysis/columnar.hpp"
 #include "symcan/analysis/prob_rta.hpp"
-#include "symcan/analysis/rta_context.hpp"
 #include "symcan/can/dbc_import.hpp"
 #include "symcan/can/kmatrix_io.hpp"
 #include "symcan/cli/commands.hpp"
@@ -66,14 +65,14 @@ void require_bounded_rta(const KMatrix& km) {
   }
 }
 
-/// The pack must emit a structurally sound CSR image of the matrix: one
-/// scalar row per message, monotonic index rows closed by the column
+/// The pack must emit a structurally sound CSR image of its rows: one
+/// scalar row per packed message, monotonic index rows closed by the column
 /// lengths, and all four hp lanes in lockstep. A malformed layout would
 /// make the per-field solve comparison below read garbage, so it is
 /// checked first with its own messages.
 void require_packed_layout(const analysis::ColumnarBus& bus, std::size_t n) {
   require(bus.size() == n, "pack emitted " + std::to_string(bus.size()) + " scalar rows for " +
-                               std::to_string(n) + " messages");
+                               std::to_string(n) + " requested rows");
   require(bus.hp_begin.size() == n + 1, "hp_begin is not n+1 rows");
   require(bus.tt_begin.size() == n + 1, "tt_begin is not n+1 rows");
   require(bus.hp_begin.front() == 0 && bus.tt_begin.front() == 0, "CSR index rows must start at 0");
@@ -89,25 +88,46 @@ void require_packed_layout(const analysis::ColumnarBus& bus, std::size_t n) {
           "hp lanes have diverging lengths");
 }
 
-/// Bit-exactness of the columnar core against the object-graph solver,
-/// per message and per field, on an accepted matrix under one config.
-void require_columnar_differential(const KMatrix& km, const CanRtaConfig& cfg) {
+/// Every field of two verdicts, iteration counts included.
+void require_same_verdict(const MessageResult& a, const MessageResult& b, const std::string& who) {
+  require(a.wcrt == b.wcrt, who + "wcrt differs");
+  require(a.bcrt == b.bcrt, who + "bcrt differs");
+  require(a.deadline == b.deadline, who + "deadline differs");
+  require(a.blocking == b.blocking, who + "blocking differs");
+  require(a.busy_period == b.busy_period, who + "busy period differs");
+  require(a.instances == b.instances, who + "instance count differs");
+  require(a.fixedpoint_iterations == b.fixedpoint_iterations, who + "iteration count differs");
+  require(a.schedulable == b.schedulable, who + "schedulability differs");
+  require(a.diverged == b.diverged, who + "divergence flag differs");
+}
+
+/// The row-packing contract on an accepted matrix under one config: the
+/// whole-bus pack is well formed; a labelled one-row pack of message i
+/// is well formed too, names every entry of its row, and solves
+/// bit-identically to row i of the whole-bus pack; and the recording
+/// solve `explain` runs equals the plain solve.
+void require_row_packs_agree(const KMatrix& km, const CanRtaConfig& cfg) {
   const analysis::ColumnarBus bus = analysis::pack_bus(km, cfg);
   require_packed_layout(bus, km.size());
+  analysis::ColumnarBus one;
+  std::vector<analysis::ContextLabels> labels;
   for (std::size_t i = 0; i < km.size(); ++i) {
-    const MessageResult ref = analysis::solve_message(analysis::build_message_context(km, cfg, i));
-    const MessageResult col = analysis::solve_columnar(bus, i);
-    const std::string who = "message " + km.messages()[i].name + ": columnar ";
-    require(col.wcrt == ref.wcrt, who + "wcrt diverged from legacy");
-    require(col.bcrt == ref.bcrt, who + "bcrt diverged from legacy");
-    require(col.deadline == ref.deadline, who + "deadline diverged from legacy");
-    require(col.blocking == ref.blocking, who + "blocking diverged from legacy");
-    require(col.busy_period == ref.busy_period, who + "busy period diverged from legacy");
-    require(col.instances == ref.instances, who + "instance count diverged from legacy");
-    require(col.fixedpoint_iterations == ref.fixedpoint_iterations,
-            who + "iteration count diverged from legacy");
-    require(col.schedulable == ref.schedulable, who + "schedulability diverged from legacy");
-    require(col.diverged == ref.diverged, who + "divergence flag diverged from legacy");
+    const std::string who = "message " + km.messages()[i].name + ": ";
+    const std::size_t row[] = {i};
+    analysis::pack_bus(km, cfg, one, row, &labels);
+    require_packed_layout(one, 1);
+    require(labels.size() == 1, who + "one-row pack did not label one row");
+    require(labels[0].hp.size() == one.hp_period.size(), who + "hp labels out of step");
+    require(labels[0].tt_sender.size() == one.tt_groups.size() &&
+                labels[0].tt_members.size() == one.tt_groups.size(),
+            who + "group labels out of step");
+    const MessageResult whole = analysis::solve_columnar(bus, i);
+    const MessageResult single = analysis::solve_columnar(one, 0);
+    require_same_verdict(whole, single, who + "one-row pack vs whole bus: ");
+    analysis::SolveTrace trace;
+    const MessageResult traced = analysis::solve_columnar(one, 0, *one.errors, trace);
+    require_same_verdict(single, traced, who + "recording vs plain solve: ");
+    require(single.diverged || !trace.busy_iterates.empty(), who + "recorder saw no iterate");
   }
 }
 
@@ -152,15 +172,15 @@ void check_columnar_pack(std::string_view data) {
   const auto km = kmatrix_from_csv(text, lenient);
   require_consistent(km, lenient);
   if (!km) return;  // malformed input diagnosed — that's a pass
-  // Same harness bounds as require_bounded_rta: the differential runs
-  // 2 x n legacy solves, so hostile periods would make it unbounded.
+  // Same harness bounds as require_bounded_rta: the check runs 3n + n
+  // solves per config, so hostile periods would make it unbounded.
   if (km->size() > 64) return;
   for (const auto& m : km->messages())
     if (m.period < Duration::us(100)) return;
 
   CanRtaConfig cfg;
   cfg.horizon = Duration::ms(10);
-  require_columnar_differential(*km, cfg);
+  require_row_packs_agree(*km, cfg);
 
   // Invert every assumption the pack resolves differently: unstuffed
   // costs, offset-blind groups, no controller-queue blocking, and the
@@ -169,7 +189,7 @@ void check_columnar_pack(std::string_view data) {
   cfg.use_offsets = false;
   cfg.model_controller_queues = false;
   cfg.deadline_override = DeadlinePolicy::kMinReArrival;
-  require_columnar_differential(*km, cfg);
+  require_row_packs_agree(*km, cfg);
 }
 
 void check_prob_rta(std::string_view data) {

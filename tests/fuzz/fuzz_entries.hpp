@@ -67,14 +67,16 @@ void check_serve_request_input(std::string_view data);
 
 /// Feed one K-Matrix CSV document through kmatrix_from_csv, then pack an
 /// accepted matrix into the columnar solve core and hold it to the
-/// layout contract: the CSR structure is well formed (monotonic index
-/// rows, equal-length columns) and solve_columnar() is bit-identical to
-/// solve_message(build_message_context()) in every field — iteration
-/// counts included — under both the default and an inverted assumption
-/// set. The fuzzed extension of the layout-differential battery: the
-/// seeded tests pin equality on matrices we thought of, this pins it on
-/// matrices nobody did. Uses the same size/period bounds as the RTA
-/// check so the fixed point stays harness-sized.
+/// row-packing contract: the CSR structure is well formed (monotonic
+/// index rows, equal-length columns) for the whole bus and for labelled
+/// one-row packs, a one-row pack of message i solves bit-identically to
+/// row i of the whole-bus pack in every field — iteration counts
+/// included — and the recording solve equals the plain one, under both
+/// the default and an inverted assumption set. The seeded known-answer
+/// tests pin verdicts on matrices we thought of; this pins the layout
+/// variants against each other on matrices nobody did. Uses the same
+/// size/period bounds as the RTA check so the fixed point stays
+/// harness-sized.
 void check_columnar_pack(std::string_view data);
 
 /// Feed one K-Matrix CSV document through kmatrix_from_csv, then hold an
