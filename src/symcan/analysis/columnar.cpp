@@ -91,31 +91,26 @@ struct RowBlocking {
 /// `on_interferer(k)` is called for each interferer, in matrix order.
 template <typename F>
 RowBlocking scan_row(BusFacts& f, std::size_t i, F&& on_interferer) {
-  const std::size_t s = f.sender_of[i];
-  const std::uint64_t own = f.rank[i];
-  const std::uint64_t eff = f.basic[s] ? f.max_rank[s] : own;
+  const std::uint64_t* rank = f.rank.data();
+  const Duration* cost = f.cost.data();
+  const std::size_t* sender_of = f.sender_of.data();
+  const std::size_t s = sender_of[i];
+  const std::uint64_t own = rank[i];
+  const bool basic = f.basic[s] != 0;
+  const std::uint64_t eff = basic ? f.max_rank[s] : own;
   RowBlocking b;
-  b.max_retx = f.cost[i];
+  b.max_retx = cost[i];
   f.lp_frames.clear();
-  for (std::size_t k = 0; k < f.rank.size(); ++k) {
+  for (std::size_t k = 0, n = f.rank.size(); k < n; ++k) {
     if (k == i) continue;
-    const std::uint64_t rk = f.rank[k];
-    if (rk > eff) {
-      if (f.cost[k] > b.bus) {
-        b.bus = f.cost[k];
-        b.frame = k;
-      }
-    } else {
-      b.max_retx = max(b.max_retx, f.cost[k]);
-    }
-    if (f.sender_of[k] == s) {
-      if (rk < own)
-        on_interferer(k);
-      else if (f.basic[s] && rk > own)
-        f.lp_frames.push_back(f.cost[k]);
-    } else if (rk < eff) {
-      on_interferer(k);
-    }
+    const bool below = rank[k] > eff;
+    const bool larger = below && cost[k] > b.bus;
+    b.bus = larger ? cost[k] : b.bus;
+    b.frame = larger ? k : b.frame;
+    if (!below) b.max_retx = max(b.max_retx, cost[k]);
+    const bool same_node = sender_of[k] == s;
+    if (rank[k] < (same_node ? own : eff)) on_interferer(k);
+    if (same_node && basic && rank[k] > own) f.lp_frames.push_back(cost[k]);
   }
   b.max_retx = max(b.max_retx, b.bus);
   if (!f.lp_frames.empty()) {
@@ -166,6 +161,13 @@ TtGroup::Member tt_member(const CanMessage& m, Duration cost) {
   return TtGroup::Member{m.period, *m.tt_offset, m.jitter, cost};
 }
 
+void resize_hp(ColumnarBus& out, std::size_t size) {
+  out.hp_period.resize(size);
+  out.hp_jitter.resize(size);
+  out.hp_dmin.resize(size);
+  out.hp_cost.resize(size);
+}
+
 void push_hp(ColumnarBus& out, const EventModel& em, Duration cost) {
   out.hp_period.push_back(em.period());
   out.hp_jitter.push_back(em.jitter());
@@ -210,7 +212,9 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
   out.errors = cfg.errors;
   if (labels != nullptr) labels->assign(rows.size(), ContextLabels{});
 
-  // Offset-scheduled interferers of the row in flight, per sender.
+  // Interferers of the row in flight: analyzed through their event
+  // models, or offset-scheduled and grouped per sender.
+  static thread_local std::vector<std::size_t> hp;
   static thread_local std::vector<std::vector<std::size_t>> groups;
   static thread_local std::vector<TtGroup::Member> members;
   if (groups.size() < f.senders.size()) groups.resize(f.senders.size());
@@ -226,16 +230,25 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
     out.act_jitter.push_back(f.activation[i].jitter());
     out.act_dmin.push_back(f.activation[i].min_distance());
 
+    // Event-model interferers land in the hp columns, written in place
+    // once the row's count is known; each sender's offset-scheduled
+    // interferers are grouped below.
     for (std::size_t s = 0; s < f.senders.size(); ++s) groups[s].clear();
-    out.hp_begin.push_back(out.hp_period.size());
+    hp.clear();
     const RowBlocking b = scan_row(f, i, [&](std::size_t k) {
-      if (f.is_tt[k]) {
-        groups[f.sender_of[k]].push_back(k);
-        return;
-      }
-      push_hp(out, f.activation[k], f.cost[k]);
-      if (lab != nullptr) lab->hp.push_back(msgs[k].name);
+      (f.is_tt[k] ? groups[f.sender_of[k]] : hp).push_back(k);
     });
+    const std::size_t base = out.hp_period.size();
+    resize_hp(out, base + hp.size());
+    for (std::size_t e = 0; e < hp.size(); ++e) {
+      const EventModel& em = f.activation[hp[e]];
+      out.hp_period[base + e] = em.period();
+      out.hp_jitter[base + e] = em.jitter();
+      out.hp_dmin[base + e] = em.min_distance();
+      out.hp_cost[base + e] = f.cost[hp[e]];
+      if (lab != nullptr) lab->hp.push_back(msgs[hp[e]].name);
+    }
+    out.hp_begin.push_back(base);
     out.blocking.push_back(b.bus + b.intra);
     out.max_retx.push_back(b.max_retx);
     if (lab != nullptr) {
