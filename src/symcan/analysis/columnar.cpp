@@ -168,13 +168,6 @@ void resize_hp(ColumnarBus& out, std::size_t size) {
   out.hp_cost.resize(size);
 }
 
-void push_hp(ColumnarBus& out, const EventModel& em, Duration cost) {
-  out.hp_period.push_back(em.period());
-  out.hp_jitter.push_back(em.jitter());
-  out.hp_dmin.push_back(em.min_distance());
-  out.hp_cost.push_back(cost);
-}
-
 }  // namespace
 
 void ColumnarBus::clear() {
@@ -283,7 +276,11 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
         }
       } else {
         for (const std::size_t k : group) {
-          push_hp(out, EventModel::periodic_jitter(msgs[k].period, msgs[k].jitter), f.cost[k]);
+          const EventModel em = EventModel::periodic_jitter(msgs[k].period, msgs[k].jitter);
+          out.hp_period.push_back(em.period());
+          out.hp_jitter.push_back(em.jitter());
+          out.hp_dmin.push_back(em.min_distance());
+          out.hp_cost.push_back(f.cost[k]);
           if (lab != nullptr) lab->hp.push_back(msgs[k].name);
         }
       }

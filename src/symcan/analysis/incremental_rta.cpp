@@ -200,20 +200,21 @@ MessageResult IncrementalRta::analyze_message(const KMatrix& km, const CanRtaCon
   if (!cfg.errors) throw std::invalid_argument("IncrementalRta: error model must not be null");
   const std::size_t row[] = {index};
   RtaCacheStats delta;
-  std::optional<ContextKey> key;
-  std::optional<MessageResult> res;
-  if (cfg_.enabled) {
-    key = bus_fingerprints(km, cfg, row).front();
-    res = verdicts_.find(*key, delta);
-  }
-  if (res) {
-    relabel(*res, km.messages()[index]);
-  } else {
+  MessageResult res;
+  if (!cfg_.enabled) {
     res = std::move(solve_rows(km, cfg, row).front());
-    if (key) verdicts_.insert(*key, *res, delta);
+  } else {
+    const ContextKey key = bus_fingerprints(km, cfg, row).front();
+    if (std::optional<MessageResult> hit = verdicts_.find(key, delta)) {
+      res = std::move(*hit);
+      relabel(res, km.messages()[index]);
+    } else {
+      res = std::move(solve_rows(km, cfg, row).front());
+      verdicts_.insert(key, res, delta);
+    }
   }
   flush_cache_observations(delta);
-  return std::move(*res);
+  return res;
 }
 
 ProbBusResult IncrementalRta::analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg) {

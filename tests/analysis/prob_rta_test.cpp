@@ -313,8 +313,8 @@ TEST(ProbCache, RepeatAnalysisHitsAndStaysBitIdentical) {
 }
 
 TEST(ProbCache, FaultProbabilitySweepReusesEveryLadder) {
-  // The sweep pattern: same context, changing fault_ppm. Ladders depend
-  // only on the context and max_rungs, so after the first point the
+  // The sweep pattern: same rows, changing fault_ppm. Ladders depend
+  // only on the packed row and max_rungs, so after the first point the
   // solver never runs again.
   const KMatrix km = seeded_matrix(37, 20, 0.55);
   ProbRtaConfig cfg;

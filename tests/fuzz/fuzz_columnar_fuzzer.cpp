@@ -1,6 +1,7 @@
-// libFuzzer driver for the columnar layout differential: any CSV the
-// loader accepts must pack into a well-formed ColumnarBus whose solves
-// are bit-identical to the object-graph solver. Build with
+// libFuzzer driver for the columnar row-packing contract: any CSV the
+// loader accepts must pack into a well-formed ColumnarBus, and a one-row
+// pack of each message must solve bit-identically to its row of the
+// whole-bus pack, recording solve included. Build with
 // -DSYMCAN_FUZZ=ON; seed from tests/fuzz/corpus/columnar (the csv corpus
 // works too).
 
