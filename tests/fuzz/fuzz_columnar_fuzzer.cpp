@@ -1,4 +1,4 @@
-// libFuzzer driver for the columnar row-packing contract: any CSV the
+// libFuzzer target for the columnar row-packing contract: any CSV the
 // loader accepts must pack into a well-formed ColumnarBus, and a one-row
 // pack of each message must solve bit-identically to its row of the
 // whole-bus pack, recording solve included. Build with
