@@ -1,13 +1,22 @@
 // Trace analytics over handcrafted event logs: every count, latency and
 // utilization number is asserted against hand-computed values, and the
 // degenerate inputs (empty trace, zero span, zero window) must degrade to
-// empty stats — never a division by zero.
+// empty stats — never a division by zero. A known-answer case pins both
+// renderers on the committed case-study recording byte for byte.
+//
+// To regenerate the known answers after an intentional output change:
+//   SYMCAN_UPDATE_GOLDEN=1 ctest --test-dir build -R TraceStats.CommittedTrace
 
 #include "symcan/sim/trace_stats.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
+
+#include "symcan/stream/trace_reader.hpp"
 
 namespace symcan {
 namespace {
@@ -124,6 +133,31 @@ TEST(TraceStats, RenderersCarryTheNumbers) {
   EXPECT_NE(json.find("\"average_utilization\":0.25"), std::string::npos) << json;
   EXPECT_NE(json.find("\"retransmit_delay_total_ns\":150000"), std::string::npos);
   EXPECT_NE(json.find("\"losses\":1"), std::string::npos);
+}
+
+void check_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(SYMCAN_TRACE_STATS_GOLDEN_DIR) + "/" + name;
+  const char* update = std::getenv("SYMCAN_UPDATE_GOLDEN");
+  if (update && std::string(update) == "1") {
+    std::ofstream{path} << actual;
+    return;
+  }
+  std::ifstream f{path};
+  ASSERT_TRUE(f) << "cannot read " << path;
+  std::ostringstream want;
+  want << f.rdbuf();
+  EXPECT_EQ(actual, want.str()) << name << " drifted";
+}
+
+TEST(TraceStats, CommittedTraceMatchesKnownAnswers) {
+  // The committed recording, not a fresh simulation: simulator output
+  // depends on the standard library's integer distributions.
+  const Trace trace = stream::load_trace_jsonl(SYMCAN_CASE_STUDY_TRACE);
+  ASSERT_FALSE(trace.events().empty());
+  const TraceStats stats =
+      compute_trace_stats(trace, trace.events().back().time, Duration::ms(10));
+  check_golden("case_study_trace_stats.txt", trace_stats_to_text(stats));
+  check_golden("case_study_trace_stats.json", trace_stats_to_json(stats) + "\n");
 }
 
 TEST(TraceClear, RetainsCapacityForReuse) {
