@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 
 #include "symcan/analysis/columnar.hpp"
 #include "symcan/can/kmatrix.hpp"
 #include "symcan/model/event_model.hpp"
 #include "symcan/obs/export.hpp"
+#include "symcan/util/table.hpp"
 
 namespace symcan::analysis {
 
@@ -86,31 +85,6 @@ std::optional<std::size_t> find_message(const KMatrix& km, std::string_view name
 }
 
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  va_list ap2;
-  va_copy(ap2, ap);
-  char buf[256];
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n < 0) {
-    va_end(ap2);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof buf) {
-    out.append(buf, static_cast<std::size_t>(n));
-  } else {
-    // Hostile-length names (escaped message names in JSON) overflow the
-    // stack buffer; re-render into a right-sized heap one.
-    std::string big(static_cast<std::size_t>(n) + 1, '\0');
-    std::vsnprintf(big.data(), big.size(), fmt, ap2);
-    big.resize(static_cast<std::size_t>(n));
-    out += big;
-  }
-  va_end(ap2);
-}
 
 /// "a -> b -> ... -> z", eliding the middle of long trajectories.
 std::string iterates_to_text(const std::vector<Duration>& xs) {

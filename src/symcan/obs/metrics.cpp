@@ -1,7 +1,6 @@
 #include "symcan/obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -37,33 +36,9 @@ double Histogram::observed_max() const {
 }
 
 double Histogram::quantile(double q) const {
-  const std::int64_t n = count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double lo = observed_min();
-  const double hi = observed_max();
-  std::int64_t rank = static_cast<std::int64_t>(std::ceil(q * static_cast<double>(n)));
-  if (rank < 1) rank = 1;
-
-  std::int64_t cum = 0;
-  double lower = 0.0;
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    const std::int64_t c = bucket_count(i);
-    if (c > 0 && cum + c >= rank) {
-      const double upper = bounds_[i];
-      const double pos = static_cast<double>(rank - cum) / static_cast<double>(c);
-      return std::clamp(lower + pos * (upper - lower), lo, hi);
-    }
-    cum += c;
-    lower = bounds_[i];
-  }
-  // Rank falls into the overflow bucket: all we know is v > bounds.back().
-  // Report the last finite bucket edge (the documented contract, matching
-  // WindowedHistogram::snapshot): returning the observed max would
-  // surface +inf here whenever an infinite sample was recorded, poisoning
-  // JSON consumers — the Prometheus export maps non-finite to 0, and the
-  // two surfaces must stay consistent.
-  return bounds_.back();
+  return bucket_quantile(
+      bounds_, [this](std::size_t i) { return bucket_count(i); }, count(), q, observed_min(),
+      observed_max());
 }
 
 void Histogram::reset() {
@@ -90,8 +65,7 @@ void Series::reset() {
 }
 
 std::vector<double> MetricsRegistry::default_latency_bounds_us() {
-  return {1,     2,     5,     10,    20,    50,    100,    200,    500,
-          1'000, 2'000, 5'000, 10'000, 20'000, 50'000, 100'000, 200'000, 500'000, 1'000'000};
+  return {kDefaultLatencyBoundsUs.begin(), kDefaultLatencyBoundsUs.end()};
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

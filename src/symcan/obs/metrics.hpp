@@ -15,16 +15,58 @@
 //  * Whether recording happens at all is gated one level up by
 //    obs::enabled() (obs.hpp); nothing here checks the flag.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace symcan::obs {
+
+/// Bucket bounds of the default latency histogram, in microseconds
+/// (1 us .. 1 s); MetricsRegistry::default_latency_bounds_us() copies them.
+inline constexpr std::array<double, 19> kDefaultLatencyBoundsUs = {
+    1,     2,     5,      10,     20,     50,     100,      200,   500,   1'000,
+    2'000, 5'000, 10'000, 20'000, 50'000, 100'000, 200'000, 500'000, 1'000'000};
+
+/// q-quantile (q clamped to [0, 1]) of `n` observations counted on the
+/// strictly increasing `bounds`; `count_at(i)` is bucket i's count. The
+/// rank is interpolated linearly inside its bucket and clamped to
+/// [lo, hi]; a rank in the overflow bucket reports the last finite edge.
+/// 0 when `n` is 0. Histogram, WindowedHistogram and the stream
+/// analyzer's plain per-message counts all call this one function.
+template <class CountAt>
+double bucket_quantile(std::span<const double> bounds, CountAt count_at, std::int64_t n, double q,
+                       double lo, double hi) {
+  if (n == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  std::int64_t rank = static_cast<std::int64_t>(std::ceil(q * static_cast<double>(n)));
+  if (rank < 1) rank = 1;
+
+  std::int64_t cum = 0;
+  double lower = 0.0;
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    const std::int64_t c = count_at(i);
+    if (c > 0 && cum + c >= rank) {
+      const double pos = static_cast<double>(rank - cum) / static_cast<double>(c);
+      return std::clamp(lower + pos * (bounds[i] - lower), lo, hi);
+    }
+    cum += c;
+    lower = bounds[i];
+  }
+  // Rank falls into the overflow bucket: all we know is v > bounds.back().
+  // Report the last finite bucket edge rather than the observed max, which
+  // may be +inf and would poison JSON consumers (the Prometheus export
+  // maps non-finite to 0; both surfaces must stay consistent).
+  return bounds.back();
+}
 
 namespace detail {
 

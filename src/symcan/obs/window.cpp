@@ -1,7 +1,7 @@
 #include "symcan/obs/window.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "symcan/obs/metrics.hpp"
@@ -126,22 +126,12 @@ WindowStats WindowedHistogram::snapshot(std::int64_t now_ns) const {
   if (out.count == 0) return out;
   out.mean = out.sum / static_cast<double>(out.count);
 
+  // No observed min/max per window: the infinite clamp leaves the
+  // interpolated value as is.
   const auto quantile = [&](double q) {
-    std::int64_t rank = static_cast<std::int64_t>(std::ceil(q * static_cast<double>(out.count)));
-    if (rank < 1) rank = 1;
-    std::int64_t cum = 0;
-    double lower = 0.0;
-    for (std::size_t b = 0; b < bounds_.size(); ++b) {
-      const std::int64_t c = merged[b];
-      if (c > 0 && cum + c >= rank) {
-        const double pos = static_cast<double>(rank - cum) / static_cast<double>(c);
-        return lower + pos * (bounds_[b] - lower);
-      }
-      cum += c;
-      lower = bounds_[b];
-    }
-    // Overflow bucket: all we know is v > bounds.back().
-    return bounds_.back();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    return bucket_quantile(bounds_, [&](std::size_t b) { return merged[b]; }, out.count, q, -kInf,
+                           kInf);
   };
   out.p50 = quantile(0.50);
   out.p95 = quantile(0.95);

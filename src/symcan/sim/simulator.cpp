@@ -82,6 +82,8 @@ class Simulation {
     const auto& msgs = km_.messages();
     buffers_.resize(msgs.size());
     next_instance_.resize(msgs.size(), 0);
+    last_jitter_.resize(msgs.size(), Duration::zero());
+    response_sum_us_.resize(msgs.size(), 0.0);
     node_index_.resize(msgs.size());
     stats_.resize(msgs.size());
     for (std::size_t i = 0; i < msgs.size(); ++i) {
@@ -152,8 +154,10 @@ class Simulation {
 
     SimResult out;
     out.messages = std::move(stats_);
-    for (auto& s : out.messages) {
-      if (s.completions > 0) s.avg_response_us = response_sum_us_[s.name] / static_cast<double>(s.completions);
+    for (std::size_t i = 0; i < out.messages.size(); ++i) {
+      MessageStats& s = out.messages[i];
+      if (s.completions > 0)
+        s.avg_response_us = response_sum_us_[i] / static_cast<double>(s.completions);
       if (s.bcrt_observed.is_infinite() && s.completions == 0) s.bcrt_observed = Duration::zero();
     }
     for (auto& m : out.messages) std::sort(m.responses.begin(), m.responses.end());
@@ -350,7 +354,7 @@ class Simulation {
     s.wcrt_observed = max(s.wcrt_observed, r);
     s.bcrt_observed = min(s.bcrt_observed, r);
     if (cfg_.record_percentiles) s.responses.push_back(r);
-    response_sum_us_[s.name] += r.as_us();
+    response_sum_us_[tx.msg] += r.as_us();
     if (cfg_.model_fault_confinement && tec_[node_index_[tx.msg]] > 0)
       --tec_[node_index_[tx.msg]];
     record(TraceEventType::kTxEnd, tx.msg, tx.inst.instance);
@@ -431,7 +435,7 @@ class Simulation {
   std::vector<std::int64_t> next_instance_;
   std::vector<std::size_t> node_index_;
   std::vector<std::deque<std::size_t>> fifos_;
-  std::map<std::size_t, Duration> last_jitter_;
+  std::vector<Duration> last_jitter_;  ///< Per message: its last release's jitter.
   std::optional<Tx> tx_;
   bool recovering_ = false;
 
@@ -444,7 +448,7 @@ class Simulation {
   std::vector<NodeStats> node_stats_;
   std::vector<std::int64_t> tec_;
   std::vector<Duration> bus_off_until_;
-  std::map<std::string, double> response_sum_us_;
+  std::vector<double> response_sum_us_;  ///< Per message, in completion order.
   Trace trace_;
 };
 

@@ -2,76 +2,13 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "symcan/obs/export.hpp"
+#include "symcan/stream/analyzer.hpp"
+#include "symcan/util/table.hpp"
 
 namespace symcan {
-
-namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  va_list ap2;
-  va_copy(ap2, ap);
-  char buf[256];
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n < 0) {
-    va_end(ap2);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof buf) {
-    out.append(buf, static_cast<std::size_t>(n));
-  } else {
-    std::string big(static_cast<std::size_t>(n) + 1, '\0');
-    std::vsnprintf(big.data(), big.size(), fmt, ap2);
-    big.resize(static_cast<std::size_t>(n));
-    out += big;
-  }
-  va_end(ap2);
-}
-
-/// In-flight state of one (message, instance) pair.
-struct InstanceState {
-  Duration release = Duration::zero();
-  Duration first_error = Duration::zero();
-  bool released = false;
-  bool started = false;
-  bool errored = false;
-};
-
-/// Per-message accumulator. Holds a live obs::Histogram (non-copyable —
-/// the map constructs it in place) snapshotted at the end.
-struct Accum {
-  MessageTraceStats out;
-  obs::Histogram latency_us{obs::MetricsRegistry::default_latency_bounds_us()};
-  std::unordered_map<std::int64_t, InstanceState> inflight;
-};
-
-obs::HistogramSnapshot snapshot_histogram(const std::string& name, const obs::Histogram& h) {
-  obs::HistogramSnapshot s;
-  s.name = name;
-  s.count = h.count();
-  s.sum = h.sum();
-  s.min = h.observed_min();
-  s.max = h.observed_max();
-  s.p50 = h.quantile(0.50);
-  s.p95 = h.quantile(0.95);
-  s.p99 = h.quantile(0.99);
-  const auto& bounds = h.bounds();
-  s.buckets.reserve(bounds.size());
-  for (std::size_t i = 0; i < bounds.size(); ++i) s.buckets.emplace_back(bounds[i], h.bucket_count(i));
-  s.overflow = h.bucket_count(bounds.size());
-  return s;
-}
-
-}  // namespace
 
 const MessageTraceStats* TraceStats::find(const std::string& name) const {
   for (const auto& m : messages)
@@ -83,79 +20,46 @@ TraceStats compute_trace_stats(const Trace& trace, Duration span, Duration windo
   TraceStats stats;
   stats.span = span;
 
-  std::map<std::string, Accum> by_message;
+  // Every per-message number is the stream analyzer's fold of the trace.
+  stream::StreamAnalyzer analyzer;
+  analyzer.ingest(trace);
+  for (stream::MessageStreamStats& m : analyzer.stats().messages) {
+    MessageTraceStats t;
+    t.name = std::move(m.name);
+    t.releases = m.releases;
+    t.completions = m.completions;
+    t.errors = m.errors;
+    t.retransmits = m.retransmits;
+    t.losses = m.losses;
+    t.observed_max = m.latency_max;
+    t.observed_p99 = Duration::ns(static_cast<std::int64_t>(m.latency_us.p99 * 1000.0 + 0.5));
+    t.latency_us = std::move(m.latency_us);
+    t.observed_min = m.latency_min;
+    t.latency_total = m.latency_total;
+    t.latency_samples = m.latency_samples;
+    t.arbitration_wait_total = m.arbitration_wait_total;
+    t.arbitration_wait_max = m.arbitration_wait_max;
+    t.retransmit_delay_total = m.retransmit_delay_total;
+    stats.messages.push_back(std::move(t));
+  }
+
   // Bus busy intervals: transmission start to completion or corruption.
   // The bus is serial, so at most one interval is open at a time.
   std::vector<std::pair<Duration, Duration>> busy;
   Duration open_start = Duration::zero();
   bool open = false;
-
   for (const TraceEvent& e : trace.events()) {
-    Accum& acc = by_message[e.message];
-    InstanceState& st = acc.inflight[e.instance];
-    switch (e.type) {
-      case TraceEventType::kRelease:
-        ++acc.out.releases;
-        st.release = e.time;
-        st.released = true;
-        break;
-      case TraceEventType::kTxStart:
-        if (!st.started) {
-          st.started = true;
-          if (st.released) {
-            const Duration wait = e.time - st.release;
-            acc.out.arbitration_wait_total += wait;
-            acc.out.arbitration_wait_max = max(acc.out.arbitration_wait_max, wait);
-          }
-        }
-        open_start = e.time;
-        open = true;
-        break;
-      case TraceEventType::kTxEnd: {
-        ++acc.out.completions;
-        if (st.released) {
-          const Duration latency = e.time - st.release;
-          acc.out.observed_max = max(acc.out.observed_max, latency);
-          acc.out.observed_min = min(acc.out.observed_min, latency);
-          acc.out.latency_total += latency;
-          ++acc.out.latency_samples;
-          acc.latency_us.observe(static_cast<double>(latency.count_ns()) / 1000.0);
-          if (st.errored) acc.out.retransmit_delay_total += e.time - st.first_error;
-        }
-        acc.inflight.erase(e.instance);
-        if (open) busy.emplace_back(open_start, e.time);
-        open = false;
-        break;
-      }
-      case TraceEventType::kError:
-        ++acc.out.errors;
-        if (!st.errored) {
-          st.errored = true;
-          st.first_error = e.time;
-        }
-        if (open) busy.emplace_back(open_start, e.time);
-        open = false;
-        break;
-      case TraceEventType::kRetransmit:
-        ++acc.out.retransmits;
-        break;
-      case TraceEventType::kLoss:
-        ++acc.out.losses;
-        acc.inflight.erase(e.instance);
-        break;
+    if (e.type == TraceEventType::kTxStart) {
+      open_start = e.time;
+      open = true;
+    } else if (e.type == TraceEventType::kTxEnd || e.type == TraceEventType::kError) {
+      if (open) busy.emplace_back(open_start, e.time);
+      open = false;
     }
   }
   // A transmission still on the wire when the trace ends counts as busy
   // up to the span boundary.
   if (open && span > open_start) busy.emplace_back(open_start, span);
-
-  for (auto& [name, acc] : by_message) {
-    acc.out.name = name;
-    acc.out.latency_us = snapshot_histogram(name, acc.latency_us);
-    acc.out.observed_p99 =
-        Duration::ns(static_cast<std::int64_t>(acc.out.latency_us.p99 * 1000.0 + 0.5));
-    stats.messages.push_back(std::move(acc.out));
-  }
 
   // Utilization. Guard every divisor: an empty trace, a zero span, or a
   // non-positive window must all degrade to "no windows", never to a

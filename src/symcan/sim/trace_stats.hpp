@@ -5,12 +5,12 @@
 // provenance in analysis/provenance.hpp is the "why is the bound what it
 // is" half; sim/validation.hpp joins the two).
 //
-// Everything here is computed from the event log alone: per-message
-// observed-latency histograms (on the obs subsystem's latency buckets,
-// so sim latencies and runtime latencies read on the same axis),
-// arbitration-wait and retransmit breakdowns, and bus utilization over
-// sliding windows — the trace analytics that in-vehicle network
-// simulation platforms treat as first-class outputs.
+// The per-message numbers (counters, exact latency aggregates, the
+// latency histogram on the obs subsystem's buckets, arbitration-wait and
+// retransmit breakdowns) are stream::StreamAnalyzer run to completion
+// over the trace: there is one reducer, so offline and online numbers
+// agree by construction. What only this file computes is bus utilization
+// over sliding windows, from the transmission intervals.
 
 #include <cstdint>
 #include <string>
@@ -38,10 +38,8 @@ struct MessageTraceStats {
   Duration observed_p99 = Duration::zero();  ///< Interpolated from the histogram.
 
   /// Exact integer-ns latency aggregates (the histogram above is a lossy
-  /// microsecond view). The online StreamAnalyzer reproduces these
-  /// bit-for-bit — the equivalence contract tests/stream/equivalence_test.cpp
-  /// pins. `observed_min` is infinite when no completed instance had an
-  /// observed release.
+  /// microsecond view). `observed_min` is infinite when no completed
+  /// instance had an observed release.
   Duration observed_min = Duration::infinite();
   Duration latency_total = Duration::zero();
   std::int64_t latency_samples = 0;

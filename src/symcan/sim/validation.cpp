@@ -23,7 +23,7 @@ BoundValidation compare_bound_vs_observed(const BusResult& analysis, const SimRe
     }
     // A diverged analysis has no finite bound to violate; anything the
     // sim observed is trivially below infinity.
-    o.violation = !o.diverged && o.completions > 0 && o.observed_max > o.bound;
+    o.violation = exceeds_bound(o.diverged, o.completions, o.observed_max, o.bound);
     if (o.violation) ++v.violations;
     if (!o.diverged && o.completions > 0)
       v.worst_tightness = std::max(v.worst_tightness, o.tightness());

@@ -50,6 +50,14 @@ struct BoundValidation {
   bool ok() const { return violations == 0; }
 };
 
+/// The soundness verdict, written once: the analysis converged, at least
+/// one response was observed, and `observed` exceeds the bound.
+/// compare_bound_vs_observed applies it to each message's maximum after a
+/// run; stream::StreamAnalyzer applies it at every completion.
+inline bool exceeds_bound(bool diverged, std::int64_t samples, Duration observed, Duration bound) {
+  return !diverged && samples > 0 && observed > bound;
+}
+
 /// Join `analysis` and `sim` by message name. Messages missing from the
 /// simulation (never completed, or absent) report zero observations and
 /// cannot violate.

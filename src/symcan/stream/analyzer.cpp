@@ -3,39 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 
 #include "symcan/obs/export.hpp"
 #include "symcan/obs/obs.hpp"
+#include "symcan/sim/validation.hpp"
+#include "symcan/util/table.hpp"
 
 namespace symcan::stream {
 
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  va_list ap2;
-  va_copy(ap2, ap);
-  char buf[256];
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n < 0) {
-    va_end(ap2);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof buf) {
-    out.append(buf, static_cast<std::size_t>(n));
-  } else {
-    std::string big(static_cast<std::size_t>(n) + 1, '\0');
-    std::vsnprintf(big.data(), big.size(), fmt, ap2);
-    big.resize(static_cast<std::size_t>(n));
-    out += big;
-  }
-  va_end(ap2);
-}
 
 /// value += (sample - value) >> shift — the integer EWMA every baseline
 /// uses. Arithmetic shift of the signed error rounds toward -inf on both
@@ -160,16 +137,20 @@ void StreamAnalyzer::on_completion(MessageState& ms, std::uint32_t idx, Duration
     ms.latency_min = min(ms.latency_min, latency);
     ms.latency_max = max(ms.latency_max, latency);
     ms.latency_total += latency;
+    const auto& bounds = obs::kDefaultLatencyBoundsUs;
+    const double latency_us = latency.as_us();
+    ++ms.latency_buckets[std::lower_bound(bounds.begin(), bounds.end(), latency_us) -
+                         bounds.begin()];
+    ms.latency_sum_us += latency_us;
     if (ms.has_resp) {
       ewma_update(ms.resp_ewma_ns, latency.count_ns(), cfg_.fast_shift);
     } else {
       ms.resp_ewma_ns = latency.count_ns();
       ms.has_resp = true;
     }
-    // Online soundness oracle — same predicate as the offline
-    // compare_bound_vs_observed violation bit, applied at the first
-    // crossing instead of after the run.
-    if (ms.bound_known && !ms.diverged && latency > ms.bound) {
+    // Online soundness oracle: the offline verdict's predicate, applied
+    // at the first crossing instead of after the run.
+    if (ms.bound_known && exceeds_bound(ms.diverged, ms.latency_samples, latency, ms.bound)) {
       if (ms.bound_violations == 0)
         emit(now, HealthEventType::kBoundViolation, ms, latency.count_ns(), ms.bound.count_ns());
       ++ms.bound_violations;
@@ -262,14 +243,14 @@ void StreamAnalyzer::on_completion(MessageState& ms, std::uint32_t idx, Duration
       // Arrhythmia: sustained irregularity, no single outlier required.
       if (ms.dev_ns * 1000 > cfg_.arrhythmia_onset_permille * ms.m_fast_ns) {
         ms.arr_calm = 0;
-        if (++ms.arr_streak == cfg_.arrhythmia_onset_count && !ms.arr_active) {
-          ms.arr_active = true;
+        if (++ms.arr_streak == cfg_.arrhythmia_onset_count && !ms.arrhythmia_active) {
+          ms.arrhythmia_active = true;
           emit(now, HealthEventType::kArrhythmiaOnset, ms, ms.dev_ns, ms.m_fast_ns);
         }
       } else if (ms.dev_ns * 1000 <= cfg_.arrhythmia_clear_permille * ms.m_fast_ns) {
         ms.arr_streak = 0;
-        if (ms.arr_active && ++ms.arr_calm == cfg_.arrhythmia_clear_count) {
-          ms.arr_active = false;
+        if (ms.arrhythmia_active && ++ms.arr_calm == cfg_.arrhythmia_clear_count) {
+          ms.arrhythmia_active = false;
           ms.arr_calm = 0;
           emit(now, HealthEventType::kArrhythmiaClear, ms, ms.dev_ns, ms.m_fast_ns);
         }
@@ -310,13 +291,23 @@ void StreamAnalyzer::ingest_one(const TraceEvent& e) {
     }
     case TraceEventType::kTxStart: {
       InflightSlot& s = slot_for(ms, e.instance);
-      if (!s.started) s.started = true;
+      // Only the first start counts: a retransmission's restart is not
+      // arbitration wait.
+      if (!s.started) {
+        s.started = true;
+        if (s.released) {
+          const Duration wait = e.time - s.release;
+          ms.arbitration_wait_total += wait;
+          ms.arbitration_wait_max = max(ms.arbitration_wait_max, wait);
+        }
+      }
       break;
     }
     case TraceEventType::kTxEnd: {
       InflightSlot& s = slot_for(ms, e.instance);
       const bool have_latency = s.released;
       const Duration latency = have_latency ? e.time - s.release : Duration::zero();
+      if (have_latency && s.errored) ms.retransmit_delay_total += e.time - s.first_error;
       s.used = false;
       on_completion(ms, idx, e.time, latency, have_latency);
       break;
@@ -393,29 +384,30 @@ StreamStats StreamAnalyzer::stats() const {
   out.dropped_events = dropped_;
   out.messages.reserve(states_.size());
   for (const MessageState& ms : states_) {
-    MessageStreamStats m;
-    m.name = ms.name;
-    m.releases = ms.releases;
-    m.completions = ms.completions;
-    m.errors = ms.errors;
-    m.retransmits = ms.retransmits;
-    m.losses = ms.losses;
-    m.latency_samples = ms.latency_samples;
-    m.latency_min = ms.latency_min;
-    m.latency_max = ms.latency_max;
-    m.latency_total = ms.latency_total;
+    MessageStreamStats m = ms;  // The public part, as kept.
     m.period_baseline = Duration::ns(ms.m_fast_ns);
     m.period_deviation = Duration::ns(ms.dev_ns);
     m.response_baseline = Duration::ns(ms.resp_ewma_ns);
-    m.bound_known = ms.bound_known;
-    m.diverged = ms.diverged;
-    m.bound = ms.bound;
-    m.bound_violations = ms.bound_violations;
-    m.jitter_active = ms.jitter_active;
-    m.drift_active = ms.drift_active;
-    m.stall_active = ms.stall_active;
-    m.arrhythmia_active = ms.arr_active;
-    m.inflight_evictions = ms.inflight_evictions;
+    const auto& bounds = obs::kDefaultLatencyBoundsUs;
+    obs::HistogramSnapshot& h = m.latency_us;
+    h.name = ms.name;
+    h.count = ms.latency_samples;
+    h.sum = ms.latency_sum_us;
+    if (h.count > 0) {
+      h.min = ms.latency_min.as_us();
+      h.max = ms.latency_max.as_us();
+    }
+    const auto quantile = [&](double q) {
+      return obs::bucket_quantile(
+          bounds, [&ms](std::size_t i) { return ms.latency_buckets[i]; }, h.count, q, h.min, h.max);
+    };
+    h.p50 = quantile(0.50);
+    h.p95 = quantile(0.95);
+    h.p99 = quantile(0.99);
+    h.buckets.reserve(bounds.size());
+    for (std::size_t i = 0; i < bounds.size(); ++i)
+      h.buckets.emplace_back(bounds[i], ms.latency_buckets[i]);
+    h.overflow = ms.latency_buckets[bounds.size()];
     out.active_conditions +=
         (m.jitter_active ? 1 : 0) + (m.drift_active ? 1 : 0) + (m.stall_active ? 1 : 0) +
         (m.arrhythmia_active ? 1 : 0);

@@ -16,10 +16,12 @@
 //    advances strictly per event, and all baselines are integer-ns EWMAs
 //    (value += (sample - value) >> shift), so there is no accumulation
 //    order or float rounding to vary.
-//  * Offline-equivalent: feeding a completed trace reproduces
-//    sim::compute_trace_stats latency min/mean/max and the violation set
-//    of sim::compare_bound_vs_observed exactly, in integer nanoseconds
-//    (tests/stream/equivalence_test.cpp).
+//  * The only per-message trace reducer: sim::compute_trace_stats is this
+//    analyzer run over a whole trace, so offline and online counters,
+//    latency aggregates, arbitration waits, retransmit delays and latency
+//    histograms are the same numbers by construction. Bound violations
+//    use sim::exceeds_bound, the predicate sim::compare_bound_vs_observed
+//    applies after a run.
 //
 // Detectors (per message, self-calibrating — evaluation methodology of
 // "Performance comparison of timing-based anomaly detectors for CAN"):
@@ -34,7 +36,7 @@
 // Each emits onset/clear HealthEvents with hysteresis, never per-frame
 // alarms. An optional analysis::BusResult arms the online soundness
 // oracle: any observed response time above its bound raises
-// kBoundViolation, mirroring sim::compare_bound_vs_observed verdicts.
+// kBoundViolation.
 
 #include <cstddef>
 #include <cstdint>
@@ -117,6 +119,14 @@ struct MessageStreamStats {
     return latency_samples > 0 ? latency_total / latency_samples : Duration::zero();
   }
 
+  /// Release to *first* transmission start of each instance: the time it
+  /// spent queued while losing (or waiting out) arbitration.
+  Duration arbitration_wait_total = Duration::zero();
+  Duration arbitration_wait_max = Duration::zero();
+  /// First error to final completion, summed over instances corrupted at
+  /// least once.
+  Duration retransmit_delay_total = Duration::zero();
+
   /// Self-calibrated baselines (zero until two arrivals were seen).
   Duration period_baseline = Duration::zero();   ///< Fast inter-arrival EWMA.
   Duration period_deviation = Duration::zero();  ///< EWMA absolute deviation.
@@ -140,6 +150,11 @@ struct MessageStreamStats {
   /// traces; a hostile recorded trace degrades gracefully instead of
   /// allocating).
   std::int64_t inflight_evictions = 0;
+
+  /// The latency samples above in microseconds, on
+  /// obs::kDefaultLatencyBoundsUs; equal to what an obs::Histogram fed
+  /// the same samples in the same order reports.
+  obs::HistogramSnapshot latency_us;
 };
 
 struct StreamStats {
@@ -153,7 +168,9 @@ struct StreamStats {
   const MessageStreamStats* find(const std::string& name) const;
 };
 
-/// Per-message table + condition/violation summary for terminals.
+/// Per-message table + condition/violation summary for terminals. The
+/// arbitration, retransmit and histogram fields are left to
+/// sim::trace_stats_to_text/json; these renderers do not print them.
 std::string stream_stats_to_text(const StreamStats& stats);
 
 /// Machine-readable form; durations in integer nanoseconds.
@@ -212,22 +229,19 @@ class StreamAnalyzer {
     bool errored = false;
   };
 
-  struct MessageState {
-    std::string name;
-    std::int64_t releases = 0;
-    std::int64_t completions = 0;
-    std::int64_t errors = 0;
-    std::int64_t retransmits = 0;
-    std::int64_t losses = 0;
-
-    std::int64_t latency_samples = 0;
-    Duration latency_min = Duration::infinite();
-    Duration latency_max = Duration::zero();
-    Duration latency_total = Duration::zero();
+  /// Per-message state: the public snapshot's counters, latency
+  /// aggregates, bound pairing and condition flags, updated in place (so
+  /// stats() copies them out as they are), plus the detectors' internals.
+  /// The snapshot's baselines and latency_us are derived in stats().
+  struct MessageState : MessageStreamStats {
+    // Latency histogram in microseconds: plain counts (the analyzer is
+    // single-threaded) and an event-order sum; min and max derive from
+    // latency_min/latency_max.
+    std::int64_t latency_buckets[obs::kDefaultLatencyBoundsUs.size() + 1] = {};
+    double latency_sum_us = 0;
 
     InflightSlot inflight[kInflightSlots];
     std::int64_t next_age = 0;
-    std::int64_t inflight_evictions = 0;
 
     // Rhythm (driven by completions — what a bus monitor observes).
     bool has_arrival = false;
@@ -243,20 +257,11 @@ class StreamAnalyzer {
     // Detector hysteresis.
     int jitter_streak = 0;
     int jitter_calm = 0;
-    bool jitter_active = false;
     int drift_streak = 0;
     int drift_calm = 0;
-    bool drift_active = false;
     int arr_streak = 0;
     int arr_calm = 0;
-    bool arr_active = false;
-    bool stall_active = false;
     std::uint64_t watchdog_gen = 0;  ///< Invalidates superseded heap entries.
-
-    Duration bound = Duration::infinite();
-    bool bound_known = false;
-    bool diverged = false;
-    std::int64_t bound_violations = 0;
   };
 
   /// Lazily-armed watchdog: fires when the stream clock passes `deadline`

@@ -7,8 +7,9 @@
 // when it returns — the alarm semantics a bus monitor needs, instead of a
 // static threshold that either spams per frame or never fires. Bound
 // violations are the exception: each message raises at most one
-// kBoundViolation (mirroring the per-message `violation` bit of
-// sim::compare_bound_vs_observed), with repeats counted, not re-emitted.
+// kBoundViolation, with repeats counted, not re-emitted. The verdict is
+// sim::exceeds_bound, the predicate behind the per-message `violation`
+// bit of sim::compare_bound_vs_observed.
 
 #include <cstdint>
 #include <string>

@@ -48,6 +48,31 @@ std::string strprintf(const char* fmt, ...) {
   return out;
 }
 
+void appendf(std::string& out, const char* fmt, ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  va_list ap2;
+  va_copy(ap2, ap);
+  char buf[256];
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
+  va_end(ap);
+  if (n < 0) {
+    va_end(ap2);
+    return;
+  }
+  if (static_cast<std::size_t>(n) < sizeof buf) {
+    out.append(buf, static_cast<std::size_t>(n));
+  } else {
+    // Hostile-length names (escaped message names in JSON) overflow the
+    // stack buffer; re-render into a right-sized heap one.
+    std::string big(static_cast<std::size_t>(n) + 1, '\0');
+    std::vsnprintf(big.data(), big.size(), fmt, ap2);
+    big.resize(static_cast<std::size_t>(n));
+    out += big;
+  }
+  va_end(ap2);
+}
+
 std::string ascii_bar(double value, double maxv, int width) {
   if (maxv <= 0 || width <= 0) return {};
   double frac = value / maxv;

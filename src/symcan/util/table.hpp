@@ -31,6 +31,10 @@ class TextTable {
 /// printf-style helper returning std::string.
 std::string strprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// printf-style append onto `out`. Formats through a stack buffer, so a
+/// short piece costs no allocation beyond `out`'s own growth.
+void appendf(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
 /// Render an ASCII sparkline/bar of `value` within [0, maxv] using `width`
 /// '#' characters; used for textual figure rendering.
 std::string ascii_bar(double value, double maxv, int width);

@@ -2,16 +2,21 @@
 // respects the analysis assumptions, compare_bound_vs_observed must find
 // zero violations (observed <= bound for every message — the soundness
 // oracle in report form), and the report's derived quantities (pessimism
-// gap, tightness) must be consistent.
+// gap, tightness) must be consistent. The stream analyzer's fold of the
+// recorded trace must reach the same verdicts and the same per-message
+// numbers as the simulator's own MessageStats, which it shares no code
+// with.
 
 #include "symcan/sim/validation.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "symcan/analysis/error_model.hpp"
+#include "symcan/stream/analyzer.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace symcan {
@@ -125,6 +130,130 @@ TEST(BoundVsObservedEdge, MissingAndDivergedMessagesCannotViolate) {
   EXPECT_EQ(v.violations, 0u);
   EXPECT_TRUE(v.messages[0].gap().is_infinite());
   EXPECT_EQ(v.messages[1].completions, 0);
+}
+
+TEST(BoundVsObservedEdge, ObservedEqualToBoundIsNoViolation) {
+  // The bound is a worst case that may be reached: only a response
+  // strictly above it violates, offline and online alike.
+  BusResult analysis;
+  MessageResult m;
+  m.name = "m";
+  m.wcrt = Duration::us(10);
+  analysis.messages.push_back(m);
+
+  SimResult sim;
+  MessageStats s;
+  s.name = "m";
+  s.completions = 1;
+  s.wcrt_observed = Duration::us(10);
+  sim.messages.push_back(s);
+  EXPECT_EQ(compare_bound_vs_observed(analysis, sim).violations, 0u);
+
+  stream::StreamAnalyzer an;
+  an.set_bounds(analysis);
+  Trace t;
+  t.record(Duration::zero(), TraceEventType::kRelease, "m", 0);
+  t.record(Duration::us(10), TraceEventType::kTxEnd, "m", 0);
+  t.record(Duration::us(20), TraceEventType::kRelease, "m", 1);
+  t.record(Duration::us(31), TraceEventType::kTxEnd, "m", 1);
+  an.ingest(t);
+  // Only the second instance (11 us) crosses the bound.
+  ASSERT_EQ(an.stats().messages.size(), 1u);
+  EXPECT_EQ(an.stats().messages[0].bound_violations, 1);
+}
+
+struct Workload {
+  KMatrix km;
+  BusResult bounds;
+  SimResult sim;
+};
+
+/// Seeded workload, analyzed and simulated with a recorded trace. When
+/// `sound` is false the analysis deliberately omits the error model the
+/// simulator injects and assumes nominal stuffing — an unsound pairing
+/// that produces real violations.
+Workload run_workload(std::uint64_t seed, bool sound) {
+  PowertrainConfig wl;
+  wl.seed = seed;
+  wl.message_count = 12 + static_cast<int>(seed % 9);
+  wl.ecu_count = 3 + static_cast<int>(seed % 3);
+  wl.target_utilization = 0.35 + 0.03 * static_cast<double>(seed % 8);
+  KMatrix km = generate_powertrain(wl);
+  assume_jitter_fraction(km, 0.05 * static_cast<double>(seed % 5), /*override_known=*/true);
+
+  const bool errors = seed % 2 == 0;
+
+  CanRtaConfig rta;
+  rta.worst_case_stuffing = sound;
+  rta.deadline_override = DeadlinePolicy::kPeriod;
+  if (errors && sound) rta.errors = std::make_shared<SporadicErrors>(Duration::ms(10));
+
+  SimConfig sim;
+  sim.duration = Duration::ms(400);
+  sim.seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+  sim.stuffing = StuffingMode::kRandom;
+  sim.randomize_jitter = true;
+  sim.record_trace = true;
+  if (errors) sim.errors = SimErrorProcess::sporadic(Duration::ms(10));
+
+  BusResult bounds = CanRta{km, rta}.analyze();
+  SimResult res = simulate(km, sim);
+  return Workload{std::move(km), std::move(bounds), std::move(res)};
+}
+
+TEST(BoundVsObservedFold, AnalyzerFoldMatchesSimulatorStatsAndViolations) {
+  int seeds_with_violations = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    // Unsound pairing on a third of the seeds so both the empty and the
+    // non-empty violation set are exercised.
+    const bool sound = seed % 3 != 0;
+    const Workload w = run_workload(seed, sound);
+    SCOPED_TRACE("seed " + std::to_string(seed) + (sound ? " sound" : " unsound"));
+    ASSERT_FALSE(w.sim.trace.events().empty());
+
+    stream::StreamAnalyzer an;
+    an.set_bounds(w.bounds);
+    an.ingest(w.sim.trace);
+    const stream::StreamStats online = an.stats();
+
+    // The simulator counts in its own MessageStats; the analyzer folds
+    // the trace. Both must agree exactly, message by message.
+    for (const MessageStats& s : w.sim.messages) {
+      const stream::MessageStreamStats* m = online.find(s.name);
+      ASSERT_NE(m, nullptr) << s.name;
+      // The fold is exact only if no in-flight slot was ever recycled.
+      EXPECT_EQ(m->inflight_evictions, 0) << s.name;
+      EXPECT_EQ(m->releases, s.activations) << s.name;
+      EXPECT_EQ(m->completions, s.completions) << s.name;
+      EXPECT_EQ(m->losses, s.losses) << s.name;
+      EXPECT_EQ(m->errors, s.retransmissions) << s.name;
+      EXPECT_EQ(m->latency_samples, s.completions) << s.name;
+      EXPECT_EQ(m->latency_max, s.wcrt_observed) << s.name;
+      if (s.completions > 0) {
+        EXPECT_EQ(m->latency_min, s.bcrt_observed) << s.name;
+        // Both sum as_us() in completion order, so the mean is bit-equal.
+        EXPECT_EQ(m->latency_us.sum / static_cast<double>(m->completions), s.avg_response_us)
+            << s.name;
+      }
+    }
+
+    // Identical violation sets, online and offline.
+    const BoundValidation v = compare_bound_vs_observed(w.bounds, w.sim);
+    std::set<std::string> offline_violators, online_violators;
+    for (const BoundObservation& o : v.messages)
+      if (o.violation) offline_violators.insert(o.name);
+    for (const stream::MessageStreamStats& m : online.messages)
+      if (m.violation()) online_violators.insert(m.name);
+    EXPECT_EQ(online_violators, offline_violators);
+    EXPECT_EQ(online.violations, static_cast<std::int64_t>(v.violations));
+    if (v.violations > 0) ++seeds_with_violations;
+    if (sound) {
+      EXPECT_EQ(online.violations, 0) << validation_to_text(v);
+    }
+  }
+  // The property is vacuous if no unsound seed ever violates; the seeds
+  // above are chosen so several do.
+  EXPECT_GT(seeds_with_violations, 0);
 }
 
 }  // namespace

@@ -135,6 +135,41 @@ TEST(TraceStats, RenderersCarryTheNumbers) {
   EXPECT_NE(json.find("\"losses\":1"), std::string::npos);
 }
 
+TEST(TraceStats, LatencyHistogramEqualsObsHistogram) {
+  // Latencies on bucket edges (an edge belongs to the bucket it bounds),
+  // between edges, and in the overflow bucket: the reducer's histogram
+  // must read exactly as an obs::Histogram fed the same samples in order.
+  const std::int64_t latencies_ns[] = {200'000, 200'001, 1'000, 999, 7'500'000, 3'000'000'000,
+                                       200'000, 50'000'000, 123'456};
+  Trace t;
+  obs::Histogram want{obs::MetricsRegistry::default_latency_bounds_us()};
+  std::int64_t instance = 0;
+  Duration now = Duration::zero();
+  for (const std::int64_t ns : latencies_ns) {
+    t.record(now, TraceEventType::kRelease, "A", instance);
+    t.record(now + Duration::ns(ns), TraceEventType::kTxEnd, "A", instance);
+    want.observe(Duration::ns(ns).as_us());
+    now += Duration::s(4);
+    ++instance;
+  }
+  const TraceStats stats = compute_trace_stats(t, now, Duration::zero());
+  ASSERT_EQ(stats.messages.size(), 1u);
+  const obs::HistogramSnapshot& got = stats.messages[0].latency_us;
+  EXPECT_EQ(got.count, want.count());
+  EXPECT_EQ(got.sum, want.sum());
+  EXPECT_EQ(got.min, want.observed_min());
+  EXPECT_EQ(got.max, want.observed_max());
+  EXPECT_EQ(got.p50, want.quantile(0.50));
+  EXPECT_EQ(got.p95, want.quantile(0.95));
+  EXPECT_EQ(got.p99, want.quantile(0.99));
+  ASSERT_EQ(got.buckets.size(), want.bounds().size());
+  for (std::size_t i = 0; i < got.buckets.size(); ++i) {
+    EXPECT_EQ(got.buckets[i].first, want.bounds()[i]);
+    EXPECT_EQ(got.buckets[i].second, want.bucket_count(i)) << "le " << want.bounds()[i];
+  }
+  EXPECT_EQ(got.overflow, want.bucket_count(want.bounds().size()));
+}
+
 void check_golden(const std::string& name, const std::string& actual) {
   const std::string path = std::string(SYMCAN_TRACE_STATS_GOLDEN_DIR) + "/" + name;
   const char* update = std::getenv("SYMCAN_UPDATE_GOLDEN");
