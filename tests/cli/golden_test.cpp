@@ -369,6 +369,20 @@ TEST_F(GoldenTest, MonitorHealthEventsJsonlOverCommittedTrace) {
   std::remove(events.c_str());
 }
 
+TEST_F(GoldenTest, BudgetText) {
+  // The case study's joint fraction is 9 %, so the joint bisection and
+  // every message's individual search run to their tolerance.
+  ASSERT_EQ(run({"budget", matrix_}), 0) << err_.str();
+  check_text("budget.txt", out_.str());
+}
+
+TEST_F(GoldenTest, SensitivityText) {
+  // Several messages' tolerable-jitter searches end inside (0, 100 %),
+  // through the shared RTA memo.
+  ASSERT_EQ(run({"sensitivity", matrix_}), 0) << err_.str();
+  check_text("sensitivity.txt", out_.str());
+}
+
 TEST_F(GoldenTest, ReportMarkdownIdenticalWithCacheOff) {
   // The report must not depend on whether the memo layer is active.
   const int rc = run({"report", matrix_, "--jitter", "0.25", "--jobs", "2", "--rta-cache", "off"});
