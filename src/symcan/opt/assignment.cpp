@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "symcan/util/search.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace symcan {
@@ -70,14 +71,12 @@ PriorityOrder deadline_monotonic_order(const KMatrix& km) {
 namespace {
 
 /// Schedulability of `cand` when it sits at the current lowest open rank:
-/// every still-unplaced message above it, the already-placed suffix below
-/// it, all jitters at `fraction` of their periods.
-bool feasible_at_rank(const KMatrix& km, const CanRtaConfig& rta, double fraction,
-                      const std::vector<bool>& placed, const PriorityOrder& order,
-                      std::size_t back, std::size_t cand) {
-  const std::size_t n = km.size();
-  KMatrix trial = km;
-  assume_jitter_fraction(trial, fraction, true);
+/// every still-unplaced message above it (in any relative order), the
+/// already-placed suffix below it in its established order. `trial`
+/// carries the jitters under test; only its IDs are rewritten here.
+bool schedulable_at_rank(KMatrix trial, const CanRtaConfig& rta, const std::vector<bool>& placed,
+                         const PriorityOrder& order, std::size_t back, std::size_t cand) {
+  const std::size_t n = trial.size();
   CanId next_high = 0x100;
   for (std::size_t i = 0; i < n; ++i) {
     if (placed[i] || i == cand) continue;
@@ -86,8 +85,7 @@ bool feasible_at_rank(const KMatrix& km, const CanRtaConfig& rta, double fractio
   trial.messages()[cand].id = next_high;
   CanId below = next_high + 1;
   for (std::size_t r = back + 1; r < n; ++r) trial.messages()[order[r]].id = below++;
-  trial.validate();
-  return CanRta{trial, rta}.analyze_message(cand).schedulable;
+  return CanRta{std::move(trial), rta}.analyze_message(cand).schedulable;
 }
 
 }  // namespace
@@ -98,29 +96,22 @@ std::optional<PriorityOrder> robust_priority_order(const KMatrix& km, const CanR
   const std::size_t n = km.size();
   PriorityOrder order(n);
   std::vector<bool> placed(n, false);
+  KMatrix jittered = km;
 
   for (std::size_t back = n; back-- > 0;) {
     std::optional<std::size_t> best;
     double best_tolerance = -1;
     for (std::size_t cand = 0; cand < n; ++cand) {
       if (placed[cand]) continue;
-      if (!feasible_at_rank(km, rta, assumed_jitter_fraction, placed, order, back, cand))
-        continue;
+      const auto ok = [&](double fraction) {
+        assume_jitter_fraction(jittered, fraction, true);
+        return schedulable_at_rank(jittered, rta, placed, order, back, cand);
+      };
+      if (!ok(assumed_jitter_fraction)) continue;
       // Largest uniform jitter fraction this candidate tolerates here.
-      double lo = assumed_jitter_fraction, hi = 1.0;
-      if (feasible_at_rank(km, rta, hi, placed, order, back, cand)) {
-        lo = hi;
-      } else {
-        while (hi - lo > tolerance) {
-          const double mid = (lo + hi) / 2;
-          if (feasible_at_rank(km, rta, mid, placed, order, back, cand))
-            lo = mid;
-          else
-            hi = mid;
-        }
-      }
-      if (lo > best_tolerance) {
-        best_tolerance = lo;
+      const double tolerable = largest_feasible(assumed_jitter_fraction, 1.0, tolerance, ok);
+      if (tolerable > best_tolerance) {
+        best_tolerance = tolerable;
         best = cand;
       }
     }
@@ -141,38 +132,13 @@ std::optional<PriorityOrder> audsley_order(const KMatrix& km, const CanRtaConfig
   const std::size_t n = work.size();
   PriorityOrder order(n);  // filled from the back (lowest rank first)
   std::vector<bool> placed(n, false);
-
-  // Trial IDs: unplaced messages sit above (higher priority than) the
-  // candidate; already-placed ones below. We renumber on every probe.
   for (std::size_t back = n; back-- > 0;) {
-    bool found = false;
-    for (std::size_t cand = 0; cand < n && !found; ++cand) {
-      if (placed[cand]) continue;
-      KMatrix trial = work;
-      CanId next_high = 0x100;
-      // Unplaced (excluding candidate): any relative order, all above.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (placed[i] || i == cand) continue;
-        trial.messages()[i].id = next_high;
-        next_high += 1;
-      }
-      trial.messages()[cand].id = next_high;
-      CanId below = next_high + 1;
-      // Placed ones keep their established relative order below.
-      for (std::size_t r = back + 1; r < n; ++r) {
-        trial.messages()[order[r]].id = below;
-        below += 1;
-      }
-      trial.validate();
-      std::size_t cand_pos = cand;
-      const MessageResult res = CanRta{trial, rta}.analyze_message(cand_pos);
-      if (res.schedulable) {
-        order[back] = cand;
-        placed[cand] = true;
-        found = true;
-      }
-    }
-    if (!found) return std::nullopt;
+    std::size_t cand = 0;
+    while (cand < n && (placed[cand] || !schedulable_at_rank(work, rta, placed, order, back, cand)))
+      ++cand;
+    if (cand == n) return std::nullopt;
+    order[back] = cand;
+    placed[cand] = true;
   }
   return order;
 }

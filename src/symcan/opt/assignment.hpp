@@ -67,7 +67,8 @@ std::optional<PriorityOrder> audsley_order(const KMatrix& km, const CanRtaConfig
 /// configuration of the optimizer "to favor robust configurations over
 /// sensitive ones", with a deterministic algorithm instead of a GA.
 /// Returns nullopt when no feasible assignment exists at the base
-/// assumption (`assumed_jitter_fraction`).
+/// assumption (`assumed_jitter_fraction`). Throws std::invalid_argument
+/// for a `tolerance` that is not > 0 once a candidate's search runs.
 std::optional<PriorityOrder> robust_priority_order(const KMatrix& km, const CanRtaConfig& rta,
                                                    double assumed_jitter_fraction = 0.0,
                                                    double tolerance = 0.02);

@@ -1,9 +1,12 @@
 #include "symcan/sensitivity/robustness.hpp"
 
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
+#include "symcan/analysis/provenance.hpp"
 #include "symcan/util/parallel.hpp"
+#include "symcan/util/search.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace symcan {
@@ -28,18 +31,6 @@ std::size_t SensitivityReport::count(Robustness r) const {
     if (m.cls == r) ++n;
   return n;
 }
-
-namespace {
-
-bool message_schedulable_at(const KMatrix& km, const CanRtaConfig& rta, std::size_t index,
-                            double fraction, bool override_known, IncrementalRta* cache) {
-  KMatrix variant = km;
-  assume_jitter_fraction(variant, fraction, override_known);
-  if (cache) return cache->analyze_message(variant, rta, index).schedulable;
-  return CanRta{variant, rta}.analyze_message(index).schedulable;
-}
-
-}  // namespace
 
 SensitivityReport analyze_sensitivity(const KMatrix& km, const JitterSweepConfig& cfg,
                                       RobustnessThresholds th) {
@@ -86,24 +77,18 @@ SensitivityReport analyze_sensitivity(const KMatrix& km, const JitterSweepConfig
 double max_tolerable_jitter_fraction(const KMatrix& km, const CanRtaConfig& rta,
                                      const std::string& message, double cap, double tolerance,
                                      bool override_known, IncrementalRta* cache) {
-  std::size_t index = km.size();
-  for (std::size_t i = 0; i < km.size(); ++i)
-    if (km.messages()[i].name == message) index = i;
-  if (index == km.size())
+  const std::optional<std::size_t> index = analysis::find_message(km, message);
+  if (!index)
     throw std::invalid_argument("max_tolerable_jitter_fraction: unknown message " + message);
 
-  if (!message_schedulable_at(km, rta, index, 0.0, override_known, cache)) return 0.0;
-  if (message_schedulable_at(km, rta, index, cap, override_known, cache)) return cap;
-
-  double lo = 0.0, hi = cap;  // schedulable at lo, not at hi
-  while (hi - lo > tolerance) {
-    const double mid = (lo + hi) / 2;
-    if (message_schedulable_at(km, rta, index, mid, override_known, cache))
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return lo;
+  KMatrix variant = km;
+  const auto ok = [&](double fraction) {
+    assume_jitter_fraction(variant, fraction, override_known);
+    if (cache) return cache->analyze_message(variant, rta, *index).schedulable;
+    return CanRta{variant, rta}.analyze_message(*index).schedulable;
+  };
+  if (!ok(0.0)) return 0.0;
+  return largest_feasible(0.0, cap, tolerance, ok);
 }
 
 }  // namespace symcan

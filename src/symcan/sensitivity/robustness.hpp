@@ -61,7 +61,9 @@ SensitivityReport analyze_sensitivity(const KMatrix& km, const JitterSweepConfig
 /// Binary-search the largest uniform jitter fraction (applied to all
 /// messages, unknown-jitter only unless override_known) at which
 /// `message` still meets its deadline. Searches [0, cap]; returns cap if
-/// schedulable everywhere, 0 if unschedulable at zero jitter.
+/// schedulable everywhere, 0 if unschedulable at zero jitter. Throws
+/// std::invalid_argument for an unknown message, and for a tolerance that
+/// is not > 0 unless the zero-jitter probe already returned 0.
 ///
 /// When `cache` is non-null, single-message probes are memoized through
 /// it — the searches for different messages revisit the same jitter

@@ -311,13 +311,8 @@ std::vector<ServeResponse> ServeCore::handle_batch(const std::vector<ServeReques
     q.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     queued.push_back(std::move(q));
   }
-  return handle_batch(queued);
-}
-
-std::vector<ServeResponse> ServeCore::handle_batch(const std::vector<QueuedRequest>& reqs) {
-  if (reqs.empty()) return {};
   const std::uint64_t batch_id = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return pool_.parallel_map(reqs,
+  return pool_.parallel_map(queued,
                             [&](const QueuedRequest& q) { return handle_queued(q, batch_id); });
 }
 
@@ -362,13 +357,6 @@ PushOutcome ServeCore::submit(ServeRequest req, std::optional<QueuedRequest>* vi
     finish_telemetry(v);
   }
   return outcome;
-}
-
-std::vector<QueuedRequest> ServeCore::take_batch() {
-  std::vector<QueuedRequest> batch = ring_.pop_batch(cfg_.batch_max);
-  const std::int64_t now = now_ns();
-  for (QueuedRequest& q : batch) q.dequeue_ns = now;
-  return batch;
 }
 
 std::optional<std::pair<std::uint64_t, ServeResponse>> ServeCore::handle_next() {

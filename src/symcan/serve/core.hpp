@@ -96,8 +96,8 @@ struct ServeConfig {
   /// ParallelExecutor width: handle_batch's fan-out and the stdio loop's
   /// thread count (0 = hardware).
   int jobs = 0;
-  /// take_batch() pops at most this many requests; the stdio transport
-  /// keeps at most this many lines read but not yet answered.
+  /// The stdio transport keeps at most this many lines read but not yet
+  /// answered (CLI --batch).
   std::size_t batch_max = 32;
   DiagnosticPolicy policy = DiagnosticPolicy::kLenient;
   TelemetryConfig telemetry;
@@ -143,16 +143,12 @@ class ServeCore {
   /// bit-identical to handling each request alone.
   std::vector<ServeResponse> handle_batch(const std::vector<ServeRequest>& reqs);
 
-  /// Transport path: a popped ring batch, telemetry stamps included.
-  std::vector<ServeResponse> handle_batch(const std::vector<QueuedRequest>& reqs);
-
-  /// Ring producer / consumer sides for transports. submit() stamps the
-  /// enqueue time, assigns the flow id and carries `seq` along;
-  /// rejected / evicted / timed-out requests are recorded in telemetry
-  /// here, since no worker will ever see them.
+  /// Ring producer side for transports; handle_next() is the consumer.
+  /// submit() stamps the enqueue time, assigns the flow id and carries
+  /// `seq` along; rejected / evicted / timed-out requests are recorded in
+  /// telemetry here, since no worker will ever see them.
   PushOutcome submit(ServeRequest req, std::optional<QueuedRequest>* victim = nullptr,
                      std::uint64_t seq = 0);
-  std::vector<QueuedRequest> take_batch();
 
   /// Single-request transport path: pop the oldest queued request, stamp
   /// its dequeue time and answer it on the calling thread as a batch of

@@ -1,103 +1,65 @@
 #include "symcan/supplychain/budget.hpp"
 
+#include <optional>
 #include <stdexcept>
 
+#include "symcan/analysis/provenance.hpp"
+#include "symcan/util/search.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace symcan {
 
-namespace {
-
-bool schedulable_at_fraction(const KMatrix& km, const CanRtaConfig& rta, double fraction) {
-  KMatrix v = km;
-  assume_jitter_fraction(v, fraction, true);
-  return CanRta{v, rta}.analyze().all_schedulable();
+Duration max_single_jitter(KMatrix km, const CanRtaConfig& rta, std::size_t index,
+                           Duration base, Duration resolution) {
+  CanMessage& m = km.messages().at(index);
+  return largest_feasible(base, m.period, resolution, [&](Duration j) {
+    m.jitter = j;
+    return CanRta{km, rta}.analyze().all_schedulable();
+  });
 }
-
-/// Apply a per-message jitter vector.
-KMatrix with_jitters(const KMatrix& km, const std::vector<Duration>& jitters) {
-  KMatrix v = km;
-  for (std::size_t i = 0; i < v.size(); ++i) v.messages()[i].jitter = jitters[i];
-  return v;
-}
-
-/// Largest jitter for message `index` keeping everything schedulable,
-/// with all other jitters fixed as given. Binary search on [base, period].
-Duration max_individual(const KMatrix& km, const CanRtaConfig& rta,
-                        std::vector<Duration> jitters, std::size_t index, Duration base,
-                        Duration resolution) {
-  const Duration period = km.messages()[index].period;
-  auto ok = [&](Duration j) {
-    jitters[index] = j;
-    return CanRta{with_jitters(km, jitters), rta}.analyze().all_schedulable();
-  };
-  if (ok(period)) return period;
-  Duration lo = base, hi = period;
-  while (hi - lo > resolution) {
-    const Duration mid = lo + (hi - lo) / 2;
-    if (ok(mid))
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return lo;
-}
-
-}  // namespace
 
 BudgetReport allocate_jitter_budgets(const KMatrix& km, const CanRtaConfig& rta,
                                      double search_tolerance) {
   km.validate();
-  if (!schedulable_at_fraction(km, rta, 0.0))
+  KMatrix uniform = km;
+  const auto ok = [&](double fraction) {
+    assume_jitter_fraction(uniform, fraction, true);
+    return CanRta{uniform, rta}.analyze().all_schedulable();
+  };
+  if (!ok(0.0))
     throw std::invalid_argument(
         "allocate_jitter_budgets: matrix not schedulable even at zero jitter");
 
   BudgetReport report;
   // Joint budget: max-min fair uniform fraction.
-  double lo = 0.0, hi = 1.0;
-  if (schedulable_at_fraction(km, rta, hi)) {
-    lo = hi;
-  } else {
-    while (hi - lo > search_tolerance) {
-      const double mid = (lo + hi) / 2;
-      if (schedulable_at_fraction(km, rta, mid))
-        lo = mid;
-      else
-        hi = mid;
-    }
-  }
-  report.joint_fraction = lo;
-
-  std::vector<Duration> joint(km.size());
-  for (std::size_t i = 0; i < km.size(); ++i)
-    joint[i] = Duration::ns(static_cast<std::int64_t>(
-        lo * static_cast<double>(km.messages()[i].period.count_ns())));
-  report.joint_budget = joint;
+  report.joint_fraction = largest_feasible(0.0, 1.0, search_tolerance, ok);
+  assume_jitter_fraction(uniform, report.joint_fraction, true);
+  for (const CanMessage& m : uniform.messages()) report.joint_budget.push_back(m.jitter);
 
   // Individual bonus: one message at a time above the joint base.
   report.individual_budget.resize(km.size());
   for (std::size_t i = 0; i < km.size(); ++i)
     report.individual_budget[i] =
-        max_individual(km, rta, joint, i, joint[i], Duration::us(50));
+        max_single_jitter(uniform, rta, i, report.joint_budget[i], Duration::us(50));
   return report;
 }
 
 Duration trade_budget(const KMatrix& km, const CanRtaConfig& rta, const BudgetReport& budgets,
                       const std::string& from, Duration committed, const std::string& to) {
-  std::size_t from_i = km.size(), to_i = km.size();
-  for (std::size_t i = 0; i < km.size(); ++i) {
-    if (km.messages()[i].name == from) from_i = i;
-    if (km.messages()[i].name == to) to_i = i;
-  }
-  if (from_i == km.size()) throw std::invalid_argument("trade_budget: unknown message " + from);
-  if (to_i == km.size()) throw std::invalid_argument("trade_budget: unknown message " + to);
-  if (from_i == to_i) throw std::invalid_argument("trade_budget: cannot trade with oneself");
-  if (committed > budgets.joint_budget[from_i])
+  const std::optional<std::size_t> from_i = analysis::find_message(km, from);
+  const std::optional<std::size_t> to_i = analysis::find_message(km, to);
+  if (!from_i) throw std::invalid_argument("trade_budget: unknown message " + from);
+  if (!to_i) throw std::invalid_argument("trade_budget: unknown message " + to);
+  if (*from_i == *to_i) throw std::invalid_argument("trade_budget: cannot trade with oneself");
+  if (committed > budgets.joint_budget[*from_i])
     throw std::invalid_argument("trade_budget: commitment exceeds " + from + "'s joint budget");
 
-  std::vector<Duration> jitters = budgets.joint_budget;
-  jitters[from_i] = committed;
-  return max_individual(km, rta, jitters, to_i, budgets.joint_budget[to_i], Duration::us(50));
+  KMatrix traded = km;
+  for (std::size_t i = 0; i < traded.size(); ++i)
+    traded.messages()[i].jitter = budgets.joint_budget[i];
+  traded.messages()[*from_i].jitter = committed;
+  return max_single_jitter(std::move(traded), rta, *to_i, budgets.joint_budget[*to_i],
+                           Duration::us(50));
 }
 
 }  // namespace symcan

@@ -39,9 +39,20 @@ struct BudgetReport {
   Duration bonus(std::size_t i) const { return individual_budget[i] - joint_budget[i]; }
 };
 
+/// The single-message search behind the individual budgets, trades and
+/// max_own_jitter: the largest jitter of message `index` in [base, its
+/// period], to within `resolution`, at which every message of `km` stays
+/// schedulable while all other jitters keep their values in `km`. The
+/// caller guarantees schedulability at `base`. Throws
+/// std::invalid_argument unless `resolution` > 0, std::out_of_range for a
+/// bad `index`.
+Duration max_single_jitter(KMatrix km, const CanRtaConfig& rta, std::size_t index,
+                           Duration base, Duration resolution);
+
 /// Compute joint and individual jitter budgets. The matrix must be
 /// schedulable at zero jitter under `rta` (throws std::invalid_argument
-/// otherwise — budgets make no sense for a broken design).
+/// otherwise — budgets make no sense for a broken design — and for a
+/// `search_tolerance` that is not > 0).
 BudgetReport allocate_jitter_budgets(const KMatrix& km, const CanRtaConfig& rta,
                                      double search_tolerance = 0.01);
 

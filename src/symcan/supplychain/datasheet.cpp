@@ -7,24 +7,12 @@
 #include <stdexcept>
 
 #include "symcan/analysis/provenance.hpp"
+#include "symcan/supplychain/budget.hpp"
 #include "symcan/util/csv.hpp"
 
 namespace symcan {
 
 namespace {
-
-bool all_schedulable_with_jitter(const KMatrix& km, const CanRtaConfig& rta, std::size_t index,
-                                 Duration jitter) {
-  KMatrix variant = km;
-  variant.messages()[index].jitter = jitter;
-  return CanRta{variant, rta}.analyze().all_schedulable();
-}
-
-std::size_t index_of(const KMatrix& km, const std::string& message) {
-  for (std::size_t i = 0; i < km.size(); ++i)
-    if (km.messages()[i].name == message) return i;
-  throw std::invalid_argument("unknown message '" + message + "'");
-}
 
 /// "inf" or a non-negative nanosecond count; nullopt with a diagnostic
 /// otherwise.
@@ -149,19 +137,12 @@ EcuDatasheet datasheet_from_csv(const std::string& text) {
 
 Duration max_own_jitter(const KMatrix& km, const CanRtaConfig& rta, const std::string& message,
                         Duration tolerance) {
-  const std::size_t index = index_of(km, message);
-  const Duration period = km.messages()[index].period;
-  if (!all_schedulable_with_jitter(km, rta, index, Duration::zero())) return Duration::zero();
-  if (all_schedulable_with_jitter(km, rta, index, period)) return period;
-  Duration lo = Duration::zero(), hi = period;  // feasible at lo, infeasible at hi
-  while (hi - lo > tolerance) {
-    const Duration mid = lo + (hi - lo) / 2;
-    if (all_schedulable_with_jitter(km, rta, index, mid))
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return lo;
+  const std::optional<std::size_t> index = analysis::find_message(km, message);
+  if (!index) throw std::invalid_argument("unknown message '" + message + "'");
+  KMatrix own = km;
+  own.messages()[*index].jitter = Duration::zero();
+  if (!CanRta{own, rta}.analyze().all_schedulable()) return Duration::zero();
+  return max_single_jitter(std::move(own), rta, *index, Duration::zero(), tolerance);
 }
 
 std::vector<SendJitterRequirement> derive_send_jitter_requirements(const KMatrix& km,

@@ -119,6 +119,8 @@ DualityReport check_duality(const KMatrix& km, const CanRtaConfig& rta,
 
 /// Largest jitter of `message` alone (others unchanged) under which all
 /// messages remain schedulable. Returns zero if already unschedulable.
+/// Throws std::invalid_argument for an unknown message, and for a
+/// tolerance that is not > 0 unless the zero-jitter probe returned zero.
 Duration max_own_jitter(const KMatrix& km, const CanRtaConfig& rta, const std::string& message,
                         Duration tolerance = Duration::us(50));
 

@@ -143,6 +143,13 @@ TEST(RobustAssignment, ToleratesAtLeastAsMuchJitterAsAudsley) {
   EXPECT_GE(system_tolerance(*rpa) + 0.02, system_tolerance(*aud));
 }
 
+TEST(RobustAssignment, NonPositiveToleranceThrows) {
+  // Under worst-case assumptions some candidate misses at full jitter, so
+  // its robustness search bisects.
+  EXPECT_THROW(robust_priority_order(case_matrix(), worst_case_assumptions(), 0.0, 0.0),
+               std::invalid_argument);
+}
+
 TEST(RobustAssignment, InfeasibleBaseReturnsNullopt) {
   KMatrix km = case_matrix();
   scale_periods(km, 0.25);

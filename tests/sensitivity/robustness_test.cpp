@@ -91,6 +91,16 @@ TEST(MaxTolerableJitter, BracketsTheBoundary) {
   EXPECT_FALSE(sched_at(frac + 0.02));
 }
 
+TEST(MaxTolerableJitter, NonPositiveToleranceThrows) {
+  // The same victim as above, whose boundary lies inside (0, 1).
+  const KMatrix km = case_matrix();
+  const std::string victim = km.messages()[km.priority_order().back()].name;
+  const CanRtaConfig rta = worst_case_assumptions();
+  EXPECT_THROW(max_tolerable_jitter_fraction(km, rta, victim, 1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(max_tolerable_jitter_fraction(km, rta, victim, 1.0, -0.01),
+               std::invalid_argument);
+}
+
 TEST(MaxTolerableJitter, ZeroWhenAlreadyInfeasible) {
   // Shrink all periods until the lowest-priority message misses even at
   // zero jitter under worst-case assumptions.
@@ -104,8 +114,8 @@ TEST(MaxTolerableJitter, ZeroWhenAlreadyInfeasible) {
   std::size_t idx = 0;
   for (std::size_t i = 0; i < v.size(); ++i)
     if (v.messages()[i].name == victim) idx = i;
-  if (CanRta{v, rta}.analyze_message(idx).schedulable)
-    GTEST_SKIP() << "victim unexpectedly schedulable; scaling too mild";
+  ASSERT_FALSE((CanRta{v, rta}.analyze_message(idx).schedulable))
+      << "the victim must miss at zero jitter, or the early return goes untested";
   EXPECT_EQ(max_tolerable_jitter_fraction(km, rta, victim), 0.0);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -178,26 +180,35 @@ TEST(ServeCoreTest, ShedsInadmissibleKindsAndAccountsThem) {
   EXPECT_NE(health.find("\"shed_explain\":1"), std::string::npos) << health;
 }
 
-TEST(ServeCoreTest, SubmitTakeBatchRoundTripsThroughTheRing) {
+TEST(ServeCoreTest, SubmitHandleNextRoundTripsThroughTheRing) {
   ServeConfig cfg;
   cfg.ring.capacity = 2;
   cfg.ring.overflow = OverflowPolicy::kReject;
   ServeCore core{cfg};
-  EXPECT_EQ(core.submit(analyze_request("csv", "q1")), PushOutcome::kAccepted);
-  EXPECT_EQ(core.submit(analyze_request("csv", "q2")), PushOutcome::kAccepted);
-  EXPECT_EQ(core.submit(analyze_request("csv", "q3")), PushOutcome::kRejected);
-  const std::vector<QueuedRequest> batch = core.take_batch();
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].req.id, "q1");
-  EXPECT_EQ(batch[1].req.id, "q2");
-  // submit() stamped the enqueue time and a flow id; take_batch() stamped
-  // the dequeue time, never before the enqueue.
-  for (const QueuedRequest& q : batch) {
-    EXPECT_GT(q.enqueue_ns, 0);
-    EXPECT_GE(q.dequeue_ns, q.enqueue_ns);
-    EXPECT_GT(q.flow, 0u);
+  EXPECT_EQ(core.submit(analyze_request("csv", "q1"), nullptr, 1), PushOutcome::kAccepted);
+  EXPECT_EQ(core.submit(analyze_request("csv", "q2"), nullptr, 2), PushOutcome::kAccepted);
+  EXPECT_EQ(core.submit(analyze_request("csv", "q3"), nullptr, 3), PushOutcome::kRejected);
+  // handle_next() answers in arrival order and hands back each seq.
+  for (const std::uint64_t seq : {1u, 2u}) {
+    const auto next = core.handle_next();
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next->first, seq);
+    EXPECT_EQ(next->second.id, "q" + std::to_string(seq));
   }
-  EXPECT_NE(batch[0].flow, batch[1].flow);
+  EXPECT_FALSE(core.handle_next().has_value());
+  // submit() stamped the enqueue time and a flow id; handle_next() stamped
+  // the dequeue time, never before the enqueue. The rejected q3 has a
+  // record too.
+  const std::vector<RequestTelemetry> records = core.flight_recorder().snapshot();
+  ASSERT_EQ(records.size(), 3u);
+  std::set<std::uint64_t> flows;
+  for (const RequestTelemetry& t : records) {
+    EXPECT_GT(t.enqueue_ns, 0);
+    EXPECT_GE(t.dequeue_ns, t.enqueue_ns);
+    flows.insert(t.flow);
+  }
+  EXPECT_EQ(flows.size(), 3u);
+  EXPECT_EQ(flows.count(0), 0u);
 }
 
 }  // namespace

@@ -5,21 +5,17 @@
 #include <stdexcept>
 
 #include "symcan/analysis/presets.hpp"
+#include "symcan/can/kmatrix_io.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace symcan {
 namespace {
 
-KMatrix small_matrix() {
-  PowertrainConfig cfg = PowertrainConfig::case_study();
-  cfg.message_count = 18;
-  cfg.ecu_count = 4;
-  cfg.target_utilization = 0.45;
-  KMatrix km = generate_powertrain(cfg);
-  assume_jitter_fraction(km, 0.0, true);  // clean baseline, jitter unknown
-  return km;
-}
+/// The committed case study: its joint fraction is 9 % under rta(), so
+/// the joint search ends inside (0, 1) rather than saturating.
+KMatrix case_study() { return load_kmatrix(SYMCAN_CASE_STUDY_CSV); }
 
+/// The `symcan budget` default assumptions.
 CanRtaConfig rta() {
   CanRtaConfig cfg;
   cfg.worst_case_stuffing = true;
@@ -30,7 +26,7 @@ CanRtaConfig rta() {
 class BudgetTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    km_ = new KMatrix(small_matrix());
+    km_ = new KMatrix(case_study());
     report_ = new BudgetReport(allocate_jitter_budgets(*km_, rta()));
   }
   static void TearDownTestSuite() {
@@ -55,7 +51,7 @@ TEST_F(BudgetTest, JointBudgetIsJointlySafe) {
 TEST_F(BudgetTest, JointBudgetIsMaximalWithinTolerance) {
   // 5 percentage points above the joint fraction must break something
   // (otherwise the binary search under-delivered).
-  if (report_->joint_fraction >= 0.99) GTEST_SKIP() << "budget saturated at the period";
+  ASSERT_LT(report_->joint_fraction, 0.99);
   KMatrix v = *km_;
   assume_jitter_fraction(v, report_->joint_fraction + 0.05, true);
   EXPECT_FALSE((CanRta{v, rta()}.analyze().all_schedulable()));
@@ -119,8 +115,21 @@ TEST_F(BudgetTest, TradeRejectsBadArguments) {
                std::invalid_argument);
 }
 
+TEST(BudgetErrors, NonPositiveToleranceRejected) {
+  // The joint search runs (9 %), so a zero tolerance would bisect forever.
+  EXPECT_THROW(allocate_jitter_budgets(case_study(), rta(), 0.0), std::invalid_argument);
+}
+
+TEST(BudgetErrors, SingleJitterSearchRejectsNonPositiveResolution) {
+  const KMatrix km = case_study();
+  EXPECT_THROW(max_single_jitter(km, rta(), 0, Duration::zero(), Duration::zero()),
+               std::invalid_argument);
+  EXPECT_THROW(max_single_jitter(km, rta(), km.size(), Duration::zero(), Duration::us(50)),
+               std::out_of_range);
+}
+
 TEST(BudgetErrors, UnschedulableBaselineRejected) {
-  KMatrix km = small_matrix();
+  KMatrix km = case_study();
   scale_periods(km, 0.2);
   CanRtaConfig cfg = rta();
   cfg.horizon = Duration::ms(500);

@@ -34,6 +34,12 @@ TEST(MaxOwnJitter, IsBoundaryOfSystemSchedulability) {
   if (j < km.messages()[0].period) EXPECT_FALSE(feasible_at(j + Duration::us(100)));
 }
 
+TEST(MaxOwnJitter, ZeroToleranceThrowsInsteadOfSpinning) {
+  // M6's search bisects, so a zero tolerance once stalled at a 1 ns gap.
+  EXPECT_THROW(max_own_jitter(small_matrix(), worst_case_assumptions(), "M6", Duration::zero()),
+               std::invalid_argument);
+}
+
 TEST(MaxOwnJitter, UnknownMessageThrows) {
   EXPECT_THROW(max_own_jitter(small_matrix(), best_case_assumptions(), "nope"),
                std::invalid_argument);
