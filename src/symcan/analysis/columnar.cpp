@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -18,125 +17,78 @@ namespace {
 
 // --- The interference rule ------------------------------------------------
 
-/// Per-message facts the interference rule reads, resolved once per
-/// (matrix, config) in one O(n) pass. Held thread-local by its users, so
-/// the vectors keep their capacity across calls.
-struct BusFacts {
-  std::vector<std::uint64_t> rank;
-  std::vector<Duration> cost;  ///< Frame time under the configured stuffing.
-  std::vector<EventModel> activation;
-  std::vector<std::size_t> sender_of;
-  std::vector<char> is_tt;  ///< Offset-scheduled, and offsets are in use.
-  // Per sender, indexed by sender_of.
-  std::vector<const std::string*> senders;
-  std::vector<std::uint64_t> max_rank;
-  std::vector<char> basic;  ///< basicCAN controller, queues modelled.
-  std::vector<int> tx_buffers;
-  std::vector<Duration> lp_frames;  ///< scan_row() scratch.
-
-  void resolve(const KMatrix& km, const CanRtaConfig& cfg) {
-    const auto& msgs = km.messages();
-    rank.clear();
-    cost.clear();
-    activation.clear();
-    sender_of.clear();
-    is_tt.clear();
-    senders.clear();
-    for (const CanMessage& m : msgs) {
-      rank.push_back(m.arbitration_rank());
-      cost.push_back(m.wcet(km.timing(), cfg.worst_case_stuffing));
-      activation.push_back(m.activation());
-      is_tt.push_back(cfg.use_offsets && m.tt_offset.has_value());
-      std::size_t s = 0;
-      while (s < senders.size() && *senders[s] != m.sender) ++s;
-      if (s == senders.size()) senders.push_back(&m.sender);
-      sender_of.push_back(s);
-    }
-    max_rank.assign(senders.size(), 0);
-    basic.assign(senders.size(), 0);
-    tx_buffers.assign(senders.size(), 0);
-    for (std::size_t s = 0; s < senders.size(); ++s) {
-      const EcuNode* node = km.find_node(*senders[s]);
-      basic[s] = cfg.model_controller_queues && node != nullptr &&
-                 node->controller == ControllerType::kBasicCan;
-      tx_buffers[s] = node != nullptr ? node->tx_buffers : 0;
-    }
-    for (std::size_t k = 0; k < rank.size(); ++k)
-      max_rank[sender_of[k]] = std::max(max_rank[sender_of[k]], rank[k]);
-  }
-};
-
 /// Blocking terms of one message's row.
 struct RowBlocking {
   Duration bus = Duration::zero();    ///< One already-started lower-priority frame.
   Duration intra = Duration::zero();  ///< Committed basicCAN FIFO entries.
   Duration max_retx = Duration::zero();
   /// The message `bus` charges, first in matrix order among equals.
-  std::size_t frame = std::numeric_limits<std::size_t>::max();
+  std::size_t frame = BusFacts::kNone;
+};
+
+/// The cutoffs of one message's row, as prefixes of the arbitration
+/// order. The row's interferers are the messages of order[0, others),
+/// less the sender's first `own_eff` messages, plus its first `own`.
+struct Row {
+  std::size_t sender;
+  std::size_t others;   ///< Messages ranked above the effective rank.
+  std::size_t own_eff;  ///< The sender's messages among them.
+  std::size_t own;      ///< The sender's messages ranked above its own rank.
+  std::size_t below;    ///< order[below, n) ranks below the effective rank.
 };
 
 /// The interference rule; nothing else in the analysis restates it.
 /// Message i competes at its effective rank: its own, degraded to its
 /// node's worst rank on a basicCAN controller (committed FIFO entries
-/// cannot be overtaken). Then, over every other message k:
-///  * k interferes if it beats the effective rank from another node, or
-///    i's own rank from i's node (same-node frames between the two queue
-///    behind i in the FIFO; their head start is the committed term);
+/// cannot be overtaken). Then:
+///  * a message of another node interferes if it beats the effective
+///    rank, one of i's node if it beats i's own rank (same-node frames
+///    between the two queue behind i in the FIFO; their head start is the
+///    committed term). On a fullCAN row own_eff == own, so the
+///    interferers are exactly the messages ranked above i;
 ///  * the non-preemptive bus blocks i for the largest frame below the
 ///    effective rank;
 ///  * a fault can force retransmission of i, of any frame at or above
 ///    the effective rank, or of the blocking frame;
 ///  * on basicCAN, the tx_buffers largest same-node lower-priority frames
 ///    may already sit in the controller and cannot be aborted.
-/// `on_interferer(k)` is called for each interferer, in matrix order.
-template <typename F>
-RowBlocking scan_row(BusFacts& f, std::size_t i, F&& on_interferer) {
-  const std::uint64_t* rank = f.rank.data();
-  const Duration* cost = f.cost.data();
-  const std::size_t* sender_of = f.sender_of.data();
-  const std::size_t s = sender_of[i];
-  const std::uint64_t own = rank[i];
-  const bool basic = f.basic[s] != 0;
-  const std::uint64_t eff = basic ? f.max_rank[s] : own;
+Row row_of(const BusFacts& f, std::size_t i) {
+  const std::size_t s = f.sender_of[i];
+  const std::size_t e = f.basic[s] ? f.last[s] : i;  // Holds the effective rank.
+  return Row{s, f.above[e], f.own_above[e], f.own_above[i], f.at_or_above[e]};
+}
+
+RowBlocking row_blocking(const BusFacts& f, std::size_t i, const Row& row) {
   RowBlocking b;
-  b.max_retx = cost[i];
-  f.lp_frames.clear();
-  for (std::size_t k = 0, n = f.rank.size(); k < n; ++k) {
-    if (k == i) continue;
-    const bool below = rank[k] > eff;
-    const bool larger = below && cost[k] > b.bus;
-    b.bus = larger ? cost[k] : b.bus;
-    b.frame = larger ? k : b.frame;
-    if (!below) b.max_retx = max(b.max_retx, cost[k]);
-    const bool same_node = sender_of[k] == s;
-    if (rank[k] < (same_node ? own : eff)) on_interferer(k);
-    if (same_node && basic && rank[k] > own) f.lp_frames.push_back(cost[k]);
-  }
-  b.max_retx = max(b.max_retx, b.bus);
-  if (!f.lp_frames.empty()) {
-    std::sort(f.lp_frames.begin(), f.lp_frames.end(), std::greater<>{});
+  b.bus = f.block_cost[row.below];
+  b.frame = f.block_frame[row.below];
+  b.max_retx = max(f.cost_prefix_max[row.below], b.bus);
+  if (f.basic[row.sender]) {
+    static thread_local std::vector<Duration> lp_frames;
+    lp_frames.clear();
+    const std::size_t end = f.sender_begin[row.sender + 1];
+    for (std::size_t t = f.sender_begin[row.sender] + f.own_at_or_above[i]; t < end; ++t)
+      lp_frames.push_back(f.cost[f.by_sender[t]]);
     const std::size_t committed =
-        std::min(f.lp_frames.size(), static_cast<std::size_t>(f.tx_buffers[s]));
-    for (std::size_t c = 0; c < committed; ++c) b.intra += f.lp_frames[c];
+        std::min(lp_frames.size(), static_cast<std::size_t>(f.tx_buffers[row.sender]));
+    std::nth_element(lp_frames.begin(), lp_frames.begin() + static_cast<std::ptrdiff_t>(committed),
+                     lp_frames.end(), std::greater<>{});
+    for (std::size_t c = 0; c < committed; ++c) b.intra += lp_frames[c];
   }
   return b;
 }
 
-BusFacts& facts_scratch() {
-  static thread_local BusFacts facts;
-  return facts;
-}
-
-void check_rows(const KMatrix& km, std::span<const std::size_t> rows) {
+void check_rows(const BusFacts& f, std::span<const std::size_t> rows) {
   for (const std::size_t i : rows)
-    if (i >= km.size()) throw std::out_of_range("bad message index");
+    if (i >= f.rank.size()) throw std::out_of_range("bad message index");
 }
 
-/// Every message index of `km`, in order (the whole-bus row list).
-std::span<const std::size_t> all_rows(const KMatrix& km) {
+/// Every message index of an n-message bus, in order (the whole-bus row
+/// list).
+std::span<const std::size_t> all_rows(std::size_t n) {
   static thread_local std::vector<std::size_t> rows;
-  while (rows.size() < km.size()) rows.push_back(rows.size());
-  return {rows.data(), km.size()};
+  while (rows.size() < n) rows.push_back(rows.size());
+  return {rows.data(), n};
 }
 
 /// Deadline under cfg's override policy, without copying the message.
@@ -161,14 +113,170 @@ TtGroup::Member tt_member(const CanMessage& m, Duration cost) {
   return TtGroup::Member{m.period, *m.tt_offset, m.jitter, cost};
 }
 
-void resize_hp(ColumnarBus& out, std::size_t size) {
-  out.hp_period.resize(size);
-  out.hp_jitter.resize(size);
-  out.hp_dmin.resize(size);
-  out.hp_cost.resize(size);
+/// Append from[lo, hi) to `to`.
+void append(std::vector<Duration>& to, const std::vector<Duration>& from, std::size_t lo,
+            std::size_t hi) {
+  to.insert(to.end(), from.data() + lo, from.data() + hi);
+}
+
+/// Start and end of each run of equal ranks in `msgs` (indices, sorted by
+/// rank): above[k] counts the entries ranked strictly above k,
+/// at_or_above[k] those ranked at or above it.
+void rank_bounds(std::span<const std::size_t> msgs, const std::vector<std::uint64_t>& rank,
+                 std::vector<std::size_t>& above, std::vector<std::size_t>& at_or_above) {
+  for (std::size_t j = 0; j < msgs.size();) {
+    std::size_t end = j + 1;
+    while (end < msgs.size() && rank[msgs[end]] == rank[msgs[j]]) ++end;
+    for (std::size_t t = j; t < end; ++t) {
+      above[msgs[t]] = j;
+      at_or_above[msgs[t]] = end;
+    }
+    j = end;
+  }
 }
 
 }  // namespace
+
+void BusFacts::resolve(const KMatrix& matrix, const CanRtaConfig& config) {
+  km = &matrix;
+  cfg = &config;
+  const auto& msgs = matrix.messages();
+  const std::size_t n = msgs.size();
+  rank.clear();
+  cost.clear();
+  activation.clear();
+  sender_of.clear();
+  is_tt.clear();
+  senders.clear();
+  for (const CanMessage& m : msgs) {
+    rank.push_back(m.arbitration_rank());
+    cost.push_back(m.wcet(matrix.timing(), config.worst_case_stuffing));
+    activation.push_back(m.activation());
+    is_tt.push_back(config.use_offsets && m.tt_offset.has_value());
+    std::size_t s = 0;
+    while (s < senders.size() && *senders[s] != m.sender) ++s;
+    if (s == senders.size()) senders.push_back(&m.sender);
+    sender_of.push_back(s);
+  }
+  const std::size_t n_senders = senders.size();
+  basic.assign(n_senders, 0);
+  tx_buffers.assign(n_senders, 0);
+  for (std::size_t s = 0; s < n_senders; ++s) {
+    const EcuNode* node = matrix.find_node(*senders[s]);
+    basic[s] = config.model_controller_queues && node != nullptr &&
+               node->controller == ControllerType::kBasicCan;
+    tx_buffers[s] = node != nullptr ? node->tx_buffers : 0;
+  }
+
+  // Arbitration order, ties (possible only before validation) by index.
+  // Probes that edit anything but IDs keep the ranks, and so the order,
+  // of the previous resolve.
+  if (rank != order_rank) {
+    order.resize(n);
+    for (std::size_t k = 0; k < n; ++k) order[k] = k;
+    std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+      return rank[x] != rank[y] ? rank[x] < rank[y] : x < y;
+    });
+    pos.resize(n);
+    for (std::size_t j = 0; j < n; ++j) pos[order[j]] = j;
+    above.resize(n);
+    at_or_above.resize(n);
+    rank_bounds(order, rank, above, at_or_above);
+    order_rank = rank;
+  }
+
+  // Each sender's messages in arbitration order (a counting sort of
+  // `order`), and their offset-scheduled subsequence.
+  sender_begin.assign(n_senders + 1, 0);
+  for (std::size_t k = 0; k < n; ++k) ++sender_begin[sender_of[k] + 1];
+  for (std::size_t s = 0; s < n_senders; ++s) sender_begin[s + 1] += sender_begin[s];
+  by_sender.resize(n);
+  last.resize(n_senders);
+  for (std::size_t s = 0; s < n_senders; ++s) last[s] = sender_begin[s];
+  for (const std::size_t k : order) by_sender[last[sender_of[k]]++] = k;
+  own_above.resize(n);
+  own_at_or_above.resize(n);
+  tt_begin.assign(1, 0);
+  tt_msg.clear();
+  tt_senders.clear();
+  for (std::size_t s = 0; s < n_senders; ++s) {
+    const std::span<const std::size_t> own{by_sender.data() + sender_begin[s],
+                                           sender_begin[s + 1] - sender_begin[s]};
+    last[s] = own.back();
+    rank_bounds(own, rank, own_above, own_at_or_above);
+    for (const std::size_t k : own)
+      if (is_tt[k]) tt_msg.push_back(k);
+    if (tt_msg.size() > tt_begin.back()) tt_senders.push_back(s);
+    tt_begin.push_back(tt_msg.size());
+  }
+
+  // Frame-cost columns: the largest frame at or above each cut, and the
+  // largest below it with the lowest matrix index among equals.
+  cost_prefix_max.resize(n + 1);
+  cost_prefix_max[0] = Duration::zero();
+  for (std::size_t j = 0; j < n; ++j)
+    cost_prefix_max[j + 1] = max(cost_prefix_max[j], cost[order[j]]);
+  block_cost.resize(n + 1);
+  block_frame.resize(n + 1);
+  block_cost[n] = Duration::zero();
+  block_frame[n] = kNone;
+  for (std::size_t j = n; j-- > 0;) {
+    const std::size_t k = order[j];
+    const Duration c = cost[k];
+    const bool take = c > block_cost[j + 1] ||
+                      (c == block_cost[j + 1] && c > Duration::zero() && k < block_frame[j + 1]);
+    block_cost[j] = take ? c : block_cost[j + 1];
+    block_frame[j] = take ? k : block_frame[j + 1];
+  }
+}
+
+const BusFacts& resolve_bus(const KMatrix& km, const CanRtaConfig& cfg) {
+  static thread_local BusFacts facts;
+  facts.resolve(km, cfg);
+  return facts;
+}
+
+namespace {
+
+/// The hp column values of the messages analyzed through event models, in
+/// arbitration order: count[j] of them lie in order[0, j). Only a pack
+/// reads them, so resolving for a fingerprint does not build them.
+struct EventModelColumns {
+  std::vector<std::size_t> count, msg;
+  std::vector<Duration> period, jitter, dmin, cost;
+
+  void build(const BusFacts& f) {
+    const std::size_t n = f.order.size();
+    count.resize(n + 1);
+    msg.clear();
+    period.clear();
+    jitter.clear();
+    dmin.clear();
+    cost.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+      count[j] = msg.size();
+      const std::size_t k = f.order[j];
+      if (f.is_tt[k]) continue;
+      msg.push_back(k);
+      period.push_back(f.activation[k].period());
+      jitter.push_back(f.activation[k].jitter());
+      dmin.push_back(f.activation[k].min_distance());
+      cost.push_back(f.cost[k]);
+    }
+    count[n] = msg.size();
+  }
+};
+
+}  // namespace
+
+void ColumnarBus::reserve(std::size_t rows, std::size_t hp_entries) {
+  for (auto* column : {&cost, &bcrt, &deadline, &blocking, &max_retx, &act_period, &act_jitter,
+                       &act_dmin})
+    column->reserve(rows);
+  hp_begin.reserve(rows + 1);
+  tt_begin.reserve(rows + 1);
+  for (auto* column : {&hp_period, &hp_jitter, &hp_dmin, &hp_cost}) column->reserve(hp_entries);
+}
 
 void ColumnarBus::clear() {
   cost.clear();
@@ -189,28 +297,36 @@ void ColumnarBus::clear() {
 }
 
 void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out) {
-  pack_bus(km, cfg, out, all_rows(km));
+  pack_bus(resolve_bus(km, cfg), out, all_rows(km.size()));
 }
 
 void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
               std::span<const std::size_t> rows, std::vector<ContextLabels>* labels) {
-  check_rows(km, rows);
+  pack_bus(resolve_bus(km, cfg), out, rows, labels);
+}
+
+void pack_bus(const BusFacts& f, ColumnarBus& out, std::span<const std::size_t> rows,
+              std::vector<ContextLabels>* labels) {
+  check_rows(f, rows);
+  const KMatrix& km = *f.km;
+  const CanRtaConfig& cfg = *f.cfg;
   const auto& msgs = km.messages();
-  BusFacts& f = facts_scratch();
-  f.resolve(km, cfg);
 
   out.clear();
   out.timing = km.timing();
   out.horizon = cfg.horizon;
   out.errors = cfg.errors;
   if (labels != nullptr) labels->assign(rows.size(), ContextLabels{});
+  static thread_local EventModelColumns em;
+  em.build(f);
+  // Size the columns once: a row copies at most the event-model messages
+  // ranked above its effective rank (offset-group fallbacks aside).
+  std::size_t hp_size = 0;
+  for (const std::size_t i : rows) hp_size += em.count[row_of(f, i).others];
+  out.reserve(rows.size(), hp_size);
 
-  // Interferers of the row in flight: analyzed through their event
-  // models, or offset-scheduled and grouped per sender.
-  static thread_local std::vector<std::size_t> hp;
-  static thread_local std::vector<std::vector<std::size_t>> groups;
+  static thread_local std::vector<std::size_t> group;
   static thread_local std::vector<TtGroup::Member> members;
-  if (groups.size() < f.senders.size()) groups.resize(f.senders.size());
 
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const std::size_t i = rows[r];
@@ -223,25 +339,29 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
     out.act_jitter.push_back(f.activation[i].jitter());
     out.act_dmin.push_back(f.activation[i].min_distance());
 
-    // Event-model interferers land in the hp columns, written in place
-    // once the row's count is known; each sender's offset-scheduled
-    // interferers are grouped below.
-    for (std::size_t s = 0; s < f.senders.size(); ++s) groups[s].clear();
-    hp.clear();
-    const RowBlocking b = scan_row(f, i, [&](std::size_t k) {
-      (f.is_tt[k] ? groups[f.sender_of[k]] : hp).push_back(k);
-    });
+    // Event-model interferers: the rank-sorted hp columns of
+    // order[0, others), copied in runs around the sender's messages that
+    // rank between its own and its effective rank (none on fullCAN).
+    const Row row = row_of(f, i);
     const std::size_t base = out.hp_period.size();
-    resize_hp(out, base + hp.size());
-    for (std::size_t e = 0; e < hp.size(); ++e) {
-      const EventModel& em = f.activation[hp[e]];
-      out.hp_period[base + e] = em.period();
-      out.hp_jitter[base + e] = em.jitter();
-      out.hp_dmin[base + e] = em.min_distance();
-      out.hp_cost[base + e] = f.cost[hp[e]];
-      if (lab != nullptr) lab->hp.push_back(msgs[hp[e]].name);
+    const auto copy_run = [&](std::size_t lo, std::size_t hi) {
+      append(out.hp_period, em.period, lo, hi);
+      append(out.hp_jitter, em.jitter, lo, hi);
+      append(out.hp_dmin, em.dmin, lo, hi);
+      append(out.hp_cost, em.cost, lo, hi);
+      if (lab != nullptr)
+        for (std::size_t e = lo; e < hi; ++e) lab->hp.push_back(msgs[em.msg[e]].name);
+    };
+    std::size_t from = 0;
+    for (std::size_t t = row.own; t < row.own_eff; ++t) {
+      const std::size_t k = f.by_sender[f.sender_begin[row.sender] + t];
+      copy_run(from, em.count[f.pos[k]]);
+      from = em.count[f.pos[k] + 1];
     }
+    copy_run(from, em.count[row.others]);
     out.hp_begin.push_back(base);
+
+    const RowBlocking b = row_blocking(f, i, row);
     out.blocking.push_back(b.bus + b.intra);
     out.max_retx.push_back(b.max_retx);
     if (lab != nullptr) {
@@ -250,12 +370,16 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
       if (b.frame < msgs.size()) lab->blocking_frame = msgs[b.frame].name;
     }
 
-    // Each sender's offset-scheduled interferers form one TtGroup; a
+    // Each sender's offset-scheduled interferers form one TtGroup: the
+    // head of its arbitration-ordered list that ranks above the cut. A
     // group whose hyperperiod is unbounded falls back to offset-blind
     // event models among the hp entries.
     out.tt_begin.push_back(out.tt_groups.size());
-    for (std::size_t s = 0; s < f.senders.size(); ++s) {
-      std::vector<std::size_t>& group = groups[s];
+    for (const std::size_t s : f.tt_senders) {
+      const std::size_t cut = s == row.sender ? f.above[i] : row.others;
+      group.clear();
+      for (std::size_t t = f.tt_begin[s]; t < f.tt_begin[s + 1] && f.pos[f.tt_msg[t]] < cut; ++t)
+        group.push_back(f.tt_msg[t]);
       if (group.empty()) continue;
       if (lab != nullptr) {
         // Name members in schedule order, ties by name.
@@ -276,10 +400,10 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
         }
       } else {
         for (const std::size_t k : group) {
-          const EventModel em = EventModel::periodic_jitter(msgs[k].period, msgs[k].jitter);
-          out.hp_period.push_back(em.period());
-          out.hp_jitter.push_back(em.jitter());
-          out.hp_dmin.push_back(em.min_distance());
+          const EventModel blind = EventModel::periodic_jitter(msgs[k].period, msgs[k].jitter);
+          out.hp_period.push_back(blind.period());
+          out.hp_jitter.push_back(blind.jitter());
+          out.hp_dmin.push_back(blind.min_distance());
           out.hp_cost.push_back(f.cost[k]);
           if (lab != nullptr) lab->hp.push_back(msgs[k].name);
         }
@@ -465,22 +589,27 @@ MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorM
   return solve_row(bus, r, errors, rec);
 }
 
-std::vector<MessageResult> solve_rows(const KMatrix& km, const CanRtaConfig& cfg,
-                                      std::span<const std::size_t> rows) {
+std::vector<MessageResult> solve_rows(const BusFacts& facts, std::span<const std::size_t> rows) {
   static thread_local ColumnarBus bus;
-  pack_bus(km, cfg, bus, rows);
+  pack_bus(facts, bus, rows);
+  const auto& msgs = facts.km->messages();
   std::vector<MessageResult> out;
   out.reserve(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
     MessageResult& res = out.emplace_back(solve_columnar(bus, r));
-    res.name = km.messages()[rows[r]].name;
-    res.id = km.messages()[rows[r]].id;
+    res.name = msgs[rows[r]].name;
+    res.id = msgs[rows[r]].id;
   }
   return out;
 }
 
+std::vector<MessageResult> solve_rows(const KMatrix& km, const CanRtaConfig& cfg,
+                                      std::span<const std::size_t> rows) {
+  return solve_rows(resolve_bus(km, cfg), rows);
+}
+
 std::vector<MessageResult> solve_rows(const KMatrix& km, const CanRtaConfig& cfg) {
-  return solve_rows(km, cfg, all_rows(km));
+  return solve_rows(resolve_bus(km, cfg), all_rows(km.size()));
 }
 
 // --- Fingerprints ---------------------------------------------------------
@@ -526,6 +655,23 @@ struct MultisetAcc {
     b += k.b;
     ++n;
   }
+  /// Exact inverse of add(): the lanes wrap around, so removal undoes it
+  /// bit for bit.
+  void remove(const ContextKey& k) {
+    a -= k.a;
+    b -= k.b;
+    --n;
+  }
+  void add(const MultisetAcc& m) {
+    a += m.a;
+    b += m.b;
+    n += m.n;
+  }
+  void remove(const MultisetAcc& m) {
+    a -= m.a;
+    b -= m.b;
+    n -= m.n;
+  }
 };
 
 ContextKey hp_entry_hash(const EventModel& em, Duration cost) {
@@ -555,24 +701,74 @@ ContextKey tt_group_hash(const MultisetAcc& members) {
 }  // namespace
 
 std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& cfg) {
-  return bus_fingerprints(km, cfg, all_rows(km));
+  return bus_fingerprints(resolve_bus(km, cfg));
 }
 
 std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& cfg,
                                          std::span<const std::size_t> rows) {
-  check_rows(km, rows);
-  const auto& msgs = km.messages();
-  BusFacts& f = facts_scratch();
-  f.resolve(km, cfg);
+  return bus_fingerprints(resolve_bus(km, cfg), rows);
+}
 
-  // Each message's element hash once; every pairwise step below is then
-  // a compare plus a few additions.
+std::vector<ContextKey> bus_fingerprints(const BusFacts& facts) {
+  return bus_fingerprints(facts, all_rows(facts.rank.size()));
+}
+
+std::vector<ContextKey> bus_fingerprints(const BusFacts& f, std::span<const std::size_t> rows) {
+  check_rows(f, rows);
+  const KMatrix& km = *f.km;
+  const CanRtaConfig& cfg = *f.cfg;
+  const auto& msgs = km.messages();
+  const std::size_t n = msgs.size();
+  const std::size_t n_senders = f.senders.size();
+
+  // A row reads only order[0, others), so the prefixes stop at the
+  // furthest cut any requested row reaches.
+  std::size_t reach = 0;
+  for (const std::size_t i : rows) reach = std::max(reach, row_of(f, i).others);
+
+  // Prefix multisets over the arbitration order: hp_above[j] holds the
+  // element hashes of the event-model messages of order[0, j), tt_above[j]
+  // the group hash of each sender's offset-scheduled messages among them,
+  // kept current through one running group accumulator per sender. Each
+  // element is hashed once; every row below is then a few additions.
   static thread_local std::vector<ContextKey> element;
-  static thread_local std::vector<MultisetAcc> groups;
-  element.clear();
-  for (std::size_t k = 0; k < msgs.size(); ++k)
-    element.push_back(f.is_tt[k] ? tt_member_hash(tt_member(msgs[k], f.cost[k]))
-                                 : hp_entry_hash(f.activation[k], f.cost[k]));
+  static thread_local std::vector<MultisetAcc> hp_above, tt_above, groups;
+  element.resize(n);
+  hp_above.resize(reach + 1);
+  tt_above.resize(reach + 1);
+  hp_above[0] = tt_above[0] = MultisetAcc{};
+  groups.assign(n_senders, MultisetAcc{});
+  for (std::size_t j = 0; j < reach; ++j) {
+    const std::size_t k = f.order[j];
+    element[k] = f.is_tt[k] ? tt_member_hash(tt_member(msgs[k], f.cost[k]))
+                            : hp_entry_hash(f.activation[k], f.cost[k]);
+    hp_above[j + 1] = hp_above[j];
+    tt_above[j + 1] = tt_above[j];
+    if (!f.is_tt[k]) {
+      hp_above[j + 1].add(element[k]);
+      continue;
+    }
+    MultisetAcc& g = groups[f.sender_of[k]];
+    if (g.n > 0) tt_above[j + 1].remove(tt_group_hash(g));
+    g.add(element[k]);
+    tt_above[j + 1].add(tt_group_hash(g));
+  }
+  // The same prefixes per sender over its own messages: the first t of
+  // sender s sit at own_hp/own_tt[sender_begin[s] + s + t].
+  static thread_local std::vector<MultisetAcc> own_hp, own_tt;
+  own_hp.resize(n + n_senders);
+  own_tt.resize(n + n_senders);
+  for (std::size_t s = 0; s < n_senders; ++s) {
+    std::size_t at = f.sender_begin[s] + s;
+    own_hp[at] = own_tt[at] = MultisetAcc{};
+    for (std::size_t t = f.sender_begin[s];
+         t < f.sender_begin[s + 1] && f.pos[f.by_sender[t]] < reach; ++t, ++at) {
+      const std::size_t k = f.by_sender[t];
+      own_hp[at + 1] = own_hp[at];
+      own_tt[at + 1] = own_tt[at];
+      (f.is_tt[k] ? own_tt : own_hp)[at + 1].add(element[k]);
+    }
+  }
 
   // Raw config switches. Strictly redundant — every switch is already
   // resolved into the row values — but hashed anyway so a future config
@@ -590,17 +786,19 @@ std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& 
   keys.reserve(rows.size());
   for (const std::size_t i : rows) {
     const CanMessage& m = msgs[i];
-    MultisetAcc hp;
-    groups.assign(f.senders.size(), MultisetAcc{});
-    const RowBlocking b = scan_row(f, i, [&](std::size_t k) {
-      if (f.is_tt[k])
-        groups[f.sender_of[k]].add(element[k]);
-      else
-        hp.add(element[k]);
-    });
-    MultisetAcc tt;
-    for (const MultisetAcc& g : groups)
-      if (g.n > 0) tt.add(tt_group_hash(g));
+    // The row's interferers as the rule states them: everything ranked
+    // above the effective rank, less the sender's own share of it, plus
+    // the sender's messages ranked above i. The same-sender terms cancel
+    // on a fullCAN row.
+    const Row row = row_of(f, i);
+    const std::size_t own = f.sender_begin[row.sender] + row.sender;
+    MultisetAcc hp = hp_above[row.others];
+    hp.remove(own_hp[own + row.own_eff]);
+    hp.add(own_hp[own + row.own]);
+    MultisetAcc tt = tt_above[row.others];
+    if (const MultisetAcc& g = own_tt[own + row.own_eff]; g.n > 0) tt.remove(tt_group_hash(g));
+    if (const MultisetAcc& g = own_tt[own + row.own]; g.n > 0) tt.add(tt_group_hash(g));
+    const RowBlocking b = row_blocking(f, i, row);
 
     KeyMixer h;
     h.mix(switches);

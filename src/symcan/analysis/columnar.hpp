@@ -1,26 +1,36 @@
 #pragma once
 
 // The busy-period core of the CAN response-time analysis, in columnar
-// (structure-of-arrays) form. It has two halves:
+// (structure-of-arrays) form. It has three parts:
 //
-//   pack_bus(km, cfg, out[, rows])  — resolve everything the verdicts of
-//       the chosen messages can depend on into contiguous columns, one
-//       row per message: its own cost/deadline/event model, the
-//       blocking terms, the higher-priority interference set and the
-//       offset-scheduled sender groups. Without `rows` every message is
-//       packed and row i is message i; with `rows`, row r is message
-//       rows[r], so a caller that needs three verdicts packs three rows.
+//   resolve_bus(km, cfg)            — read the matrix once and sort it
+//       into arbitration order (BusFacts). The interference rule is
+//       stated once, over that order: a row's interferers are a prefix
+//       of it (all messages ranked above the effective rank) minus one
+//       prefix of the sender's own rank-ordered list plus another, its
+//       blocking frame a suffix maximum, its largest retransmitted frame
+//       a prefix maximum. No row scans the bus.
+//
+//   pack_bus(facts | km, cfg, out[, rows]) — copy everything the
+//       verdicts of the chosen messages can depend on into contiguous
+//       columns, one row per message: its own cost/deadline/event model,
+//       the blocking terms, the higher-priority interference set (copied
+//       from the rank-sorted prefix) and the offset-scheduled sender
+//       groups. Without `rows` every message is packed and row i is
+//       message i; with `rows`, row r is message rows[r], so a caller
+//       that needs three verdicts packs three rows.
 //
 //   solve_columnar(bus, r)          — run the Davis/Tindell busy-period
 //       fixed point on row r alone, with zero heap traffic. Equal rows
 //       give bit-identical MessageResults, iteration counts included.
 //
 // CanRta, IncrementalRta, the probabilistic rung ladders and `explain`
-// all solve through these two functions. IncrementalRta keys its cache
-// by bus_fingerprints(), which scans the matrix through the same
-// interference rule as the pack and hashes every value a packed row
-// holds, so a fingerprint hit is a proof that the fresh solve would
-// produce the same bits.
+// all solve through these functions. IncrementalRta keys its cache by
+// bus_fingerprints(), which reads every key from prefix multisets over
+// the same resolved order and hashes every value a packed row holds, so
+// a fingerprint hit is a proof that the fresh solve would produce the
+// same bits. It resolves once per call and packs its misses from the
+// same facts.
 //
 // Layout of one pack:
 //
@@ -35,7 +45,8 @@
 //
 // Row contents are sets: every interference term is non-negative and
 // Duration arithmetic saturates, so the busy-window sums, and with them
-// every verdict, are independent of the order the pack emits entries in.
+// every verdict, are independent of the order the pack emits entries in
+// (arbitration order, as it copies them).
 //
 // Arena lifetime: a ColumnarBus is a bundle of vectors that only ever
 // grow; pack_bus() into an existing instance clear()s and refills them,
@@ -52,6 +63,7 @@
 #include "symcan/analysis/error_model.hpp"
 #include "symcan/analysis/tt_schedule.hpp"
 #include "symcan/can/frame.hpp"
+#include "symcan/model/event_model.hpp"
 #include "symcan/util/time.hpp"
 
 namespace symcan {
@@ -100,6 +112,8 @@ struct ColumnarBus {
 
   /// Drop all rows, keep capacity (the arena reuse path).
   void clear();
+  /// Make room for `rows` rows holding `hp_entries` hp entries in total.
+  void reserve(std::size_t rows, std::size_t hp_entries);
 };
 
 /// Human-readable identities of one packed row, filled by pack_bus() on
@@ -119,6 +133,58 @@ struct ContextLabels {
   Duration intra_node_blocking = Duration::zero();
 };
 
+/// One matrix resolved under one config, sorted into arbitration order
+/// once: the columns every row of a pack or a fingerprint is read from.
+/// A row's interferers are a prefix of `order` less a range of its
+/// sender's list, its blocking frame a suffix maximum, so no row scans
+/// the bus. The pointers name the resolved matrix and config, which must
+/// outlive every use of the facts.
+struct BusFacts {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  const KMatrix* km = nullptr;
+  const CanRtaConfig* cfg = nullptr;
+
+  // Per message, in matrix order.
+  std::vector<std::uint64_t> rank;
+  std::vector<Duration> cost;  ///< Frame time under the configured stuffing.
+  std::vector<EventModel> activation;
+  std::vector<std::size_t> sender_of;
+  std::vector<char> is_tt;                   ///< Offset-scheduled, and offsets are in use.
+  std::vector<std::size_t> pos;              ///< Position in `order`.
+  std::vector<std::size_t> above;            ///< Messages ranked strictly above.
+  std::vector<std::size_t> at_or_above;      ///< The same, equal ranks included.
+  std::vector<std::size_t> own_above;        ///< Same-sender messages ranked strictly above.
+  std::vector<std::size_t> own_at_or_above;  ///< The same, equal ranks included.
+
+  // In arbitration order: rank, ties (unvalidated input only) by index.
+  std::vector<std::size_t> order;
+  std::vector<std::uint64_t> order_rank;  ///< The ranks `order` was sorted from.
+  std::vector<Duration> cost_prefix_max;  ///< [j]: largest frame of order[0, j).
+  std::vector<Duration> block_cost;       ///< [j]: largest frame of order[j, n), or zero.
+  std::vector<std::size_t> block_frame;   ///< [j]: its lowest matrix index, or kNone.
+
+  // Per sender, indexed by sender_of.
+  std::vector<const std::string*> senders;
+  std::vector<std::size_t> last;  ///< Lowest-priority message: the basicCAN effective rank.
+  std::vector<char> basic;        ///< basicCAN controller, queues modelled.
+  std::vector<int> tx_buffers;
+  /// Each sender's messages in arbitration order occupy
+  /// [sender_begin[s], sender_begin[s+1]) of by_sender; its offset-
+  /// scheduled ones [tt_begin[s], tt_begin[s+1]) of tt_msg. tt_senders
+  /// lists the senders that have any.
+  std::vector<std::size_t> sender_begin, by_sender;
+  std::vector<std::size_t> tt_begin, tt_msg, tt_senders;
+
+  /// Refill every column for `km` under `cfg`, reusing capacity.
+  void resolve(const KMatrix& km, const CanRtaConfig& cfg);
+};
+
+/// Resolve `km` under `cfg` into this thread's BusFacts and return it. It
+/// stays valid until the thread's next resolve, which every overload
+/// below that takes a KMatrix performs.
+const BusFacts& resolve_bus(const KMatrix& km, const CanRtaConfig& cfg);
+
 /// Resolve every message of `km` under `cfg` into `out` (row i is
 /// message i), reusing its capacity.
 void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out);
@@ -128,6 +194,10 @@ void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out);
 /// std::out_of_range when a row names no message.
 void pack_bus(const KMatrix& km, const CanRtaConfig& cfg, ColumnarBus& out,
               std::span<const std::size_t> rows, std::vector<ContextLabels>* labels = nullptr);
+
+/// Pack the messages `rows` names from already resolved facts.
+void pack_bus(const BusFacts& facts, ColumnarBus& out, std::span<const std::size_t> rows,
+              std::vector<ContextLabels>* labels = nullptr);
 
 /// Convenience: pack the whole bus into a fresh instance.
 ColumnarBus pack_bus(const KMatrix& km, const CanRtaConfig& cfg);
@@ -170,6 +240,9 @@ std::vector<MessageResult> solve_rows(const KMatrix& km, const CanRtaConfig& cfg
 /// Same for every message of `km`, in matrix order.
 std::vector<MessageResult> solve_rows(const KMatrix& km, const CanRtaConfig& cfg);
 
+/// Same from already resolved facts.
+std::vector<MessageResult> solve_rows(const BusFacts& facts, std::span<const std::size_t> rows);
+
 /// 128-bit cache key of one packed row. Two lanes of independent mixing
 /// make accidental collisions (which would silently corrupt cached
 /// results) vanishingly unlikely at any realistic cache size.
@@ -196,6 +269,10 @@ std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& 
 /// message rows[r] and equals element rows[r] of the whole-bus call.
 std::vector<ContextKey> bus_fingerprints(const KMatrix& km, const CanRtaConfig& cfg,
                                          std::span<const std::size_t> rows);
+
+/// The same two from already resolved facts.
+std::vector<ContextKey> bus_fingerprints(const BusFacts& facts);
+std::vector<ContextKey> bus_fingerprints(const BusFacts& facts, std::span<const std::size_t> rows);
 
 }  // namespace analysis
 }  // namespace symcan

@@ -100,14 +100,18 @@ void IncrementalRta::ShardedLru<V>::insert(const ContextKey& key, const V& value
 
 template <typename V>
 void IncrementalRta::ShardedLru<V>::add_stats(const RtaCacheStats& delta) {
-  std::lock_guard<std::mutex> lock{shards_.front()->m};
-  add(shards_.front()->stats, delta);
+  if (delta.hits != 0) hits_.fetch_add(delta.hits, std::memory_order_relaxed);
+  if (delta.misses != 0) misses_.fetch_add(delta.misses, std::memory_order_relaxed);
+  if (delta.evictions != 0) evictions_.fetch_add(delta.evictions, std::memory_order_relaxed);
 }
 
 template <typename V>
 RtaCacheStats IncrementalRta::ShardedLru<V>::stats() const {
-  std::lock_guard<std::mutex> lock{shards_.front()->m};
-  return shards_.front()->stats;
+  RtaCacheStats s;
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.evictions = evictions_.load(std::memory_order_relaxed);
+  return s;
 }
 
 template <typename V>
@@ -168,8 +172,10 @@ BusResult IncrementalRta::analyze(const KMatrix& km, const CanRtaConfig& cfg) {
   BusResult out;
   out.utilization = km.utilization(cfg.worst_case_stuffing);
   out.messages.resize(km.size());
-  // Look every key up first; only the misses get packed and solved.
-  const std::vector<ContextKey> keys = bus_fingerprints(km, cfg);
+  // Resolve the bus once, look every key up first, and pack and solve
+  // only the misses from the same facts.
+  const BusFacts& facts = resolve_bus(km, cfg);
+  const std::vector<ContextKey> keys = bus_fingerprints(facts);
   static thread_local std::vector<std::size_t> misses;
   misses.clear();
   for (std::size_t i = 0; i < km.size(); ++i) {
@@ -184,7 +190,7 @@ BusResult IncrementalRta::analyze(const KMatrix& km, const CanRtaConfig& cfg) {
     // Solve outside any lock. Two workers may race on the same key and
     // both solve; the results are bit-identical, so the second insert is
     // a refresh.
-    std::vector<MessageResult> fresh = solve_rows(km, cfg, misses);
+    std::vector<MessageResult> fresh = solve_rows(facts, misses);
     for (std::size_t r = 0; r < misses.size(); ++r) {
       verdicts_.insert(keys[misses[r]], fresh[r], delta);
       out.messages[misses[r]] = std::move(fresh[r]);
@@ -204,12 +210,13 @@ MessageResult IncrementalRta::analyze_message(const KMatrix& km, const CanRtaCon
   if (!cfg_.enabled) {
     res = std::move(solve_rows(km, cfg, row).front());
   } else {
-    const ContextKey key = bus_fingerprints(km, cfg, row).front();
+    const BusFacts& facts = resolve_bus(km, cfg);
+    const ContextKey key = bus_fingerprints(facts, row).front();
     if (std::optional<MessageResult> hit = verdicts_.find(key, delta)) {
       res = std::move(*hit);
       relabel(res, km.messages()[index]);
     } else {
-      res = std::move(solve_rows(km, cfg, row).front());
+      res = std::move(solve_rows(facts, row).front());
       verdicts_.insert(key, res, delta);
     }
   }
@@ -230,7 +237,8 @@ ProbBusResult IncrementalRta::analyze_prob(const KMatrix& km, const ProbRtaConfi
   // Look every ladder up first, then pack the missed rows once; the
   // fan-out solves them on the shared read-only bus.
   const std::size_t n = km.size();
-  std::vector<ContextKey> keys = bus_fingerprints(km, cfg.rta);
+  const BusFacts& facts = resolve_bus(km, cfg.rta);
+  std::vector<ContextKey> keys = bus_fingerprints(facts);
   std::vector<std::optional<RungLadder>> ladders(n);
   std::vector<std::size_t> misses;
   std::vector<std::size_t> row_of(n, 0);
@@ -246,7 +254,7 @@ ProbBusResult IncrementalRta::analyze_prob(const KMatrix& km, const ProbRtaConfi
     }
   }
   ColumnarBus bus;
-  if (!misses.empty()) pack_bus(km, cfg.rta, bus, misses);
+  if (!misses.empty()) pack_bus(facts, bus, misses);
   std::vector<RtaCacheStats> deltas(n);
   ParallelExecutor exec{cfg.parallelism};
   out.messages = exec.parallel_map_indexed_tiled(

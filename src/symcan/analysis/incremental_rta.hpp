@@ -10,10 +10,11 @@
 // higher-priority message set (event models + frame times, offset groups
 // per sender), the blocking maxima contributed by lower-priority and
 // same-node traffic, the error model, and the analysis configuration.
-// IncrementalRta fingerprints every row straight from the matrix
-// (bus_fingerprints, 128 bits, no pack) and looks the keys up in a
-// bounded LRU map of solved MessageResults. Only the rows that missed
-// are then packed and solved — a hit never packs. Two GA neighbours that
+// IncrementalRta resolves the matrix once (resolve_bus), fingerprints
+// every row from the resolved columns (bus_fingerprints, 128 bits, no
+// pack) and looks the keys up in a bounded LRU map of solved
+// MessageResults. Only the rows that missed are then packed, from the
+// same resolved columns, and solved — a hit never packs. Two GA neighbours that
 // differ in one ID swap therefore only re-solve the messages inside the
 // swapped priority span; a jitter sweep re-solves only the messages the
 // swept jitter actually reaches.
@@ -30,13 +31,16 @@
 // bit-identical, sharing the cache cannot perturb parallel determinism.
 //
 // Sharding: the key space is split across `shards` independent LRUs,
-// each with its own lock, selected by the fingerprint's own hash. A GA
-// fan-out or the `symcan serve` workers therefore do not serialize on
-// one mutex; with shards == 1 (the default) the behaviour is exactly the
-// historical single-LRU cache. Sharding changes only lock granularity
-// and eviction locality — never verdicts. Verdicts and rung ladders use
-// the same sharded LRU, one instance each.
+// each with its own lock, selected by the fingerprint's own hash. With
+// the default of 8 shards the fan-outs that share one cache — GA and
+// NSGA-II fitness, the sweeps, sensitivity probes and the `symcan serve`
+// workers — do not serialize on one mutex; shards == 1 is the historical
+// single-LRU cache. Sharding changes only lock granularity and eviction
+// locality — never verdicts. Verdicts and rung ladders use the same
+// sharded LRU, one instance each. The lifetime counters are relaxed
+// atomics outside every shard, so counting takes no lock.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -65,10 +69,11 @@ struct RtaCacheConfig {
   /// population while bounding memory. The CLI exposes this as
   /// --rta-cache-capacity.
   std::size_t capacity = 65536;
-  /// Number of independent LRU shards (each with its own lock). 1 is
-  /// the historical shared-LRU cache; `symcan serve` defaults higher so
-  /// concurrent request batches do not contend on one mutex.
-  std::size_t shards = 1;
+  /// Number of independent LRU shards (each with its own lock), so the
+  /// workers of a fan-out or of `symcan serve` do not contend on one
+  /// mutex. 1 is the historical single-LRU cache. `symcan serve
+  /// --serve-shards` overrides it.
+  std::size_t shards = 8;
   /// Run KMatrix::validate() on every analyze() input. Hot loops that
   /// re-analyze thousands of ID permutations of one already-validated
   /// matrix (GA/NSGA-II fitness) turn this off after validating once up
@@ -131,7 +136,7 @@ class IncrementalRta {
  private:
   /// `shards` independent LRU maps from row fingerprints to values, each
   /// with its own lock; a key lives in exactly one shard, picked by its
-  /// hash. Lifetime counters live on shard 0.
+  /// hash. Lifetime counters are lock-free, outside every shard.
   template <typename V>
   class ShardedLru {
    public:
@@ -143,7 +148,7 @@ class IncrementalRta {
     /// Insert `value`, or refresh the entry a racing solver inserted
     /// first (its value is bit-identical). Counts evictions into `delta`.
     void insert(const ContextKey& key, const V& value, RtaCacheStats& delta);
-    /// Fold one run's counters into the lifetime stats.
+    /// Fold one run's counters into the lifetime stats (no lock).
     void add_stats(const RtaCacheStats& delta);
     RtaCacheStats stats() const;
     std::size_t size() const;
@@ -156,7 +161,6 @@ class IncrementalRta {
       mutable std::mutex m;
       std::list<Entry> lru;  ///< Front = most recently used; guarded by m.
       std::unordered_map<ContextKey, typename std::list<Entry>::iterator, ContextKeyHash> map;
-      RtaCacheStats stats;  ///< Guarded by m.
     };
     Shard& shard_for(const ContextKey& key);
 
@@ -164,6 +168,9 @@ class IncrementalRta {
     /// unique_ptr keeps Shard (mutex member) immovable while the vector
     /// stays constructible; sized once, never resized.
     std::vector<std::unique_ptr<Shard>> shards_;
+    /// Lifetime counters. Relaxed: each is a monotonic sum read only as a
+    /// statistic, never to order other memory.
+    std::atomic<std::int64_t> hits_{0}, misses_{0}, evictions_{0};
   };
 
   void flush_cache_observations(const RtaCacheStats& delta);

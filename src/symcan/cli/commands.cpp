@@ -512,7 +512,8 @@ int cmd_serve(const Args& args, std::istream& in, std::ostream& out) {
     throw std::invalid_argument("serve requires --stdio (the only transport today)");
   serve::ServeConfig cfg;
   cfg.cache = rta_cache_from(args);
-  cfg.cache.shards = static_cast<std::size_t>(args.positive_option_or("serve-shards", 8));
+  cfg.cache.shards = static_cast<std::size_t>(args.positive_option_or(
+      "serve-shards", static_cast<std::int64_t>(RtaCacheConfig{}.shards)));
   cfg.ring.capacity = static_cast<std::size_t>(args.positive_option_or("ring-capacity", 256));
   const std::string overflow = args.option_or("overflow", "reject");
   if (!serve::overflow_policy_from_string(overflow, cfg.ring.overflow))
@@ -646,8 +647,8 @@ std::string usage() {
          "across the re-analyses those same commands perform; cached results\n"
          "are bit-identical to fresh ones, so 'off' exists only to measure.\n"
          "--rta-cache-capacity N (default 65536) bounds the cached verdicts;\n"
-         "--serve-shards N (serve only, default 8) splits the cache into N\n"
-         "independently locked LRU shards.\n"
+         "The cache is split into 8 independently locked LRU shards;\n"
+         "--serve-shards N (serve only) picks N instead.\n"
          "--trace-out FILE / --metrics-out FILE / --metrics-prom FILE work\n"
          "with every command: they record spans (chrome://tracing JSON) and\n"
          "metrics (counters, histograms, per-iteration series; --metrics-prom\n"

@@ -88,8 +88,8 @@ struct TelemetryConfig {
 struct ServeConfig {
   RingConfig ring;
   CaptainConfig captain;
-  /// Shared RTA cache; `symcan serve` defaults to 8 shards (CLI
-  /// --serve-shards) so batch workers do not serialize on one lock.
+  /// Shared RTA cache; its default 8 shards (CLI --serve-shards) keep
+  /// batch workers from serializing on one lock.
   RtaCacheConfig cache;
   /// Parsed-matrix memo entries (distinct CSV texts held ready).
   std::size_t matrix_cache_capacity = 64;

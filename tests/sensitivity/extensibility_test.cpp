@@ -39,7 +39,9 @@ TEST(Extensibility, BoundaryIsExact) {
   const CanRtaConfig rta = best_case_assumptions();
   const ExtensionProfile p = default_profile();
   const ExtensibilityReport r = max_additional_messages(km, rta, p, 200);
-  if (r.capped) GTEST_SKIP() << "cap reached; boundary outside range";
+  // The boundary lies inside the 200-message range, so the search ends on
+  // a failing step rather than at the cap.
+  ASSERT_FALSE(r.capped) << "cap reached; boundary outside range";
   // The trace ends with the first failing step, one past the maximum.
   ASSERT_EQ(r.steps.size(), r.max_additional_messages + 1);
   EXPECT_TRUE(r.steps[r.max_additional_messages - 1].schedulable);
