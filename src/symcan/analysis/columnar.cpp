@@ -13,6 +13,51 @@
 
 namespace symcan::analysis {
 
+/// One matrix resolved under one config, sorted into arbitration order
+/// once. A row's interferers are a prefix of `order` less a range of its
+/// sender's list, its blocking frame a suffix maximum, so no row scans
+/// the bus.
+struct BusFacts {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  const KMatrix* km = nullptr;
+  const CanRtaConfig* cfg = nullptr;
+
+  // Per message, in matrix order.
+  std::vector<std::uint64_t> rank;
+  std::vector<Duration> cost;  ///< Frame time under the configured stuffing.
+  std::vector<EventModel> activation;
+  std::vector<std::size_t> sender_of;
+  std::vector<char> is_tt;                   ///< Offset-scheduled, and offsets are in use.
+  std::vector<std::size_t> pos;              ///< Position in `order`.
+  std::vector<std::size_t> above;            ///< Messages ranked strictly above.
+  std::vector<std::size_t> at_or_above;      ///< The same, equal ranks included.
+  std::vector<std::size_t> own_above;        ///< Same-sender messages ranked strictly above.
+  std::vector<std::size_t> own_at_or_above;  ///< The same, equal ranks included.
+
+  // In arbitration order: rank, ties (unvalidated input only) by index.
+  std::vector<std::size_t> order;
+  std::vector<std::uint64_t> order_rank;  ///< The ranks `order` was sorted from.
+  std::vector<Duration> cost_prefix_max;  ///< [j]: largest frame of order[0, j).
+  std::vector<Duration> block_cost;       ///< [j]: largest frame of order[j, n), or zero.
+  std::vector<std::size_t> block_frame;   ///< [j]: its lowest matrix index, or kNone.
+
+  // Per sender, indexed by sender_of.
+  std::vector<const std::string*> senders;
+  std::vector<std::size_t> last;  ///< Lowest-priority message: the basicCAN effective rank.
+  std::vector<char> basic;        ///< basicCAN controller, queues modelled.
+  std::vector<int> tx_buffers;
+  /// Each sender's messages in arbitration order occupy
+  /// [sender_begin[s], sender_begin[s+1]) of by_sender; its offset-
+  /// scheduled ones [tt_begin[s], tt_begin[s+1]) of tt_msg. tt_senders
+  /// lists the senders that have any.
+  std::vector<std::size_t> sender_begin, by_sender;
+  std::vector<std::size_t> tt_begin, tt_msg, tt_senders;
+
+  /// Refill every column for `km` under `cfg`, reusing capacity.
+  void resolve(const KMatrix& km, const CanRtaConfig& cfg);
+};
+
 namespace {
 
 // --- The interference rule ------------------------------------------------
@@ -191,8 +236,7 @@ void BusFacts::resolve(const KMatrix& matrix, const CanRtaConfig& config) {
   for (std::size_t k = 0; k < n; ++k) ++sender_begin[sender_of[k] + 1];
   for (std::size_t s = 0; s < n_senders; ++s) sender_begin[s + 1] += sender_begin[s];
   by_sender.resize(n);
-  last.resize(n_senders);
-  for (std::size_t s = 0; s < n_senders; ++s) last[s] = sender_begin[s];
+  last.assign(sender_begin.begin(), sender_begin.end() - 1);  // Fill cursors until set below.
   for (const std::size_t k : order) by_sender[last[sender_of[k]]++] = k;
   own_above.resize(n);
   own_at_or_above.resize(n);
@@ -267,16 +311,18 @@ struct EventModelColumns {
   }
 };
 
-}  // namespace
-
-void ColumnarBus::reserve(std::size_t rows, std::size_t hp_entries) {
-  for (auto* column : {&cost, &bcrt, &deadline, &blocking, &max_retx, &act_period, &act_jitter,
-                       &act_dmin})
+/// Make room in `out` for `rows` rows holding `hp_entries` hp entries.
+void reserve(ColumnarBus& out, std::size_t rows, std::size_t hp_entries) {
+  for (auto* column : {&out.cost, &out.bcrt, &out.deadline, &out.blocking, &out.max_retx,
+                       &out.act_period, &out.act_jitter, &out.act_dmin})
     column->reserve(rows);
-  hp_begin.reserve(rows + 1);
-  tt_begin.reserve(rows + 1);
-  for (auto* column : {&hp_period, &hp_jitter, &hp_dmin, &hp_cost}) column->reserve(hp_entries);
+  out.hp_begin.reserve(rows + 1);
+  out.tt_begin.reserve(rows + 1);
+  for (auto* column : {&out.hp_period, &out.hp_jitter, &out.hp_dmin, &out.hp_cost})
+    column->reserve(hp_entries);
 }
+
+}  // namespace
 
 void ColumnarBus::clear() {
   cost.clear();
@@ -323,7 +369,7 @@ void pack_bus(const BusFacts& f, ColumnarBus& out, std::span<const std::size_t> 
   // ranked above its effective rank (offset-group fallbacks aside).
   std::size_t hp_size = 0;
   for (const std::size_t i : rows) hp_size += em.count[row_of(f, i).others];
-  out.reserve(rows.size(), hp_size);
+  reserve(out, rows.size(), hp_size);
 
   static thread_local std::vector<std::size_t> group;
   static thread_local std::vector<TtGroup::Member> members;

@@ -63,7 +63,6 @@
 #include "symcan/analysis/error_model.hpp"
 #include "symcan/analysis/tt_schedule.hpp"
 #include "symcan/can/frame.hpp"
-#include "symcan/model/event_model.hpp"
 #include "symcan/util/time.hpp"
 
 namespace symcan {
@@ -112,8 +111,6 @@ struct ColumnarBus {
 
   /// Drop all rows, keep capacity (the arena reuse path).
   void clear();
-  /// Make room for `rows` rows holding `hp_entries` hp entries in total.
-  void reserve(std::size_t rows, std::size_t hp_entries);
 };
 
 /// Human-readable identities of one packed row, filled by pack_bus() on
@@ -134,51 +131,10 @@ struct ContextLabels {
 };
 
 /// One matrix resolved under one config, sorted into arbitration order
-/// once: the columns every row of a pack or a fingerprint is read from.
-/// A row's interferers are a prefix of `order` less a range of its
-/// sender's list, its blocking frame a suffix maximum, so no row scans
-/// the bus. The pointers name the resolved matrix and config, which must
-/// outlive every use of the facts.
-struct BusFacts {
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  const KMatrix* km = nullptr;
-  const CanRtaConfig* cfg = nullptr;
-
-  // Per message, in matrix order.
-  std::vector<std::uint64_t> rank;
-  std::vector<Duration> cost;  ///< Frame time under the configured stuffing.
-  std::vector<EventModel> activation;
-  std::vector<std::size_t> sender_of;
-  std::vector<char> is_tt;                   ///< Offset-scheduled, and offsets are in use.
-  std::vector<std::size_t> pos;              ///< Position in `order`.
-  std::vector<std::size_t> above;            ///< Messages ranked strictly above.
-  std::vector<std::size_t> at_or_above;      ///< The same, equal ranks included.
-  std::vector<std::size_t> own_above;        ///< Same-sender messages ranked strictly above.
-  std::vector<std::size_t> own_at_or_above;  ///< The same, equal ranks included.
-
-  // In arbitration order: rank, ties (unvalidated input only) by index.
-  std::vector<std::size_t> order;
-  std::vector<std::uint64_t> order_rank;  ///< The ranks `order` was sorted from.
-  std::vector<Duration> cost_prefix_max;  ///< [j]: largest frame of order[0, j).
-  std::vector<Duration> block_cost;       ///< [j]: largest frame of order[j, n), or zero.
-  std::vector<std::size_t> block_frame;   ///< [j]: its lowest matrix index, or kNone.
-
-  // Per sender, indexed by sender_of.
-  std::vector<const std::string*> senders;
-  std::vector<std::size_t> last;  ///< Lowest-priority message: the basicCAN effective rank.
-  std::vector<char> basic;        ///< basicCAN controller, queues modelled.
-  std::vector<int> tx_buffers;
-  /// Each sender's messages in arbitration order occupy
-  /// [sender_begin[s], sender_begin[s+1]) of by_sender; its offset-
-  /// scheduled ones [tt_begin[s], tt_begin[s+1]) of tt_msg. tt_senders
-  /// lists the senders that have any.
-  std::vector<std::size_t> sender_begin, by_sender;
-  std::vector<std::size_t> tt_begin, tt_msg, tt_senders;
-
-  /// Refill every column for `km` under `cfg`, reusing capacity.
-  void resolve(const KMatrix& km, const CanRtaConfig& cfg);
-};
+/// once: the columns every row of a pack or a fingerprint is read from
+/// (defined in columnar.cpp). It refers to the resolved matrix and
+/// config, which must outlive every use of it.
+struct BusFacts;
 
 /// Resolve `km` under `cfg` into this thread's BusFacts and return it. It
 /// stays valid until the thread's next resolve, which every overload

@@ -14,10 +14,10 @@
 // every row from the resolved columns (bus_fingerprints, 128 bits, no
 // pack) and looks the keys up in a bounded LRU map of solved
 // MessageResults. Only the rows that missed are then packed, from the
-// same resolved columns, and solved — a hit never packs. Two GA neighbours that
-// differ in one ID swap therefore only re-solve the messages inside the
-// swapped priority span; a jitter sweep re-solves only the messages the
-// swept jitter actually reaches.
+// same resolved columns, and solved — a hit never packs. Two GA
+// neighbours that differ in one ID swap therefore only re-solve the
+// messages inside the swapped priority span; a jitter sweep re-solves
+// only the messages the swept jitter actually reaches.
 //
 // Soundness: the solver reads nothing but the packed row, and the
 // fingerprint covers every value of the row, so a hit is bit-identical

@@ -646,9 +646,9 @@ std::string usage() {
          "--rta-cache on|off (default on) memoizes per-message RTA verdicts\n"
          "across the re-analyses those same commands perform; cached results\n"
          "are bit-identical to fresh ones, so 'off' exists only to measure.\n"
-         "--rta-cache-capacity N (default 65536) bounds the cached verdicts;\n"
-         "The cache is split into 8 independently locked LRU shards;\n"
-         "--serve-shards N (serve only) picks N instead.\n"
+         "--rta-cache-capacity N (default 65536) bounds the cached verdicts,\n"
+         "which are split across 8 independently locked LRU shards;\n"
+         "--serve-shards N (serve only) picks another shard count.\n"
          "--trace-out FILE / --metrics-out FILE / --metrics-prom FILE work\n"
          "with every command: they record spans (chrome://tracing JSON) and\n"
          "metrics (counters, histograms, per-iteration series; --metrics-prom\n"
