@@ -1,12 +1,14 @@
 #include "symcan/sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <optional>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "symcan/can/frame.hpp"
 #include "symcan/obs/obs.hpp"
@@ -78,8 +80,12 @@ class Simulation {
  public:
   Simulation(const KMatrix& km, const SimConfig& cfg)
       : km_{km}, cfg_{cfg}, rng_{cfg.seed}, tau_{km.timing().bit_time()} {
-    km_.validate();
+    km_.validate();  // unique (format, id), so unique arbitration ranks
     const auto& msgs = km_.messages();
+    by_rank_ = km_.priority_order();
+    rank_of_.resize(msgs.size());
+    for (std::size_t r = 0; r < msgs.size(); ++r) rank_of_[by_rank_[r]] = r;
+    ready_.resize((msgs.size() + 63) / 64, 0);
     buffers_.resize(msgs.size());
     next_instance_.resize(msgs.size(), 0);
     last_jitter_.resize(msgs.size(), Duration::zero());
@@ -94,15 +100,31 @@ class Simulation {
       node_index_[i] = ni;
     }
     fifos_.resize(km_.nodes().size());
+    node_msgs_.resize(km_.nodes().size());
+    for (const std::size_t i : by_rank_) node_msgs_[node_index_[i]].push_back(i);
     node_stats_.resize(km_.nodes().size());
     tec_.resize(km_.nodes().size(), 0);
     bus_off_until_.resize(km_.nodes().size(), Duration::zero());
     for (std::size_t n = 0; n < km_.nodes().size(); ++n)
       node_stats_[n].name = km_.nodes()[n].name;
-    max_frame_wc_ = Duration::zero();
     for (const auto& m : msgs)
-      max_frame_wc_ = max(max_frame_wc_, frame_time_worst_case(km_.timing(), m.format,
-                                                               m.payload_bytes));
+      frame_bits_.emplace_back(frame_bits_unstuffed(m.format, m.payload_bytes),
+                               frame_bits_worst_case(m.format, m.payload_bytes));
+    for (const auto& [lo, hi] : frame_bits_)
+      max_frame_wc_ = max(max_frame_wc_, km_.timing().duration_of(hi));
+    if (cfg_.record_trace) {
+      // Three events (release, start, end) per release, and three more
+      // (error, retransmit or loss, restart) per fault, of which the bus
+      // fits at most one per error frame. Reserving short of the count
+      // would reallocate to twice it; past 1e8 events the trace grows.
+      const auto count = [&](Duration gap) { return cfg_.duration.as_s() / gap.as_s() + 1; };
+      double n = 0;
+      for (const auto& m : msgs) n += count(m.period);
+      if (cfg_.errors.kind != SimErrorProcess::Kind::kNone)
+        n += std::min(count(km_.timing().duration_of(error_frame_bits)),
+                      count(cfg_.errors.min_gap) * static_cast<double>(cfg_.errors.burst_len));
+      trace_.reserve(static_cast<std::size_t>(std::clamp(3 * n, 0.0, 1e8)));
+    }
   }
 
   SimResult run() {
@@ -192,9 +214,7 @@ class Simulation {
   }
 
   Duration sample_frame_time(std::size_t i) {
-    const auto& m = km_.messages()[i];
-    const std::int64_t lo = frame_bits_unstuffed(m.format, m.payload_bytes);
-    const std::int64_t hi = frame_bits_worst_case(m.format, m.payload_bytes);
+    const auto [lo, hi] = frame_bits_[i];
     switch (cfg_.stuffing) {
       case StuffingMode::kNone:
         return km_.timing().duration_of(lo);
@@ -265,7 +285,28 @@ class Simulation {
     } else {
       buf = inst;
     }
-    refill_fifo(node_index_[i]);
+    if (basic_can(node_index_[i]))
+      refill_fifo(node_index_[i]);
+    else
+      set_ready(i, true);
+  }
+
+  bool basic_can(std::size_t node_idx) const {
+    return km_.nodes()[node_idx].controller == ControllerType::kBasicCan;
+  }
+
+  /// Marks message i as presented to arbitration (or not).
+  void set_ready(std::size_t i, bool on) {
+    const std::size_t r = rank_of_[i];
+    const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+    ready_[r / 64] = on ? ready_[r / 64] | bit : ready_[r / 64] & ~bit;
+  }
+
+  /// basicCAN presents only the head of its FIFO; call after every FIFO
+  /// change.
+  void sync_front(std::size_t node_idx) {
+    const auto& fifo = fifos_[node_idx];
+    for (std::size_t k = 0; k < fifo.size(); ++k) set_ready(fifo[k], k == 0);
   }
 
   /// basicCAN: software driver keeps pending frames priority-sorted and
@@ -273,55 +314,30 @@ class Simulation {
   /// transmit buffers whenever a slot is free. Committed order is what
   /// creates the intra-node priority inversion the analysis charges.
   void refill_fifo(std::size_t node_idx) {
-    const EcuNode& node = km_.nodes()[node_idx];
-    if (node.controller != ControllerType::kBasicCan) return;
     auto& fifo = fifos_[node_idx];
-    while (fifo.size() < static_cast<std::size_t>(node.tx_buffers)) {
-      std::optional<std::size_t> best;
-      for (std::size_t i = 0; i < km_.size(); ++i) {
-        if (node_index_[i] != node_idx || !buffers_[i]) continue;
-        if (std::find(fifo.begin(), fifo.end(), i) != fifo.end()) continue;
-        if (!best ||
-            km_.messages()[i].arbitration_rank() < km_.messages()[*best].arbitration_rank())
-          best = i;
-      }
-      if (!best) break;
-      fifo.push_back(*best);
+    const auto slots = static_cast<std::size_t>(km_.nodes()[node_idx].tx_buffers);
+    for (const std::size_t i : node_msgs_[node_idx]) {
+      if (fifo.size() >= slots) break;
+      if (buffers_[i] && std::find(fifo.begin(), fifo.end(), i) == fifo.end()) fifo.push_back(i);
     }
+    sync_front(node_idx);
   }
 
-  /// The frame this node would present to arbitration, or nullopt.
-  std::optional<std::size_t> node_candidate(std::size_t node_idx) const {
-    if (now_ < bus_off_until_[node_idx]) return std::nullopt;  // node silent
-    const EcuNode& node = km_.nodes()[node_idx];
-    if (node.controller == ControllerType::kBasicCan) {
-      const auto& fifo = fifos_[node_idx];
-      if (fifo.empty()) return std::nullopt;
-      return fifo.front();
-    }
-    std::optional<std::size_t> best;
-    for (std::size_t i = 0; i < km_.size(); ++i) {
-      if (node_index_[i] != node_idx || !buffers_[i]) continue;
-      if (!best ||
-          km_.messages()[i].arbitration_rank() < km_.messages()[*best].arbitration_rank())
-        best = i;
-    }
-    return best;
-  }
-
+  /// The winner is the lowest presented rank whose sender is not bus-off.
   void try_start() {
     if (tx_ || recovering_) return;
-    std::optional<std::size_t> winner;
-    for (std::size_t n = 0; n < km_.nodes().size(); ++n) {
-      const auto cand = node_candidate(n);
-      if (!cand) continue;
-      if (!winner ||
-          km_.messages()[*cand].arbitration_rank() < km_.messages()[*winner].arbitration_rank())
-        winner = cand;
+    std::size_t i = km_.size();
+    for (std::size_t w = 0; w < ready_.size() && i == km_.size(); ++w) {
+      for (std::uint64_t bits = ready_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t m = by_rank_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        if (now_ >= bus_off_until_[node_index_[m]]) {
+          i = m;
+          break;
+        }
+      }
     }
-    if (!winner) return;
+    if (i == km_.size()) return;
 
-    const std::size_t i = *winner;
     Tx tx;
     tx.msg = i;
     tx.inst = *buffers_[i];
@@ -329,9 +345,11 @@ class Simulation {
     tx.end = now_ + sample_frame_time(i);
     tx.gen = ++gen_;
     buffers_[i].reset();
-    auto& fifo = fifos_[node_index_[i]];
-    if (!fifo.empty() && fifo.front() == i) fifo.pop_front();
-    refill_fifo(node_index_[i]);
+    set_ready(i, false);
+    if (basic_can(node_index_[i])) {
+      fifos_[node_index_[i]].pop_front();
+      refill_fifo(node_index_[i]);
+    }
     tx_ = tx;
     record(TraceEventType::kTxStart, i, tx.inst.instance);
 
@@ -378,8 +396,13 @@ class Simulation {
       record(TraceEventType::kLoss, tx.msg, tx.inst.instance);
     } else {
       buffers_[tx.msg] = tx.inst;
-      if (km_.nodes()[node_index_[tx.msg]].controller == ControllerType::kBasicCan)
-        fifos_[node_index_[tx.msg]].push_front(tx.msg);
+      const std::size_t node = node_index_[tx.msg];
+      if (basic_can(node)) {
+        fifos_[node].push_front(tx.msg);
+        sync_front(node);
+      } else {
+        set_ready(tx.msg, true);
+      }
       record(TraceEventType::kRetransmit, tx.msg, tx.inst.instance);
     }
     if (cfg_.model_fault_confinement) {
@@ -434,6 +457,13 @@ class Simulation {
   std::vector<std::optional<PendingInstance>> buffers_;
   std::vector<std::int64_t> next_instance_;
   std::vector<std::size_t> node_index_;
+  std::vector<std::size_t> by_rank_;  ///< Rank position -> message, lowest rank first.
+  std::vector<std::size_t> rank_of_;  ///< Message -> rank position.
+  std::vector<std::vector<std::size_t>> node_msgs_;  ///< Per node, its messages by rank.
+  /// One bit per rank position: the frames nodes present to arbitration
+  /// (fullCAN: every pending buffer; basicCAN: the FIFO head).
+  std::vector<std::uint64_t> ready_;
+  std::vector<std::pair<std::int64_t, std::int64_t>> frame_bits_;  ///< Unstuffed, worst case.
   std::vector<std::deque<std::size_t>> fifos_;
   std::vector<Duration> last_jitter_;  ///< Per message: its last release's jitter.
   std::optional<Tx> tx_;

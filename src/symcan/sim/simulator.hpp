@@ -13,9 +13,10 @@
 //    stuffing, and error processes respect the analysis assumptions.
 //
 // Model: nodes release message instances periodically with sampled
-// release jitter; the bus arbitrates non-preemptively by CAN ID among the
-// frames each node presents (fullCAN: its highest-priority pending frame;
-// basicCAN: the head of its FIFO transmit queue). Bus errors corrupt the
+// release jitter. Whenever the bus falls idle, the lowest arbitration
+// rank among the presented frames starts, non-preemptively: a fullCAN
+// node presents every pending buffer, a basicCAN node only the head of
+// its FIFO transmit queue, a bus-off node nothing. Bus errors corrupt the
 // frame in transmission, cost an error-frame recovery, and trigger
 // retransmission. A pending instance overwritten by a newer release of
 // the same message is counted as a loss (paper Section 3.2).

@@ -24,7 +24,12 @@ const char* to_string(TraceEventType t) {
   return "?";
 }
 
-void Trace::record(Duration time, TraceEventType type, std::string message,
+void Trace::record(Duration time, TraceEventType type, const std::string& message,
+                   std::int64_t instance) {
+  events_.push_back(TraceEvent{time, type, message, instance});
+}
+
+void Trace::record(Duration time, TraceEventType type, std::string&& message,
                    std::int64_t instance) {
   events_.push_back(TraceEvent{time, type, std::move(message), instance});
 }

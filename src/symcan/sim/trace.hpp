@@ -33,7 +33,10 @@ struct TraceEvent {
 /// Append-only event log with a textual Gantt renderer.
 class Trace {
  public:
-  void record(Duration time, TraceEventType type, std::string message, std::int64_t instance);
+  void record(Duration time, TraceEventType type, const std::string& message,
+              std::int64_t instance);
+  void record(Duration time, TraceEventType type, std::string&& message, std::int64_t instance);
+  void reserve(std::size_t events) { events_.reserve(events); }
 
   const std::vector<TraceEvent>& events() const { return events_; }
   /// Drops all events but retains the allocated capacity, so a Trace
