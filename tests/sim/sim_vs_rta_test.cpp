@@ -64,9 +64,9 @@ TEST_P(SimVsRta, ObservedResponseNeverExceedsBound) {
 }
 
 TEST_P(SimVsRta, ScheduleVerdictImpliesNoSimLoss) {
-  // If the analysis declares every message schedulable under D = period,
-  // the simulator must not observe buffer-overwrite losses (no instance
-  // can still be pending when the next arrives).
+  // Every message the analysis declares schedulable under D = period must
+  // see no buffer-overwrite loss in the simulator: none of its instances
+  // can still be pending when the next arrives.
   const OracleParam p = GetParam();
   PowertrainConfig wl;
   wl.seed = p.seed;
@@ -81,7 +81,6 @@ TEST_P(SimVsRta, ScheduleVerdictImpliesNoSimLoss) {
   rta.deadline_override = DeadlinePolicy::kPeriod;
   if (p.errors) rta.errors = std::make_shared<SporadicErrors>(Duration::ms(40));
   const BusResult bound = CanRta{km, rta}.analyze();
-  if (!bound.all_schedulable()) GTEST_SKIP() << "analysis does not claim schedulability";
 
   SimConfig sim;
   sim.duration = Duration::s(10);
@@ -90,7 +89,15 @@ TEST_P(SimVsRta, ScheduleVerdictImpliesNoSimLoss) {
   sim.randomize_jitter = true;
   if (p.errors) sim.errors = SimErrorProcess::sporadic(Duration::ms(40));
   const SimResult observed = simulate(km, sim);
-  for (const auto& m : observed.messages) EXPECT_EQ(m.losses, 0) << m.name;
+  std::size_t claimed = 0;
+  for (std::size_t i = 0; i < km.size(); ++i) {
+    if (!bound.messages[i].schedulable) continue;
+    ++claimed;
+    EXPECT_EQ(observed.messages[i].losses, 0) << km.messages()[i].name;
+  }
+  // Every grid point's analysis claims most of its bus, so the check is
+  // never vacuous.
+  EXPECT_GE(claimed, km.size() - 1);
 }
 
 TEST_P(SimVsRta, CachedAnalysisBoundsSimulationUnderSporadicErrors) {
