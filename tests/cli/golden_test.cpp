@@ -346,6 +346,34 @@ TEST_F(GoldenTest, AnalyzeProbText) {
   check_text("analyze_prob.txt", out_.str());
 }
 
+TEST_F(GoldenTest, AnalyzeDefaultText) {
+  // The plain verdict table: ids, three durations per row in adaptive
+  // units and the verdict column, pinned byte for byte.
+  const int rc = run({"analyze", matrix_});
+  ASSERT_TRUE(rc == 0 || rc == 1) << err_.str();
+  check_text("analyze_default.txt", out_.str());
+}
+
+TEST_F(GoldenTest, AnalyzeWorstCaseText) {
+  const int rc = run({"analyze", matrix_, "--worst-case"});
+  ASSERT_TRUE(rc == 0 || rc == 1) << err_.str();
+  check_text("analyze_worst_case.txt", out_.str());
+}
+
+TEST_F(GoldenTest, AnalyzeBestCaseText) {
+  const int rc = run({"analyze", matrix_, "--best-case"});
+  ASSERT_TRUE(rc == 0 || rc == 1) << err_.str();
+  check_text("analyze_best_case.txt", out_.str());
+}
+
+TEST_F(GoldenTest, AnalyzeWorstCaseJitterText) {
+  // Jitter-shortened deadlines give four- and five-digit fractions
+  // ("6.1712 ms"), so the significant-digit rounding reaches the table.
+  const int rc = run({"analyze", matrix_, "--worst-case", "--jitter", "0.3", "--override-known"});
+  ASSERT_TRUE(rc == 0 || rc == 1) << err_.str();
+  check_text("analyze_worst_case_jitter.txt", out_.str());
+}
+
 TEST_F(GoldenTest, MonitorHealthTableOverCommittedTrace) {
   // The committed trace (data/case_study_trace.jsonl) was recorded with
   // `simulate --millis 120 --seed 5 --errors sporadic --error-gap-ms 10`;

@@ -7,32 +7,85 @@
 namespace symcan {
 namespace {
 
+std::string printed(const TextTable& t) {
+  std::ostringstream os;
+  t.print(os);
+  return os.str();
+}
+
 TEST(TextTable, AlignsColumns) {
   TextTable t;
   t.header({"name", "value"});
   t.row({"a", "1"});
   t.row({"longer", "22"});
-  std::ostringstream os;
-  t.print(os);
-  const std::string out = os.str();
-  // Header, separator, two rows.
-  EXPECT_NE(out.find("name"), std::string::npos);
-  EXPECT_NE(out.find("------"), std::string::npos);
-  // Columns align: "a" padded to the width of "longer".
-  EXPECT_NE(out.find("a       1"), std::string::npos);
+  // Columns pad to the widest cell plus two spaces; the last cell of a
+  // row is never padded; the separator spans the full header width.
+  EXPECT_EQ(printed(t),
+            "name    value\n"
+            "-------------\n"
+            "a       1\n"
+            "longer  22\n");
 }
 
 TEST(TextTable, HandlesRaggedRows) {
   TextTable t;
   t.row({"a"});
   t.row({"b", "c", "d"});
-  std::ostringstream os;
-  t.print(os);
-  EXPECT_NE(os.str().find("d"), std::string::npos);
+  t.row({});
+  EXPECT_EQ(printed(t), "a\nb  c  d\n\n");
+}
+
+TEST(TextTable, RaggedRowsWidenPastTheHeader) {
+  TextTable t;
+  t.header({"h1", "h2"});
+  t.row({"a", "b", "c"});
+  t.row({"long"});
+  EXPECT_EQ(printed(t),
+            "h1    h2\n"
+            "-----------\n"
+            "a     b   c\n"
+            "long\n");
+}
+
+TEST(TextTable, HeaderOnly) {
+  TextTable t;
+  t.header({"x", "yy"});
+  EXPECT_EQ(printed(t), "x  yy\n-----\n");
+  EXPECT_EQ(t.row_count(), 0u);
+}
+
+TEST(TextTable, EmptyTablePrintsNothing) {
+  TextTable t;
+  EXPECT_EQ(printed(t), "");
+}
+
+TEST(TextTable, HeaderResetsThePreviousHeader) {
+  TextTable t;
+  t.header({"a", "b", "c"});
+  t.header({"longname"});
+  t.row({"1", "2"});
+  EXPECT_EQ(printed(t),
+            "longname\n"
+            "-----------\n"
+            "1         2\n");
+}
+
+TEST(TextTable, CanIdsKeepThreeUpperCaseDigits) {
+  TextTable t;
+  t.header({"id", "name"});
+  for (const unsigned id : {0u, 0x7FFu, 0x1FFFFFFFu}) t.row({strprintf("0x%03X", id), "m"});
+  EXPECT_EQ(printed(t),
+            "id          name\n"
+            "----------------\n"
+            "0x000       m\n"
+            "0x7FF       m\n"
+            "0x1FFFFFFF  m\n");
 }
 
 TEST(TextTable, RowCount) {
   TextTable t;
+  EXPECT_EQ(t.row_count(), 0u);
+  t.header({"h"});
   EXPECT_EQ(t.row_count(), 0u);
   t.row({"x"});
   t.row({"y"});
