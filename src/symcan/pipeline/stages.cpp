@@ -68,23 +68,33 @@ std::shared_ptr<const ErrorModel> matching_error_model(const SimErrorProcess& p)
   return std::make_shared<NoErrors>();
 }
 
+namespace {
+
+void append_load_line(std::string& text, const KMatrix& km, bool worst_case_stuffing) {
+  const LoadReport load = analyze_load(km, worst_case_stuffing);
+  appendf(text, "bus %s: %zu messages, load %.1f%% of %.0f kbit/s\n", km.bus_name().c_str(),
+          km.size(), 100 * load.utilization, load.bandwidth_bps / 1000);
+}
+
+}  // namespace
+
 int render_analyze(const KMatrix& km, const CanRtaConfig& cfg, std::ostream& out,
                    analysis::IncrementalRta* cache) {
   SYMCAN_OBS_SPAN("pipeline.analyze");
-  const LoadReport load = analyze_load(km, cfg.worst_case_stuffing);
-  out << strprintf("bus %s: %zu messages, load %.1f%% of %.0f kbit/s\n", km.bus_name().c_str(),
-                   km.size(), 100 * load.utilization, load.bandwidth_bps / 1000);
+  std::string text;
+  append_load_line(text, km, cfg.worst_case_stuffing);
 
   const BusResult res = cache ? cache->analyze(km, cfg) : CanRta{km, cfg}.analyze();
   TextTable t;
   t.header({"message", "id", "wcrt", "deadline", "slack", "verdict"});
   for (const std::size_t i : km.priority_order()) {
     const MessageResult& m = res.messages[i];
-    t.row({m.name, strprintf("0x%03X", m.id), to_string(m.wcrt), to_string(m.deadline),
-           to_string(m.slack()), m.schedulable ? "ok" : "MISS"});
+    t.cell(m.name).cell_id(m.id).cell(m.wcrt).cell(m.deadline).cell(m.slack());
+    t.cell(m.schedulable ? "ok" : "MISS").end_row();
   }
-  t.print(out);
-  out << strprintf("misses: %zu/%zu\n", res.miss_count(), res.messages.size());
+  t.render(text);
+  appendf(text, "misses: %zu/%zu\n", res.miss_count(), res.messages.size());
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   return res.all_schedulable() ? 0 : 1;
 }
 
@@ -101,12 +111,11 @@ int render_prob(const KMatrix& km, const CanRtaConfig& cfg, const ProbSpec& spec
   pcfg.tile = spec.tile;
   analysis::validate_prob_config(pcfg);
 
-  const LoadReport load = analyze_load(km, cfg.worst_case_stuffing);
-  out << strprintf("bus %s: %zu messages, load %.1f%% of %.0f kbit/s\n", km.bus_name().c_str(),
-                   km.size(), 100 * load.utilization, load.bandwidth_bps / 1000);
-  out << strprintf("probabilities (ppm): fault %lld, worst-case stuffing %lld, jitter %lld\n",
-                   static_cast<long long>(spec.fault_ppm), static_cast<long long>(spec.stuff_ppm),
-                   static_cast<long long>(spec.jitter_ppm));
+  std::string text;
+  append_load_line(text, km, cfg.worst_case_stuffing);
+  appendf(text, "probabilities (ppm): fault %lld, worst-case stuffing %lld, jitter %lld\n",
+          static_cast<long long>(spec.fault_ppm), static_cast<long long>(spec.stuff_ppm),
+          static_cast<long long>(spec.jitter_ppm));
 
   const ProbBusResult res =
       cache ? cache->analyze_prob(km, pcfg) : analysis::analyze_prob(km, pcfg);
@@ -114,12 +123,13 @@ int render_prob(const KMatrix& km, const CanRtaConfig& cfg, const ProbSpec& spec
   t.header({"message", "id", "det wcrt", "deadline", "miss ppm", "atoms", "verdict"});
   for (const std::size_t i : km.priority_order()) {
     const ProbMessageResult& m = res.messages[i];
-    t.row({m.det.name, strprintf("0x%03X", m.det.id), to_string(m.det.wcrt),
-           to_string(m.det.deadline), strprintf("%lld", static_cast<long long>(m.miss_ppm())),
-           strprintf("%zu", m.response.atoms().size()), m.miss_weight == 0 ? "ok" : "AT-RISK"});
+    t.cell(m.det.name).cell_id(m.det.id).cell(m.det.wcrt).cell(m.det.deadline);
+    t.cell_int(m.miss_ppm()).cell_int(static_cast<std::int64_t>(m.response.atoms().size()));
+    t.cell(m.miss_weight == 0 ? "ok" : "AT-RISK").end_row();
   }
-  t.print(out);
-  out << strprintf("at-risk: %zu/%zu\n", res.miss_count(), res.messages.size());
+  t.render(text);
+  appendf(text, "at-risk: %zu/%zu\n", res.miss_count(), res.messages.size());
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   return res.miss_count() == 0 ? 0 : 1;
 }
 

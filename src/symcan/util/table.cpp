@@ -1,38 +1,96 @@
 #include "symcan/util/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <utility>
 
 namespace symcan {
 
-void TextTable::header(std::vector<std::string> cells) { header_ = std::move(cells); }
+void TextTable::header(const std::vector<std::string>& cells) {
+  header_.text.clear();
+  header_.ends.clear();
+  for (const std::string& c : cells) {
+    header_.text += c;
+    header_.ends.push_back(header_.text.size());
+  }
+}
 
-void TextTable::row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
+void TextTable::row(const std::vector<std::string>& cells) {
+  for (const std::string& c : cells) cell(c);
+  end_row();
+}
+
+TextTable& TextTable::cell(std::string_view text) {
+  body_.text += text;
+  body_.ends.push_back(body_.text.size());
+  return *this;
+}
+
+TextTable& TextTable::cell(Duration d) {
+  append_duration(body_.text, d);
+  body_.ends.push_back(body_.text.size());
+  return *this;
+}
+
+TextTable& TextTable::cell_id(std::uint32_t id) {
+  char buf[8];
+  std::size_t n = 0;
+  do {
+    buf[sizeof buf - ++n] = "0123456789ABCDEF"[id & 0xF];
+    id >>= 4;
+  } while (id != 0 || n < 3);
+  body_.text += "0x";
+  body_.text.append(buf + sizeof buf - n, n);
+  body_.ends.push_back(body_.text.size());
+  return *this;
+}
+
+TextTable& TextTable::cell_int(std::int64_t v) {
+  char buf[24];
+  body_.text.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  body_.ends.push_back(body_.text.size());
+  return *this;
+}
+
+void TextTable::end_row() { row_ends_.push_back(body_.ends.size()); }
+
+void TextTable::render(std::string& out) const {
+  std::vector<std::size_t> width(header_.ends.size());
+  auto widen = [&](const Cells& c, std::size_t b, std::size_t e) {
+    if (e - b > width.size()) width.resize(e - b, 0);
+    for (std::size_t i = b; i < e; ++i)
+      width[i - b] = std::max(width[i - b], c.ends[i] - c.begin(i));
+  };
+  widen(header_, 0, header_.ends.size());
+  std::size_t first = 0;
+  for (const std::size_t e : row_ends_) widen(body_, std::exchange(first, e), e);
+
+  std::size_t line = 0;
+  for (std::size_t i = 0; i < width.size(); ++i) line += width[i] + (i + 1 < width.size() ? 2 : 0);
+  out.reserve(out.size() + (row_ends_.size() + 2) * (line + 1));
+  auto emit = [&](const Cells& c, std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      const std::size_t len = c.ends[i] - c.begin(i);
+      out.append(c.text, c.begin(i), len);
+      if (i + 1 < e) out.append(width[i - b] - len + 2, ' ');
+    }
+    out += '\n';
+  };
+  if (!header_.ends.empty()) {
+    emit(header_, 0, header_.ends.size());
+    out.append(line, '-');
+    out += '\n';
+  }
+  first = 0;
+  for (const std::size_t e : row_ends_) emit(body_, std::exchange(first, e), e);
+}
 
 void TextTable::print(std::ostream& os) const {
-  std::vector<std::size_t> width;
-  auto widen = [&](const std::vector<std::string>& r) {
-    if (r.size() > width.size()) width.resize(r.size(), 0);
-    for (std::size_t i = 0; i < r.size(); ++i) width[i] = std::max(width[i], r[i].size());
-  };
-  if (!header_.empty()) widen(header_);
-  for (const auto& r : rows_) widen(r);
-
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      os << r[i];
-      if (i + 1 < r.size()) os << std::string(width[i] - r[i].size() + 2, ' ');
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) {
-    emit(header_);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < width.size(); ++i) total += width[i] + (i + 1 < width.size() ? 2 : 0);
-    os << std::string(total, '-') << '\n';
-  }
-  for (const auto& r : rows_) emit(r);
+  std::string out;
+  render(out);
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 std::string strprintf(const char* fmt, ...) {

@@ -1,31 +1,53 @@
 #pragma once
 
-// Lightweight aligned-text table printer used by benches and examples to
-// render paper-style result tables on stdout.
+// Lightweight aligned-text table printer: analyze/prob verdict tables,
+// and the paper-style result tables benches and examples print.
 
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "symcan/util/time.hpp"
 
 namespace symcan {
 
-/// Collects rows of string cells and prints them with aligned columns.
+/// Collects rows of cells and prints them with aligned columns. Cells are
+/// formatted straight into one flat buffer by the typed appenders, and
+/// render() writes the whole table into one reserved string.
 class TextTable {
  public:
   /// Set the header row. Resets any previously set header.
-  void header(std::vector<std::string> cells);
+  void header(const std::vector<std::string>& cells);
 
   /// Append a data row. Rows may have differing lengths.
-  void row(std::vector<std::string> cells);
+  void row(const std::vector<std::string>& cells);
 
-  /// Render with a separator line beneath the header.
+  /// Typed cells of the open data row; end_row() closes it.
+  TextTable& cell(std::string_view text);
+  TextTable& cell(Duration d);           ///< append_duration spelling
+  TextTable& cell_id(std::uint32_t id);  ///< "0x%03X": upper case, >= 3 digits
+  TextTable& cell_int(std::int64_t v);
+  void end_row();
+
+  /// Append the table to `out`, with a separator line beneath the header.
+  void render(std::string& out) const;
   void print(std::ostream& os) const;
 
-  std::size_t row_count() const { return rows_.size(); }
+  /// Data rows; the header does not count.
+  std::size_t row_count() const { return row_ends_.size(); }
 
  private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
+  /// Cells back to back: cell i is text[ends[i-1], ends[i]).
+  struct Cells {
+    std::string text;
+    std::vector<std::size_t> ends;
+    std::size_t begin(std::size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+  };
+  Cells header_;
+  Cells body_;
+  std::vector<std::size_t> row_ends_;  ///< body_ cell count after each row
 };
 
 /// printf-style helper returning std::string.

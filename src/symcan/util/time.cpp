@@ -1,25 +1,86 @@
 #include "symcan/util/time.hpp"
 
-#include <cmath>
+#include <array>
+#include <charconv>
 #include <cstdio>
 
 namespace symcan {
 
-std::string to_string(Duration d) {
-  if (d.is_infinite()) return "inf";
-  const std::int64_t n = d.count_ns();
-  const std::int64_t a = n < 0 ? -n : n;
-  char buf[64];
-  if (a >= 1'000'000'000) {
-    std::snprintf(buf, sizeof buf, "%.6g s", d.as_s());
-  } else if (a >= 1'000'000) {
-    std::snprintf(buf, sizeof buf, "%.6g ms", d.as_ms());
-  } else if (a >= 1'000) {
-    std::snprintf(buf, sizeof buf, "%.6g us", d.as_us());
-  } else {
-    std::snprintf(buf, sizeof buf, "%lld ns", static_cast<long long>(n));
+namespace {
+
+constexpr auto kPow10 = [] {
+  std::array<std::uint64_t, 16> p{};
+  p[0] = 1;
+  for (std::size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * 10;
+  return p;
+}();
+
+/// "%.6g" of a / 10^scale for 10^scale <= a, in integers. Below 10^15 a
+/// count that is not an exact tie at the 7th significant digit lies
+/// further from the tie than the double quotient's rounding error, so
+/// glibc rounds the double the same way this rounds the integer. Returns
+/// false (the caller falls back to snprintf) on an exact tie, at 10^15
+/// and above, and when the rounded value needs exponent form.
+bool append_6g(std::string& out, std::uint64_t a, std::size_t scale) {
+  if (a >= kPow10[15]) return false;
+  std::size_t digits = 1;
+  while (a >= kPow10[digits]) ++digits;
+  std::uint64_t q = a;        // value = q * 10^shift / 10^scale
+  std::size_t shift = 0;
+  if (digits > 6) {
+    shift = digits - 6;
+    const std::uint64_t r = a % kPow10[shift];
+    const std::uint64_t half = kPow10[shift] / 2;
+    if (r == half) return false;
+    q = a / kPow10[shift] + (r > half ? 1 : 0);
+    if (q == kPow10[6]) {
+      q /= 10;
+      ++shift;
+    }
   }
-  return buf;
+  if (shift > scale) return false;  // >= 10^6 units: "%.6g" writes 1e+06
+  std::size_t frac = scale - shift;
+  for (; frac > 0 && q % 10 == 0; --frac) q /= 10;
+  char buf[8];
+  const auto len = static_cast<std::size_t>(std::to_chars(buf, buf + sizeof buf, q).ptr - buf);
+  out.append(buf, len - frac);  // frac < len: the value is >= 1
+  if (frac > 0) {
+    out += '.';
+    out.append(buf + len - frac, frac);
+  }
+  return true;
+}
+
+}  // namespace
+
+void append_duration(std::string& out, Duration d) {
+  if (d.is_infinite()) {
+    out += "inf";
+    return;
+  }
+  const std::int64_t n = d.count_ns();
+  // Magnitude in uint64: |INT64_MIN| has no int64 spelling.
+  const std::uint64_t a = n < 0 ? 0 - static_cast<std::uint64_t>(n) : static_cast<std::uint64_t>(n);
+  const std::size_t scale = a >= kPow10[9] ? 9 : a >= kPow10[6] ? 6 : a >= kPow10[3] ? 3 : 0;
+  if (n < 0) out += '-';
+  if (scale == 0) {
+    char buf[4];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, a).ptr);
+  } else if (!append_6g(out, a, scale)) {
+    // Round-to-nearest is sign-symmetric, so the magnitude's spelling
+    // after the '-' is the signed value's.
+    char buf[32];
+    const int len = std::snprintf(buf, sizeof buf, "%.6g",
+                                  static_cast<double>(a) / static_cast<double>(kPow10[scale]));
+    out.append(buf, static_cast<std::size_t>(len));
+  }
+  out += scale == 9 ? " s" : scale == 6 ? " ms" : scale == 3 ? " us" : " ns";
+}
+
+std::string to_string(Duration d) {
+  std::string out;
+  append_duration(out, d);
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, Duration d) { return os << to_string(d); }

@@ -81,6 +81,20 @@ TEST(DurationFormat, ZeroAndTheInfinityRails) {
   ASSERT_TRUE(matches(-Duration::infinite().count_ns()));
 }
 
+TEST(DurationFormat, Int64MinSpellsLikeTheNegativeRail) {
+  // |INT64_MIN| does not fit int64; the magnitude is taken in uint64, so
+  // the value prints like -Duration::infinite() instead of negating into
+  // undefined behaviour.
+  EXPECT_EQ(to_string(Duration::ns(std::numeric_limits<std::int64_t>::min())), "-9.22337e+09 s");
+}
+
+TEST(DurationFormat, AppendDurationAppends) {
+  std::string out = "wcrt ";
+  append_duration(out, Duration::us(1250));
+  append_duration(out, -Duration::ns(7));
+  EXPECT_EQ(out, "wcrt 1.25 ms-7 ns");
+}
+
 TEST(DurationFormat, SeededCountsInEveryDecade) {
   std::mt19937_64 rng{20061017};
   std::int64_t lo = 1;

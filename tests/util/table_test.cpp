@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 namespace symcan {
 namespace {
@@ -74,6 +76,43 @@ TEST(TextTable, CanIdsKeepThreeUpperCaseDigits) {
   TextTable t;
   t.header({"id", "name"});
   for (const unsigned id : {0u, 0x7FFu, 0x1FFFFFFFu}) t.row({strprintf("0x%03X", id), "m"});
+  EXPECT_EQ(printed(t),
+            "id          name\n"
+            "----------------\n"
+            "0x000       m\n"
+            "0x7FF       m\n"
+            "0x1FFFFFFF  m\n");
+}
+
+TEST(TextTable, TypedCellsSpellLikeStringCells) {
+  const std::vector<Duration> ds = {Duration::zero(), Duration::ns(999), Duration::us(1250),
+                                    -Duration::ms(3), Duration::ns(1'234'565),
+                                    Duration::infinite()};
+  const std::vector<std::uint32_t> ids = {0, 0x7F, 0x7FF, 0x800, 0xABCDE, 0x1FFFFFFF};
+  TextTable typed;
+  TextTable strings;
+  typed.header({"id", "d", "n", "v"});
+  strings.header({"id", "d", "n", "v"});
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const std::int64_t n = static_cast<std::int64_t>(i) * -123456789;
+    typed.cell_id(ids[i]).cell(ds[i]).cell_int(n).cell(i % 2 ? "ok" : "MISS").end_row();
+    strings.row({strprintf("0x%03X", ids[i]), to_string(ds[i]), std::to_string(n),
+                 i % 2 ? "ok" : "MISS"});
+  }
+  typed.cell("ragged").end_row();
+  strings.row({"ragged"});
+  EXPECT_EQ(printed(typed), printed(strings));
+  EXPECT_EQ(typed.row_count(), strings.row_count());
+
+  std::string out = "prefix\n";
+  typed.render(out);
+  EXPECT_EQ(out, "prefix\n" + printed(strings));
+}
+
+TEST(TextTable, CellIdMatchesTheFrozenSpelling) {
+  TextTable t;
+  t.header({"id", "name"});
+  for (const std::uint32_t id : {0u, 0x7FFu, 0x1FFFFFFFu}) t.cell_id(id).cell("m").end_row();
   EXPECT_EQ(printed(t),
             "id          name\n"
             "----------------\n"
