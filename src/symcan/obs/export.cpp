@@ -8,10 +8,15 @@
 
 namespace symcan::obs {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+void append_json_escaped(std::string& out, std::string_view s) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (p != end) {
+    const char* const run = p;
+    while (p != end && *p != '"' && *p != '\\' && static_cast<unsigned char>(*p) >= 0x20) ++p;
+    out.append(run, p);
+    if (p == end) break;
+    const char c = *p++;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -20,16 +25,26 @@ std::string json_escape(const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {  // the other control bytes
+        constexpr char kHex[] = "0123456789abcdef";
+        const auto u = static_cast<unsigned char>(c);
+        const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xF]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+}
+
+void append_json_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  append_json_escaped(out, s);
+  out += '"';
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  append_json_escaped(out, s);
   return out;
 }
 
@@ -40,16 +55,6 @@ std::string json_number(double v) {
   return buf;
 }
 
-namespace {
-
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  out += json_escape(s);
-  out += '"';
-}
-
-}  // namespace
-
 std::string metrics_to_json(const MetricsRegistry& registry) {
   const RegistrySnapshot snap = registry.snapshot();
   std::string out;
@@ -58,7 +63,7 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
   for (const auto& [name, value] : snap.counters) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_quoted(out, name);
+    append_json_quoted(out, name);
     out += ": " + std::to_string(value);
   }
   out += first ? "}" : "\n  }";
@@ -68,7 +73,7 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
   for (const auto& [name, value] : snap.gauges) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_quoted(out, name);
+    append_json_quoted(out, name);
     out += ": " + json_number(value);
   }
   out += first ? "}" : "\n  }";
@@ -79,7 +84,7 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
     out += first ? "\n    " : ",\n    ";
     first = false;
     out += "{\"name\": ";
-    append_quoted(out, h.name);
+    append_json_quoted(out, h.name);
     out += ", \"count\": " + std::to_string(h.count);
     out += ", \"sum\": " + json_number(h.sum);
     out += ", \"min\": " + json_number(h.min);
@@ -103,7 +108,7 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
   for (const auto& [name, samples] : snap.series) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_quoted(out, name);
+    append_json_quoted(out, name);
     out += ": [";
     bool sfirst = true;
     for (const auto& sample : samples) {
@@ -113,7 +118,7 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
       for (const auto& [key, value] : sample) {
         if (!ffirst) out += ", ";
         ffirst = false;
-        append_quoted(out, key);
+        append_json_quoted(out, key);
         out += ": " + json_number(value);
       }
       out += "}";
@@ -139,14 +144,14 @@ std::string trace_to_chrome_json(const Tracer& tracer) {
   for (const auto& [tid, name] : tracer.thread_names()) {
     out += ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
            std::to_string(tid) + ", \"args\": {\"name\": ";
-    append_quoted(out, name);
+    append_json_quoted(out, name);
     out += "}}";
   }
   for (const TraceEvent& e : events) {
     out += first ? "\n  " : ",\n  ";
     first = false;
     out += "{\"name\": ";
-    append_quoted(out, e.name);
+    append_json_quoted(out, e.name);
     out += ", \"cat\": \"symcan\"";
     if (e.dur_us < 0) {
       out += ", \"ph\": \"i\", \"s\": \"t\"";

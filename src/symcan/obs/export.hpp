@@ -5,6 +5,7 @@
 // https://ui.perfetto.dev).
 
 #include <string>
+#include <string_view>
 
 #include "symcan/obs/metrics.hpp"
 #include "symcan/obs/trace.hpp"
@@ -13,6 +14,13 @@ namespace symcan::obs {
 
 /// JSON-escape a string body (no surrounding quotes).
 std::string json_escape(const std::string& s);
+
+/// Append the escaped body of `s` to `out`. Runs of plain bytes are
+/// copied in one call; only '"', '\\' and control bytes are rewritten.
+void append_json_escaped(std::string& out, std::string_view s);
+
+/// Append `s` as a quoted JSON string.
+void append_json_quoted(std::string& out, std::string_view s);
 
 /// Finite numbers print via %.17g round-trip; NaN/Inf degrade to null.
 std::string json_number(double v);

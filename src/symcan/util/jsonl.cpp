@@ -53,19 +53,19 @@ bool parse_string(Cursor& c, std::size_t line_no, const char* what, std::string&
   }
   out.clear();
   while (true) {
+    const char* const run = c.p;
+    while (!c.done() && *c.p != '"' && *c.p != '\\' && static_cast<unsigned char>(*c.p) >= 0x20)
+      ++c.p;
+    out.append(run, c.p);
     if (c.done()) {
       diags.error(line_no, std::string("unterminated string for ") + what);
       return false;
     }
     const char ch = *c.p++;
     if (ch == '"') return true;
-    if (static_cast<unsigned char>(ch) < 0x20) {
+    if (ch != '\\') {
       diags.error(line_no, std::string("raw control character in string for ") + what);
       return false;
-    }
-    if (ch != '\\') {
-      out.push_back(ch);
-      continue;
     }
     if (c.done()) {
       diags.error(line_no, std::string("dangling escape in string for ") + what);

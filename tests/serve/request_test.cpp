@@ -5,6 +5,9 @@
 #include <optional>
 #include <string>
 
+#include "symcan/obs/export.hpp"
+#include "symcan/util/jsonl.hpp"
+
 namespace symcan::serve {
 namespace {
 
@@ -247,6 +250,53 @@ TEST(ServeRequestTest, EscapedStringsSurvive) {
   req.matrix_csv = "line1\r\nline2";
   req.message = "naïve ünïcode";
   expect_round_trip(req);
+}
+
+TEST(ServeRequestTest, EveryEscapeClassRoundTrips) {
+  // Every control byte, both mandatory escapes, DEL and multi-byte UTF-8
+  // (2-, 3- and 4-byte sequences), each between runs of plain bytes so
+  // run copying and escape handling alternate.
+  std::string hostile;
+  for (int b = 0x00; b < 0x20; ++b) {
+    hostile += "ab";
+    hostile += static_cast<char>(b);
+  }
+  hostile += "q\"q\\q\x7Fq\xC3\xA9q\xE2\x82\xACq\xF0\x9D\x84\x9E";
+  hostile += "\"\\";
+
+  std::string quoted;
+  obs::append_json_quoted(quoted, hostile);
+  for (const char c : quoted) EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << quoted;
+  EXPECT_NE(quoted.find("\\u0000"), std::string::npos);
+  EXPECT_NE(quoted.find("\\u001f"), std::string::npos);
+  EXPECT_NE(quoted.find("\\n"), std::string::npos);
+  EXPECT_EQ(quoted.substr(quoted.size() - 5), "\\\"\\\\\"");
+
+  jsonl::Cursor c{quoted.data(), quoted.data() + quoted.size()};
+  Diagnostics diags;
+  std::string back = "stale";
+  ASSERT_TRUE(jsonl::parse_string(c, 1, "id", back, diags)) << diags.format();
+  EXPECT_TRUE(c.done());
+  EXPECT_EQ(back, hostile);
+
+  ServeRequest req;
+  req.id = hostile;
+  req.kind = RequestKind::kExplain;
+  req.matrix_csv = hostile + "\n" + hostile;
+  req.message = hostile;
+  expect_round_trip(req);
+}
+
+TEST(ServeRequestTest, BrokenStringsKeepTheirDiagnostics) {
+  Diagnostics diags;
+  EXPECT_FALSE(parse(R"({"id":"abc\)", DiagnosticPolicy::kLenient, 1, &diags).has_value());
+  EXPECT_NE(diags.format().find("dangling escape in string for"), std::string::npos)
+      << diags.format();
+  EXPECT_FALSE(parse(R"({"id":"abc)", DiagnosticPolicy::kLenient, 1, &diags).has_value());
+  EXPECT_NE(diags.format().find("unterminated string for"), std::string::npos) << diags.format();
+  EXPECT_FALSE(parse("{\"id\":\"a\tb\"}", DiagnosticPolicy::kLenient, 1, &diags).has_value());
+  EXPECT_NE(diags.format().find("raw control character in string for"), std::string::npos)
+      << diags.format();
 }
 
 TEST(ServeRequestTest, ResponseSerializationShapes) {
