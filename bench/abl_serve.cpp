@@ -11,7 +11,8 @@
 //
 // CI gates the batched/sharded rungs at >= 10k requests/s on the case
 // study and the acceptance bar of >= 2x over the single-request
-// baseline (kBatch below is mirrored by the gate's arithmetic).
+// baseline (kBatch below is mirrored by the gate's arithmetic), and one
+// warm request at a time (BM_ServeWarmSingle) at <= 0.1 ms.
 
 #include <chrono>
 
@@ -101,6 +102,22 @@ void BM_ServeThroughputSingle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServeThroughputSingle);
+
+/// One request at a time against a warm cache with the serve default of
+/// 8 shards: every verdict is a cache hit, so this is the per-request
+/// cost above the solver (validate, fingerprint, lookups, render). CI
+/// gates its min_wall_ms at 0.100.
+void BM_ServeWarmSingle(benchmark::State& state) {
+  serve::ServeCore core{serve_config(true, 8)};
+  const serve::ServeRequest req = analyze_request("warm");
+  core.handle(req);  // absorb the cold misses outside the timing
+  for (auto _ : state) {
+    const serve::ServeResponse resp = core.handle(req);
+    benchmark::DoNotOptimize(resp.exit_code);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeWarmSingle);
 
 /// Warm-cache batch against one shard: per-iteration wall time covers
 /// kBatch requests (the CI gate divides accordingly).
