@@ -15,10 +15,8 @@ namespace symcan::obs {
 /// JSON-escape a string body (no surrounding quotes).
 std::string json_escape(const std::string& s);
 
-/// Append the escaped body of `s` to `out`. Runs of plain bytes are
-/// copied in one call; only '"', '\\' and control bytes are rewritten.
+/// json_escape appended to `out`; each run of plain bytes is one append.
 void append_json_escaped(std::string& out, std::string_view s);
-
 /// Append `s` as a quoted JSON string.
 void append_json_quoted(std::string& out, std::string_view s);
 

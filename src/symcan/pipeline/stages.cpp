@@ -68,21 +68,13 @@ std::shared_ptr<const ErrorModel> matching_error_model(const SimErrorProcess& p)
   return std::make_shared<NoErrors>();
 }
 
-namespace {
-
-void append_load_line(std::string& text, const KMatrix& km, bool worst_case_stuffing) {
-  const LoadReport load = analyze_load(km, worst_case_stuffing);
-  appendf(text, "bus %s: %zu messages, load %.1f%% of %.0f kbit/s\n", km.bus_name().c_str(),
-          km.size(), 100 * load.utilization, load.bandwidth_bps / 1000);
-}
-
-}  // namespace
-
 int render_analyze(const KMatrix& km, const CanRtaConfig& cfg, std::ostream& out,
                    analysis::IncrementalRta* cache) {
   SYMCAN_OBS_SPAN("pipeline.analyze");
+  const LoadReport load = analyze_load(km, cfg.worst_case_stuffing);
   std::string text;
-  append_load_line(text, km, cfg.worst_case_stuffing);
+  appendf(text, "bus %s: %zu messages, load %.1f%% of %.0f kbit/s\n", km.bus_name().c_str(),
+          km.size(), 100 * load.utilization, load.bandwidth_bps / 1000);
 
   const BusResult res = cache ? cache->analyze(km, cfg) : CanRta{km, cfg}.analyze();
   TextTable t;
@@ -111,8 +103,10 @@ int render_prob(const KMatrix& km, const CanRtaConfig& cfg, const ProbSpec& spec
   pcfg.tile = spec.tile;
   analysis::validate_prob_config(pcfg);
 
+  const LoadReport load = analyze_load(km, cfg.worst_case_stuffing);
   std::string text;
-  append_load_line(text, km, cfg.worst_case_stuffing);
+  appendf(text, "bus %s: %zu messages, load %.1f%% of %.0f kbit/s\n", km.bus_name().c_str(),
+          km.size(), 100 * load.utilization, load.bandwidth_bps / 1000);
   appendf(text, "probabilities (ppm): fault %lld, worst-case stuffing %lld, jitter %lld\n",
           static_cast<long long>(spec.fault_ppm), static_cast<long long>(spec.stuff_ppm),
           static_cast<long long>(spec.jitter_ppm));

@@ -1,7 +1,5 @@
 #include "symcan/serve/request.hpp"
 
-#include <charconv>
-
 #include "symcan/obs/export.hpp"
 #include "symcan/util/jsonl.hpp"
 
@@ -298,21 +296,7 @@ std::optional<ServeRequest> request_from_jsonl(const std::string& line, std::siz
 
 namespace {
 
-/// `key` is the spelled separator and key, e.g. ",\"millis\":".
-template <typename Int>
-void append_int(std::string& out, const char* key, Int v) {
-  out += key;
-  char buf[24];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
-
-void append_word(std::string& out, const char* key, const char* word) {
-  out += key;
-  out += '"';
-  out += word;
-  out += '"';
-}
-
+/// `key` is the spelled separator and key, e.g. ",\"id\":".
 void append_text(std::string& out, const char* key, const std::string& text) {
   out += key;
   obs::append_json_quoted(out, text);
@@ -325,30 +309,30 @@ std::string request_to_jsonl(const ServeRequest& req) {
   std::string out;
   out.reserve(128 + req.id.size() + req.matrix_csv.size() * 9 / 8 + req.message.size());
   append_text(out, "{\"id\":", req.id);
-  append_word(out, ",\"kind\":", to_string(req.kind));
+  out += ",\"kind\":\"" + std::string(to_string(req.kind)) + "\"";
   if (req.kind != RequestKind::kHealth && req.kind != RequestKind::kTelemetry)
     append_text(out, ",\"matrix_csv\":", req.matrix_csv);
   if (req.preset != AssumptionPreset::kDefault)
-    append_word(out, ",\"preset\":", pipeline::to_string(req.preset));
+    out += ",\"preset\":\"" + std::string(pipeline::to_string(req.preset)) + "\"";
   if (req.jitter) out += ",\"jitter\":" + json_number(*req.jitter);
   if (req.override_known) out += ",\"override_known\":true";
   // `message` is mandatory for explain, so it is always spelled there
   // (an empty name is a present-but-empty value, not an absent key).
   if (req.kind == RequestKind::kExplain) append_text(out, ",\"message\":", req.message);
   if (req.json) out += ",\"json\":true";
-  if (req.millis != 2000) append_int(out, ",\"millis\":", req.millis);
-  if (req.seed) append_int(out, ",\"seed\":", *req.seed);
+  if (req.millis != 2000) out += ",\"millis\":" + std::to_string(req.millis);
+  if (req.seed) out += ",\"seed\":" + std::to_string(*req.seed);
   if (req.errors != "none") append_text(out, ",\"errors\":", req.errors);
-  if (req.error_gap_ms) append_int(out, ",\"error_gap_ms\":", *req.error_gap_ms);
-  if (req.generations != 25) append_int(out, ",\"generations\":", req.generations);
-  if (req.population != 32) append_int(out, ",\"population\":", req.population);
+  if (req.error_gap_ms) out += ",\"error_gap_ms\":" + std::to_string(*req.error_gap_ms);
+  if (req.generations != 25) out += ",\"generations\":" + std::to_string(req.generations);
+  if (req.population != 32) out += ",\"population\":" + std::to_string(req.population);
   if (req.target_jitter != 0.25) out += ",\"target_jitter\":" + json_number(req.target_jitter);
-  if (req.fault_ppm != 1'000'000) append_int(out, ",\"fault_ppm\":", req.fault_ppm);
-  if (req.stuff_ppm != 1'000'000) append_int(out, ",\"stuff_ppm\":", req.stuff_ppm);
-  if (req.jitter_ppm != 1'000'000) append_int(out, ",\"jitter_ppm\":", req.jitter_ppm);
-  if (req.max_rungs != 96) append_int(out, ",\"max_rungs\":", req.max_rungs);
+  if (req.fault_ppm != 1'000'000) out += ",\"fault_ppm\":" + std::to_string(req.fault_ppm);
+  if (req.stuff_ppm != 1'000'000) out += ",\"stuff_ppm\":" + std::to_string(req.stuff_ppm);
+  if (req.jitter_ppm != 1'000'000) out += ",\"jitter_ppm\":" + std::to_string(req.jitter_ppm);
+  if (req.max_rungs != 96) out += ",\"max_rungs\":" + std::to_string(req.max_rungs);
   if (req.dump) out += ",\"dump\":true";
-  out += '}';
+  out += "}";
   return out;
 }
 
@@ -356,26 +340,28 @@ std::string response_to_jsonl(const ServeResponse& resp) {
   std::string out;
   out.reserve(128 + resp.id.size() + resp.output.size() * 9 / 8 + resp.health_json.size());
   append_text(out, "{\"id\":", resp.id);
-  append_word(out, ",\"kind\":", to_string(resp.kind));
-  append_word(out, ",\"status\":", to_string(resp.status));
-  append_int(out, ",\"exit_code\":", resp.exit_code);
+  out += ",\"kind\":\"" + std::string(to_string(resp.kind)) + "\"";
+  out += ",\"status\":\"" + std::string(to_string(resp.status)) + "\"";
+  out += ",\"exit_code\":" + std::to_string(resp.exit_code);
   if (!resp.output.empty()) append_text(out, ",\"output\":", resp.output);
   if (!resp.diagnostics.empty()) {
     out += ",\"diagnostics\":[";
+    bool first = true;
     for (const Diagnostic& d : resp.diagnostics) {
-      if (&d != &resp.diagnostics.front()) out += ',';
-      append_word(out, "{\"severity\":", to_string(d.severity));
-      append_int(out, ",\"line\":", d.line);
+      if (!first) out += ",";
+      first = false;
+      out += "{\"severity\":\"" + std::string(to_string(d.severity)) + "\"";
+      out += ",\"line\":" + std::to_string(d.line);
       append_text(out, ",\"message\":", d.message);
-      out += '}';
+      out += "}";
     }
-    out += ']';
+    out += "]";
   }
   if (!resp.health_json.empty()) {
     out += resp.kind == RequestKind::kTelemetry ? ",\"telemetry\":" : ",\"health\":";
     out += resp.health_json;
   }
-  out += '}';
+  out += "}";
   return out;
 }
 

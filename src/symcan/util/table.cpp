@@ -1,20 +1,18 @@
 #include "symcan/util/table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
-#include <utility>
 
 namespace symcan {
 
 void TextTable::header(const std::vector<std::string>& cells) {
-  header_.text.clear();
-  header_.ends.clear();
-  for (const std::string& c : cells) {
-    header_.text += c;
-    header_.ends.push_back(header_.text.size());
-  }
+  const std::size_t first = ends_.size() - 1;
+  for (const std::string& c : cells) cell(c);
+  header_ = {first, ends_.size() - 1};
+  open_ = ends_.size() - 1;
 }
 
 void TextTable::row(const std::vector<std::string>& cells) {
@@ -23,68 +21,62 @@ void TextTable::row(const std::vector<std::string>& cells) {
 }
 
 TextTable& TextTable::cell(std::string_view text) {
-  body_.text += text;
-  body_.ends.push_back(body_.text.size());
-  return *this;
+  text_ += text;
+  return close_cell();
 }
 
 TextTable& TextTable::cell(Duration d) {
-  append_duration(body_.text, d);
-  body_.ends.push_back(body_.text.size());
-  return *this;
+  append_duration(text_, d);
+  return close_cell();
 }
 
 TextTable& TextTable::cell_id(std::uint32_t id) {
   char buf[8];
-  std::size_t n = 0;
-  do {
-    buf[sizeof buf - ++n] = "0123456789ABCDEF"[id & 0xF];
-    id >>= 4;
-  } while (id != 0 || n < 3);
-  body_.text += "0x";
-  body_.text.append(buf + sizeof buf - n, n);
-  body_.ends.push_back(body_.text.size());
-  return *this;
+  const auto digits = static_cast<std::size_t>(std::bit_width(id) + 3) / 4;
+  const std::size_t n = std::max<std::size_t>(3, digits);
+  for (std::size_t i = 0; i < n; ++i) buf[n - 1 - i] = "0123456789ABCDEF"[(id >> (4 * i)) & 0xF];
+  (text_ += "0x").append(buf, n);
+  return close_cell();
 }
 
 TextTable& TextTable::cell_int(std::int64_t v) {
   char buf[24];
-  body_.text.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-  body_.ends.push_back(body_.text.size());
-  return *this;
+  text_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  return close_cell();
 }
 
-void TextTable::end_row() { row_ends_.push_back(body_.ends.size()); }
+void TextTable::end_row() {
+  rows_.emplace_back(open_, ends_.size() - 1);
+  open_ = ends_.size() - 1;
+}
 
 void TextTable::render(std::string& out) const {
-  std::vector<std::size_t> width(header_.ends.size());
-  auto widen = [&](const Cells& c, std::size_t b, std::size_t e) {
-    if (e - b > width.size()) width.resize(e - b, 0);
-    for (std::size_t i = b; i < e; ++i)
-      width[i - b] = std::max(width[i - b], c.ends[i] - c.begin(i));
+  std::vector<std::size_t> width;
+  auto widen = [&](Span r) {
+    if (r.second - r.first > width.size()) width.resize(r.second - r.first, 0);
+    for (std::size_t i = r.first; i < r.second; ++i)
+      width[i - r.first] = std::max(width[i - r.first], ends_[i + 1] - ends_[i]);
   };
-  widen(header_, 0, header_.ends.size());
-  std::size_t first = 0;
-  for (const std::size_t e : row_ends_) widen(body_, std::exchange(first, e), e);
+  widen(header_);
+  for (const Span& r : rows_) widen(r);
 
   std::size_t line = 0;
   for (std::size_t i = 0; i < width.size(); ++i) line += width[i] + (i + 1 < width.size() ? 2 : 0);
-  out.reserve(out.size() + (row_ends_.size() + 2) * (line + 1));
-  auto emit = [&](const Cells& c, std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const std::size_t len = c.ends[i] - c.begin(i);
-      out.append(c.text, c.begin(i), len);
-      if (i + 1 < e) out.append(width[i - b] - len + 2, ' ');
+  out.reserve(out.size() + (rows_.size() + 2) * (line + 1));
+  auto emit = [&](Span r) {
+    for (std::size_t i = r.first; i < r.second; ++i) {
+      const std::size_t len = ends_[i + 1] - ends_[i];
+      out.append(text_, ends_[i], len);
+      if (i + 1 < r.second) out.append(width[i - r.first] - len + 2, ' ');
     }
     out += '\n';
   };
-  if (!header_.ends.empty()) {
-    emit(header_, 0, header_.ends.size());
+  if (header_.second > header_.first) {
+    emit(header_);
     out.append(line, '-');
     out += '\n';
   }
-  first = 0;
-  for (const std::size_t e : row_ends_) emit(body_, std::exchange(first, e), e);
+  for (const Span& r : rows_) emit(r);
 }
 
 void TextTable::print(std::ostream& os) const {

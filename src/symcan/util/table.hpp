@@ -7,15 +7,15 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "symcan/util/time.hpp"
 
 namespace symcan {
 
-/// Collects rows of cells and prints them with aligned columns. Cells are
-/// formatted straight into one flat buffer by the typed appenders, and
-/// render() writes the whole table into one reserved string.
+/// Collects rows of cells and prints them with aligned columns. Typed
+/// appenders format each cell straight into one flat buffer.
 class TextTable {
  public:
   /// Set the header row. Resets any previously set header.
@@ -36,18 +36,21 @@ class TextTable {
   void print(std::ostream& os) const;
 
   /// Data rows; the header does not count.
-  std::size_t row_count() const { return row_ends_.size(); }
+  std::size_t row_count() const { return rows_.size(); }
 
  private:
-  /// Cells back to back: cell i is text[ends[i-1], ends[i]).
-  struct Cells {
-    std::string text;
-    std::vector<std::size_t> ends;
-    std::size_t begin(std::size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
-  };
-  Cells header_;
-  Cells body_;
-  std::vector<std::size_t> row_ends_;  ///< body_ cell count after each row
+  using Span = std::pair<std::size_t, std::size_t>;  ///< [first, last) cell indices
+
+  TextTable& close_cell() {
+    ends_.push_back(text_.size());
+    return *this;
+  }
+
+  std::string text_;                  ///< every cell, back to back
+  std::vector<std::size_t> ends_{0};  ///< cell i is text_[ends_[i], ends_[i + 1])
+  std::vector<Span> rows_;
+  Span header_{0, 0};
+  std::size_t open_ = 0;  ///< first cell of the open row
 };
 
 /// printf-style helper returning std::string.

@@ -1,6 +1,5 @@
 #include "symcan/util/time.hpp"
 
-#include <array>
 #include <charconv>
 #include <cstdio>
 
@@ -8,46 +7,33 @@ namespace symcan {
 
 namespace {
 
-constexpr auto kPow10 = [] {
-  std::array<std::uint64_t, 16> p{};
-  p[0] = 1;
-  for (std::size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * 10;
-  return p;
-}();
+constexpr std::uint64_t kPow10[] = {1,           10,           100,           1000,
+                                    10000,       100000,       1000000,       10000000,
+                                    100000000,   1000000000,   10000000000,   100000000000,
+                                    1000000000000, 10000000000000, 100000000000000,
+                                    1000000000000000};
 
-/// "%.6g" of a / 10^scale for 10^scale <= a, in integers. Below 10^15 a
-/// count that is not an exact tie at the 7th significant digit lies
-/// further from the tie than the double quotient's rounding error, so
-/// glibc rounds the double the same way this rounds the integer. Returns
-/// false (the caller falls back to snprintf) on an exact tie, at 10^15
-/// and above, and when the rounded value needs exponent form.
+/// "%.6g" of a / 10^scale (>= 1), in integers. Below 10^15 ns a count
+/// that is not an exact tie at the 7th significant digit lies further
+/// from the tie than the double quotient's rounding error, so glibc
+/// rounds the double as this rounds the integer. False (the caller falls
+/// back to snprintf) on a tie, on a carry into a 7th digit (999999.5
+/// units may need exponent form) and from 10^15 on.
 bool append_6g(std::string& out, std::uint64_t a, std::size_t scale) {
   if (a >= kPow10[15]) return false;
-  std::size_t digits = 1;
-  while (a >= kPow10[digits]) ++digits;
-  std::uint64_t q = a;        // value = q * 10^shift / 10^scale
-  std::size_t shift = 0;
-  if (digits > 6) {
-    shift = digits - 6;
-    const std::uint64_t r = a % kPow10[shift];
-    const std::uint64_t half = kPow10[shift] / 2;
-    if (r == half) return false;
-    q = a / kPow10[shift] + (r > half ? 1 : 0);
-    if (q == kPow10[6]) {
-      q /= 10;
-      ++shift;
-    }
-  }
-  if (shift > scale) return false;  // >= 10^6 units: "%.6g" writes 1e+06
-  std::size_t frac = scale - shift;
+  std::size_t shift = 0;  // value = q * 10^shift / 10^scale
+  while (a / kPow10[shift] >= kPow10[6]) ++shift;
+  const std::uint64_t p = kPow10[shift];
+  const std::uint64_t r = a % p;
+  if (2 * r == p) return false;  // an exact tie
+  std::uint64_t q = a / p + (2 * r > p ? 1 : 0);
+  if (q == kPow10[6]) return false;  // rounds up into a 7th digit
+  std::size_t frac = scale - shift;  // shift <= scale, as a < 10^15
   for (; frac > 0 && q % 10 == 0; --frac) q /= 10;
   char buf[8];
   const auto len = static_cast<std::size_t>(std::to_chars(buf, buf + sizeof buf, q).ptr - buf);
   out.append(buf, len - frac);  // frac < len: the value is >= 1
-  if (frac > 0) {
-    out += '.';
-    out.append(buf + len - frac, frac);
-  }
+  if (frac > 0) (out += '.').append(buf + len - frac, frac);
   return true;
 }
 
@@ -63,10 +49,7 @@ void append_duration(std::string& out, Duration d) {
   const std::uint64_t a = n < 0 ? 0 - static_cast<std::uint64_t>(n) : static_cast<std::uint64_t>(n);
   const std::size_t scale = a >= kPow10[9] ? 9 : a >= kPow10[6] ? 6 : a >= kPow10[3] ? 3 : 0;
   if (n < 0) out += '-';
-  if (scale == 0) {
-    char buf[4];
-    out.append(buf, std::to_chars(buf, buf + sizeof buf, a).ptr);
-  } else if (!append_6g(out, a, scale)) {
+  if (!append_6g(out, a, scale)) {
     // Round-to-nearest is sign-symmetric, so the magnitude's spelling
     // after the '-' is the signed value's.
     char buf[32];

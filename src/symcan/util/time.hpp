@@ -171,11 +171,9 @@ constexpr std::int64_t floor_div(Duration a, Duration b) {
 constexpr Duration min(Duration a, Duration b) { return a < b ? a : b; }
 constexpr Duration max(Duration a, Duration b) { return a > b ? a : b; }
 
-/// Human-readable rendering with an adaptive unit ("1.25 ms", "500 ns"),
-/// appended to `out`: the count in ns / us / ms / s, whichever is the
-/// largest unit not exceeding the magnitude, spelled as printf "%.6g"
-/// would, or "inf". The only Duration formatter; integer-only except for
-/// exact rounding ties and magnitudes >= 10^15 ns.
+/// Append the human-readable spelling with an adaptive unit ("1.25 ms",
+/// "500 ns", "inf"): printf "%.6g" of the count in the largest of
+/// ns / us / ms / s not above its magnitude. The only Duration formatter.
 void append_duration(std::string& out, Duration d);
 
 /// append_duration into a fresh string.
