@@ -1,5 +1,6 @@
 #include "symcan/util/time.hpp"
 
+#include <array>
 #include <charconv>
 #include <cstdio>
 
@@ -7,11 +8,11 @@ namespace symcan {
 
 namespace {
 
-constexpr std::uint64_t kPow10[] = {1,           10,           100,           1000,
-                                    10000,       100000,       1000000,       10000000,
-                                    100000000,   1000000000,   10000000000,   100000000000,
-                                    1000000000000, 10000000000000, 100000000000000,
-                                    1000000000000000};
+constexpr auto kPow10 = [] {
+  std::array<std::uint64_t, 16> p{1};
+  for (std::size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * 10;
+  return p;
+}();
 
 /// "%.6g" of a / 10^scale (>= 1), in integers. Below 10^15 ns a count
 /// that is not an exact tie at the 7th significant digit lies further
