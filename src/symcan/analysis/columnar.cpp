@@ -493,17 +493,39 @@ Duration fixed_point(Duration x0, Duration horizon, std::int64_t& iterations, F&
 }
 
 /// Solver-trajectory recorders. Every hook of the null recorder inlines
-/// to nothing, so the plain solve pays no bookkeeping; the tracing
-/// recorder fills a SolveTrace, keeping the window iterates of the
-/// instance that attains the WCRT.
+/// to nothing and starts each fixed point cold, so the plain solve pays
+/// no bookkeeping; the tracing recorder fills a SolveTrace, keeping the
+/// window iterates of the instance that attains the WCRT; the warm-start
+/// recorder starts each fixed point from a WarmStart and records this
+/// solve's own into it.
 struct NullSolveRecorder {
+  Duration busy_start(Duration cold) { return cold; }
+  Duration window_start(std::int64_t, Duration cold) { return cold; }
   void busy_iterate(Duration) {}
   void begin_instance(std::int64_t) {}
   void window_iterate(Duration) {}
   void instance_result(std::int64_t, Duration, Duration) {}
 };
 
-struct TracingSolveRecorder {
+struct WarmStartRecorder : NullSolveRecorder {
+  WarmStart& warm;
+
+  Duration busy_start(Duration cold) { return max(cold, warm.busy); }
+  Duration window_start(std::int64_t q, Duration cold) {
+    const auto i = static_cast<std::size_t>(q);
+    return i < warm.windows.size() ? max(cold, warm.windows[i]) : cold;
+  }
+  void busy_iterate(Duration x) { warm.busy = x; }
+  void instance_result(std::int64_t q, Duration w, Duration) {
+    const auto i = static_cast<std::size_t>(q);
+    if (i < warm.windows.size())
+      warm.windows[i] = w;
+    else
+      warm.windows.push_back(w);
+  }
+};
+
+struct TracingSolveRecorder : NullSolveRecorder {
   explicit TracingSolveRecorder(SolveTrace& trace) : out(trace) {}
 
   SolveTrace& out;
@@ -564,7 +586,7 @@ MessageResult solve_row(const ColumnarBus& bus, std::size_t r, const ErrorModel&
   // higher-priority traffic, blocking, and fault recovery.
   std::int64_t iterations = 0;
   const Duration busy = fixed_point(
-      blocking + c_m, bus.horizon, iterations,
+      rec.busy_start(blocking + c_m), bus.horizon, iterations,
       [&](Duration t) {
         return blocking + eta_plus(t, act_p, act_j, act_d) * c_m + hp_interference(t) +
                error_overhead(t);
@@ -591,7 +613,7 @@ MessageResult solve_row(const ColumnarBus& bus, std::size_t r, const ErrorModel&
     // the window up to the end of instance q's transmission.
     rec.begin_instance(q);
     const Duration w = fixed_point(
-        blocking + q * c_m, bus.horizon, iterations,
+        rec.window_start(q, blocking + q * c_m), bus.horizon, iterations,
         [&](Duration t) {
           return blocking + q * c_m + hp_interference(t + tau_bit) + error_overhead(t + c_m);
         },
@@ -621,6 +643,12 @@ MessageResult solve_row(const ColumnarBus& bus, std::size_t r, const ErrorModel&
 
 MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors) {
   NullSolveRecorder rec;
+  return solve_row(bus, r, errors, rec);
+}
+
+MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors,
+                             WarmStart& warm) {
+  WarmStartRecorder rec{{}, warm};
   return solve_row(bus, r, errors, rec);
 }
 

@@ -1,7 +1,7 @@
 #include "symcan/analysis/prob_rta.hpp"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 #include <stdexcept>
 
 #include "symcan/can/kmatrix.hpp"
@@ -19,34 +19,32 @@ constexpr std::int64_t kPpmOne = 1'000'000;
 /// (the toolchain targets x86-64/aarch64 gcc/clang, which all have it).
 __extension__ typedef unsigned __int128 u128;
 
-/// Binomial(n, p) in fixed point by iterated Bernoulli convolution.
-/// Each step multiplies in unsigned __int128 and floor-divides by kOne;
-/// the rounding residue lands on the highest occupied count — mass only
-/// moves toward *more* faults, so every tail P(K >= j) over-approximates
-/// the exact binomial tail (conservative). p in {0, kOne} is exact.
-/// `convolutions`, when non-null, counts the Bernoulli steps performed.
-std::vector<std::uint64_t> binomial_weights(std::size_t n, std::uint64_t p,
-                                            std::int64_t* convolutions) {
-  std::vector<std::uint64_t> w(n + 1, 0);
-  w[0] = Pmf::kOne;
+/// Binomial(n, p) in fixed point by iterated Bernoulli convolution, as
+/// the weights of atoms[0..n] (n = atoms.size() - 1; weights start at 0,
+/// values are left alone). Each step multiplies in unsigned __int128 and
+/// floor-divides by kOne; the rounding residue lands on the highest
+/// occupied count — mass only moves toward *more* faults, so every tail
+/// P(K >= j) over-approximates the exact binomial tail (conservative).
+/// p in {0, kOne} is exact. `convolutions`, when non-null, counts the
+/// Bernoulli steps performed.
+void binomial_weights(std::vector<Pmf::Atom>& atoms, std::uint64_t p,
+                      std::int64_t* convolutions) {
+  atoms[0].weight = Pmf::kOne;
   const std::uint64_t q = Pmf::kOne - p;
-  for (std::size_t step = 0; step < n; ++step) {
-    std::vector<u128> wide(step + 2, 0);
-    for (std::size_t i = 0; i <= step; ++i) {
-      wide[i] += static_cast<u128>(w[i]) * q;
-      wide[i + 1] += static_cast<u128>(w[i]) * p;
-    }
+  for (std::size_t step = 0; step + 1 < atoms.size(); ++step) {
+    // Top down, so count i - 1 still holds the previous step's weight.
     std::uint64_t total = 0;
     std::size_t top = 0;
-    for (std::size_t i = 0; i <= step + 1; ++i) {
-      w[i] = static_cast<std::uint64_t>(wide[i] >> 32);
-      total += w[i];
-      if (wide[i] > 0) top = i;
+    for (std::size_t i = step + 2; i-- > 0;) {
+      u128 wide = static_cast<u128>(atoms[i].weight) * q;
+      if (i > 0) wide += static_cast<u128>(atoms[i - 1].weight) * p;
+      atoms[i].weight = static_cast<std::uint64_t>(wide >> 32);
+      total += atoms[i].weight;
+      if (top == 0 && wide > 0) top = i;
     }
-    w[top] += Pmf::kOne - total;  // residue-to-top: conservative
+    atoms[top].weight += Pmf::kOne - total;  // residue-to-top: conservative
     if (convolutions) ++*convolutions;
   }
-  return w;
 }
 
 }  // namespace
@@ -65,21 +63,26 @@ Pmf Pmf::two_point(Duration low, Duration high, std::uint64_t high_weight) {
   if (low == high || high_weight == kOne) return point(high);
   if (high_weight == 0) return point(low);
   Pmf p;
-  p.atoms_.push_back({low, kOne - high_weight});
-  p.atoms_.push_back({high, high_weight});
+  p.atoms_ = {{low, kOne - high_weight}, {high, high_weight}};
   return p;
 }
 
 Pmf Pmf::from_atoms(std::vector<Atom> atoms) {
-  std::map<std::int64_t, std::uint64_t> merged;
-  std::map<std::int64_t, Duration> values;  // preserves infinite sentinels
-  for (const auto& a : atoms) {
+  const auto by_value = [](const Atom& x, const Atom& y) { return x.value < y.value; };
+  if (!std::is_sorted(atoms.begin(), atoms.end(), by_value))
+    std::stable_sort(atoms.begin(), atoms.end(), by_value);
+  // Merge equal neighbours and drop zero weights in place.
+  std::size_t n = 0;
+  for (const Atom& a : atoms) {
     if (a.weight == 0) continue;
-    merged[a.value.count_ns()] += a.weight;
-    values.emplace(a.value.count_ns(), a.value);
+    if (n > 0 && atoms[n - 1].value == a.value)
+      atoms[n - 1].weight += a.weight;
+    else
+      atoms[n++] = a;
   }
+  atoms.resize(n);
   Pmf p;
-  for (const auto& [ns, w] : merged) p.atoms_.push_back({values.at(ns), w});
+  p.atoms_ = std::move(atoms);
   p.validate();
   return p;
 }
@@ -103,6 +106,7 @@ Duration Pmf::quantile(std::uint64_t rank) const {
 Pmf Pmf::clamped_min(Duration floor) const {
   if (atoms_.front().value >= floor) return *this;
   std::vector<Atom> out;
+  out.reserve(atoms_.size());
   std::uint64_t folded = 0;
   for (const auto& a : atoms_) {
     if (a.value < floor)
@@ -159,18 +163,47 @@ Pmf convolve(const Pmf& a, const Pmf& b) {
   }
   if (a.degenerate()) return convolve(b, a);
 
-  std::map<std::int64_t, u128> wide;
-  for (const auto& x : a.atoms_)
-    for (const auto& y : b.atoms_)
-      wide[(x.value + y.value).count_ns()] += static_cast<u128>(x.weight) * y.weight;
-
+  // Sum the 128-bit products of equal values in ascending value order: a
+  // two-point `b` (every luck delta) merges its two shifted copies of `a`
+  // linearly, any other `b` sorts its products first.
   Pmf out;
+  out.atoms_.reserve(a.atoms_.size() * b.atoms_.size());
   std::uint64_t total = 0;
-  for (const auto& [ns, w] : wide) {
-    const auto scaled = static_cast<std::uint64_t>(w >> 32);
-    total += scaled;
-    out.atoms_.push_back({Duration::ns(ns), scaled});
+  u128 acc = 0;
+  const auto flush = [&] {
+    out.atoms_.back().weight = static_cast<std::uint64_t>(acc >> 32);
+    total += out.atoms_.back().weight;
+  };
+  const auto add = [&](Duration v, u128 w) {
+    if (out.atoms_.empty() || out.atoms_.back().value != v) {
+      if (!out.atoms_.empty()) flush();
+      out.atoms_.push_back({v, 0});
+      acc = 0;
+    }
+    acc += w;
+  };
+  const auto& xs = a.atoms_;
+  if (b.atoms_.size() == 2) {
+    // xs.back() + hi tops every value, so the `lo` run empties first.
+    const Pmf::Atom lo = b.atoms_[0], hi = b.atoms_[1];
+    for (std::size_t i = 0, j = 0; j < xs.size();) {
+      const bool take_lo = i < xs.size() && xs[i].value + lo.value <= xs[j].value + hi.value;
+      const Pmf::Atom& x = take_lo ? xs[i++] : xs[j++];
+      const Pmf::Atom& y = take_lo ? lo : hi;
+      add(x.value + y.value, static_cast<u128>(x.weight) * y.weight);
+    }
+  } else {
+    // Every weight of a non-degenerate PMF is below kOne, so each single
+    // product fits in 64 bits.
+    std::vector<std::pair<Duration, std::uint64_t>> terms;
+    terms.reserve(xs.size() * b.atoms_.size());
+    for (const auto& x : xs)
+      for (const auto& y : b.atoms_) terms.emplace_back(x.value + y.value, x.weight * y.weight);
+    std::sort(terms.begin(), terms.end(),
+              [](const auto& l, const auto& r) { return l.first < r.first; });
+    for (const auto& [v, w] : terms) add(v, w);
   }
+  flush();
   // Residue-to-top: the floor-division losses (< 1 ulp per output atom)
   // all land on the maximum-value atom, so the rounded distribution
   // stochastically dominates the exact one.
@@ -215,9 +248,13 @@ RungLadder solve_rung_ladder(const ColumnarBus& bus, std::size_t r, std::int64_t
   const std::int64_t admitted = bus.errors->max_faults(ladder.det.busy_period + bus.cost[r]);
   const std::int64_t k_stop = std::min(admitted, max_rungs);
   ladder.rungs.reserve(static_cast<std::size_t>(k_stop) + 1);
+  // Rung k + 1 climbs from rung k's busy period and windows: its fault
+  // overhead is nowhere smaller, so each of them lies at or below the
+  // least fixed point it seeds and the solve lands on the cold answer.
+  WarmStart warm;
   Duration prev = Duration::zero();
   for (std::int64_t k = 0; k < k_stop; ++k) {
-    const MessageResult rung = solve_columnar(bus, r, FixedFaults{k});
+    const MessageResult rung = solve_columnar(bus, r, FixedFaults{k}, warm);
     // Clamp into [previous rung, deterministic WCRT]: monotone ladder,
     // and det.wcrt bounds any run the deterministic model admits, so the
     // clamp is sound even when a conditional fixed point diverges.
@@ -226,10 +263,13 @@ RungLadder solve_rung_ladder(const ColumnarBus& bus, std::size_t r, std::int64_t
     v = std::max(v, prev);
     ladder.rungs.push_back(v);
     prev = v;
+    // A rung at det.wcrt (every diverged one) holds each later rung there
+    // through the clamp, so those are not solved.
+    if (v == ladder.det.wcrt) break;
   }
   // Top rung: the deterministic WCRT itself — the distribution's
   // provable upper support point.
-  ladder.rungs.push_back(ladder.det.wcrt);
+  ladder.rungs.resize(static_cast<std::size_t>(k_stop) + 1, ladder.det.wcrt);
   return ladder;
 }
 
@@ -243,14 +283,10 @@ ProbMessageResult mix_ladder(const RungLadder& ladder, const ProbRtaConfig& cfg)
     return out;
   }
 
-  const std::size_t k_stop = ladder.rungs.size() - 1;
-  const std::uint64_t fault_w = Pmf::weight_from_ppm(cfg.fault_ppm);
-  const std::vector<std::uint64_t> counts =
-      binomial_weights(k_stop, fault_w, &out.convolutions);
   std::vector<Pmf::Atom> mixture;
-  mixture.reserve(counts.size());
-  for (std::size_t k = 0; k < counts.size(); ++k)
-    mixture.push_back({ladder.rungs[k], counts[k]});
+  mixture.reserve(ladder.rungs.size());
+  for (const Duration rung : ladder.rungs) mixture.push_back({rung, 0});
+  binomial_weights(mixture, Pmf::weight_from_ppm(cfg.fault_ppm), &out.convolutions);
   Pmf response = Pmf::from_atoms(std::move(mixture));
 
   // Luck deltas: with probability (1 - p) the worst case does not
@@ -271,7 +307,7 @@ ProbMessageResult mix_ladder(const RungLadder& ladder, const ProbRtaConfig& cfg)
   }
   // Responses below the best-case response time are physically
   // impossible; fold that mass back onto the floor.
-  response = response.clamped_min(out.det.bcrt);
+  if (response.min_value() < out.det.bcrt) response = response.clamped_min(out.det.bcrt);
 
   out.response = std::move(response);
   out.miss_weight = out.response.mass_above(out.det.deadline);

@@ -1,8 +1,9 @@
 #include "symcan/can/kmatrix.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
 #include <stdexcept>
+#include <string_view>
 
 namespace symcan {
 
@@ -42,15 +43,32 @@ std::vector<std::size_t> KMatrix::priority_order() const {
 void KMatrix::validate() const {
   // Standard and extended identifiers arbitrate in distinct spaces (the
   // IDE bit participates), so uniqueness is per (format, id).
-  std::set<std::uint64_t> ids;
-  std::set<std::string> names;
-  for (const auto& m : messages_) {
+  const auto key = [&](std::size_t i) {
+    const CanMessage& m = messages_[i];
+    return (m.format == FrameFormat::kExtended ? (std::uint64_t{1} << 32) : 0) | m.id;
+  };
+  const auto name = [&](std::size_t i) { return std::string_view{messages_[i].name}; };
+  // Sort message indices by key, ties in message order, and mark each
+  // message that repeats the key of an earlier one.
+  std::vector<std::size_t> order(messages_.size());
+  std::vector<std::uint8_t> repeats(messages_.size(), 0);
+  const auto mark = [&](std::uint8_t bit, const auto& of) {
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const auto c = of(a) <=> of(b);
+      return c < 0 || (c == 0 && a < b);
+    });
+    for (std::size_t i = 1; i < order.size(); ++i)
+      if (of(order[i - 1]) == of(order[i])) repeats[order[i]] |= bit;
+  };
+  mark(1, key);
+  mark(2, name);
+  for (std::size_t i = 0; i < messages_.size(); ++i) {
+    const CanMessage& m = messages_[i];
     m.validate();
-    const std::uint64_t key =
-        (m.format == FrameFormat::kExtended ? (std::uint64_t{1} << 32) : 0) | m.id;
-    if (!ids.insert(key).second)
+    if (repeats[i] & 1)
       throw std::invalid_argument("KMatrix: duplicate CAN id for message '" + m.name + "'");
-    if (!names.insert(m.name).second)
+    if (repeats[i] & 2)
       throw std::invalid_argument("KMatrix: duplicate message name '" + m.name + "'");
     if (find_node(m.sender) == nullptr)
       throw std::invalid_argument("KMatrix: message '" + m.name + "' sent by unknown node '" +

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace symcan {
 namespace {
@@ -121,6 +123,67 @@ TEST(KMatrixValidate, RejectsUnknownReceiver) {
   m.receivers = {"NOPE"};
   km.add_message(m);
   EXPECT_THROW(km.validate(), std::invalid_argument);
+}
+
+/// The text of the error validate() throws, or "" when it accepts.
+std::string first_error(const KMatrix& km) {
+  try {
+    km.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+CanMessage message(std::string name, CanId id, std::string sender) {
+  CanMessage m;
+  m.name = std::move(name);
+  m.id = id;
+  m.period = Duration::ms(10);
+  m.sender = std::move(sender);
+  return m;
+}
+
+TEST(KMatrixValidate, NamesTheLaterMessageOfEachDuplicate) {
+  KMatrix ids = small_matrix();
+  ids.add_message(message("dup", 0x20, "A"));
+  EXPECT_EQ(first_error(ids), "KMatrix: duplicate CAN id for message 'dup'");
+
+  KMatrix names = small_matrix();
+  names.add_message(message("fast", 0x99, "A"));
+  EXPECT_EQ(first_error(names), "KMatrix: duplicate message name 'fast'");
+
+  KMatrix sender = small_matrix();
+  sender.add_message(message("ghost", 0x30, "NOPE"));
+  EXPECT_EQ(first_error(sender), "KMatrix: message 'ghost' sent by unknown node 'NOPE'");
+
+  KMatrix receiver = small_matrix();
+  CanMessage rx = message("ghostrx", 0x30, "A");
+  rx.receivers = {"B", "NOPE"};
+  receiver.add_message(rx);
+  EXPECT_EQ(first_error(receiver), "KMatrix: message 'ghostrx' received by unknown node 'NOPE'");
+}
+
+TEST(KMatrixValidate, FirstProblemInMessageOrderWins) {
+  // A duplicate ID late in the matrix whose ID sorts first loses to an
+  // unknown sender earlier in the matrix...
+  KMatrix km = small_matrix();
+  km.add_message(message("early", 0x05, "A"));
+  km.add_message(message("orphan", 0x40, "NOPE"));
+  km.add_message(message("late", 0x05, "B"));
+  EXPECT_EQ(first_error(km), "KMatrix: message 'orphan' sent by unknown node 'NOPE'");
+
+  // ...and within one message the ID is checked before the name.
+  KMatrix both = small_matrix();
+  both.add_message(message("slow", 0x10, "A"));
+  EXPECT_EQ(first_error(both), "KMatrix: duplicate CAN id for message 'slow'");
+
+  // A standard and an extended frame may share the number.
+  KMatrix formats = small_matrix();
+  CanMessage ext = message("ext", 0x10, "A");
+  ext.format = FrameFormat::kExtended;
+  formats.add_message(ext);
+  EXPECT_EQ(first_error(formats), "");
 }
 
 TEST(KMatrix, UtilizationMatchesHandComputation) {
