@@ -493,35 +493,39 @@ Duration fixed_point(Duration x0, Duration horizon, std::int64_t& iterations, F&
 }
 
 /// Solver-trajectory recorders. Every hook of the null recorder inlines
-/// to nothing and starts each fixed point cold, so the plain solve pays
-/// no bookkeeping; the tracing recorder fills a SolveTrace, keeping the
-/// window iterates of the instance that attains the WCRT; the warm-start
-/// recorder starts each fixed point from a WarmStart and records this
-/// solve's own into it.
+/// to nothing and starts cold, so the plain solve pays no bookkeeping;
+/// the tracing recorder fills a SolveTrace, keeping the window iterates
+/// of the instance that attains the WCRT. start/fixed see fixed point i
+/// (0 the busy period, q + 1 the window of instance q) and the fault
+/// overhead its operator charges.
 struct NullSolveRecorder {
-  Duration busy_start(Duration cold) { return cold; }
-  Duration window_start(std::int64_t, Duration cold) { return cold; }
+  template <typename O>
+  Duration start(std::size_t, Duration cold, const O&) { return cold; }
+  template <typename O>
+  void fixed(std::size_t, Duration, const O&) {}
   void busy_iterate(Duration) {}
   void begin_instance(std::int64_t) {}
   void window_iterate(Duration) {}
   void instance_result(std::int64_t, Duration, Duration) {}
 };
 
+/// Starts fixed point i at the operator's first iterate from the point x
+/// the last solve reached, rest + overhead(x), capped at the horizon so a
+/// start past it still reads as divergence.
 struct WarmStartRecorder : NullSolveRecorder {
   WarmStart& warm;
+  Duration horizon;
 
-  Duration busy_start(Duration cold) { return max(cold, warm.busy); }
-  Duration window_start(std::int64_t q, Duration cold) {
-    const auto i = static_cast<std::size_t>(q);
-    return i < warm.windows.size() ? max(cold, warm.windows[i]) : cold;
+  template <typename O>
+  Duration start(std::size_t i, Duration cold, const O& overhead) {
+    if (i >= warm.points.size()) return cold;
+    const WarmStart::Point& p = warm.points[i];
+    return max(cold, min(p.rest + overhead(p.x), horizon));
   }
-  void busy_iterate(Duration x) { warm.busy = x; }
-  void instance_result(std::int64_t q, Duration w, Duration) {
-    const auto i = static_cast<std::size_t>(q);
-    if (i < warm.windows.size())
-      warm.windows[i] = w;
-    else
-      warm.windows.push_back(w);
+  template <typename O>
+  void fixed(std::size_t i, Duration x, const O& overhead) {
+    if (i >= warm.points.size()) warm.points.resize(i + 1);
+    warm.points[i] = {x, x - overhead(x)};
   }
 };
 
@@ -586,7 +590,7 @@ MessageResult solve_row(const ColumnarBus& bus, std::size_t r, const ErrorModel&
   // higher-priority traffic, blocking, and fault recovery.
   std::int64_t iterations = 0;
   const Duration busy = fixed_point(
-      rec.busy_start(blocking + c_m), bus.horizon, iterations,
+      rec.start(0, blocking + c_m, error_overhead), bus.horizon, iterations,
       [&](Duration t) {
         return blocking + eta_plus(t, act_p, act_j, act_d) * c_m + hp_interference(t) +
                error_overhead(t);
@@ -601,10 +605,12 @@ MessageResult solve_row(const ColumnarBus& bus, std::size_t r, const ErrorModel&
     return res;
   }
   res.busy_period = busy;
+  rec.fixed(0, busy, error_overhead);
 
   const std::int64_t q_max = eta_plus(busy, act_p, act_j, act_d);
   res.instances = q_max;
   Duration wcrt = Duration::zero();
+  const auto window_overhead = [&](Duration t) { return error_overhead(t + c_m); };
   for (std::int64_t q = 0; q < q_max; ++q) {
     // Queueing delay of instance q (0-based): blocking, q earlier
     // instances of m, higher-priority frames that win arbitration before
@@ -612,10 +618,11 @@ MessageResult solve_row(const ColumnarBus& bus, std::size_t r, const ErrorModel&
     // the arbitration decision still wins), and fault recovery covering
     // the window up to the end of instance q's transmission.
     rec.begin_instance(q);
+    const auto i = static_cast<std::size_t>(q) + 1;
     const Duration w = fixed_point(
-        rec.window_start(q, blocking + q * c_m), bus.horizon, iterations,
+        rec.start(i, blocking + q * c_m, window_overhead), bus.horizon, iterations,
         [&](Duration t) {
-          return blocking + q * c_m + hp_interference(t + tau_bit) + error_overhead(t + c_m);
+          return blocking + q * c_m + hp_interference(t + tau_bit) + window_overhead(t);
         },
         [&](Duration x) { rec.window_iterate(x); });
     res.fixedpoint_iterations = iterations;
@@ -628,6 +635,7 @@ MessageResult solve_row(const ColumnarBus& bus, std::size_t r, const ErrorModel&
     // Instance q arrives no earlier than delta_min(q+1) after the busy
     // period starts; its response time is measured from its own arrival.
     const Duration response = w + c_m - delta_min(q + 1, act_p, act_j, act_d);
+    rec.fixed(i, w, window_overhead);
     rec.instance_result(q, w, response);
     wcrt = max(wcrt, response);
     // Early exit: once the busy period drains before the next arrival,
@@ -648,7 +656,7 @@ MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorM
 
 MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors,
                              WarmStart& warm) {
-  WarmStartRecorder rec{{}, warm};
+  WarmStartRecorder rec{{}, warm, bus.horizon};
   return solve_row(bus, r, errors, rec);
 }
 

@@ -186,21 +186,22 @@ MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorM
 MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors,
                              SolveTrace& trace);
 
-/// Start points of a warm solve: the busy period and the queueing window
-/// w(q) of each instance q, as an earlier solve of the same row left
-/// them. Every value a solve records is an iterate of a monotone fixed
-/// point climbing from below, so it lies at or below that fixed point.
+/// The fixed points an earlier solve of one row reached: [0] the busy
+/// period, [q + 1] the window of instance q, each with x less the fault
+/// overhead charged at x.
 struct WarmStart {
-  Duration busy = Duration::zero();
-  std::vector<Duration> windows;  ///< Indexed by the 0-based instance q.
+  struct Point {
+    Duration x, rest;
+  };
+  std::vector<Point> points;
 };
 
-/// Same solve, each fixed point started from the larger of its cold start
-/// and `warm`'s value, which then holds this solve's own. When `warm` was
-/// recorded on row `r` under a model whose overhead is nowhere larger
-/// than `errors`', every start lies at or below the least fixed point it
-/// seeds, so the verdict is the cold one; only fixedpoint_iterations
-/// differs. The rung ladder (prob_rta.hpp) climbs its rungs this way.
+/// Same solve, each fixed point started at its operator's first iterate
+/// from `warm`'s point (never below the cold start); `warm` then holds
+/// this solve's points. If `warm` was recorded on row `r` under a model
+/// whose overhead is nowhere larger than `errors`', each start lies at or
+/// below the least fixed point it seeds: the verdict is the cold one, only
+/// fixedpoint_iterations differs. The rung ladder (prob_rta.hpp) uses it.
 MessageResult solve_columnar(const ColumnarBus& bus, std::size_t r, const ErrorModel& errors,
                              WarmStart& warm);
 

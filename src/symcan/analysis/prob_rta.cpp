@@ -19,14 +19,12 @@ constexpr std::int64_t kPpmOne = 1'000'000;
 /// (the toolchain targets x86-64/aarch64 gcc/clang, which all have it).
 __extension__ typedef unsigned __int128 u128;
 
-/// Binomial(n, p) in fixed point by iterated Bernoulli convolution, as
-/// the weights of atoms[0..n] (n = atoms.size() - 1; weights start at 0,
-/// values are left alone). Each step multiplies in unsigned __int128 and
-/// floor-divides by kOne; the rounding residue lands on the highest
-/// occupied count — mass only moves toward *more* faults, so every tail
-/// P(K >= j) over-approximates the exact binomial tail (conservative).
-/// p in {0, kOne} is exact. `convolutions`, when non-null, counts the
-/// Bernoulli steps performed.
+/// Binomial(n, p) into the zero weights of atoms[0..n], by iterated
+/// Bernoulli convolution in fixed point. Each step multiplies in unsigned
+/// __int128 and floor-divides by kOne; the rounding residue lands on the
+/// highest occupied count — mass only moves toward *more* faults, so every
+/// tail P(K >= j) over-approximates the exact binomial tail (conservative).
+/// p in {0, kOne} is exact. `convolutions` counts the steps performed.
 void binomial_weights(std::vector<Pmf::Atom>& atoms, std::uint64_t p,
                       std::int64_t* convolutions) {
   atoms[0].weight = Pmf::kOne;
@@ -164,8 +162,8 @@ Pmf convolve(const Pmf& a, const Pmf& b) {
   if (a.degenerate()) return convolve(b, a);
 
   // Sum the 128-bit products of equal values in ascending value order: a
-  // two-point `b` (every luck delta) merges its two shifted copies of `a`
-  // linearly, any other `b` sorts its products first.
+  // two-point `b` (every luck delta) merges two shifted copies of `a`,
+  // any other `b` sorts its products (each below 2^64: weights < kOne).
   Pmf out;
   out.atoms_.reserve(a.atoms_.size() * b.atoms_.size());
   std::uint64_t total = 0;
@@ -193,10 +191,7 @@ Pmf convolve(const Pmf& a, const Pmf& b) {
       add(x.value + y.value, static_cast<u128>(x.weight) * y.weight);
     }
   } else {
-    // Every weight of a non-degenerate PMF is below kOne, so each single
-    // product fits in 64 bits.
     std::vector<std::pair<Duration, std::uint64_t>> terms;
-    terms.reserve(xs.size() * b.atoms_.size());
     for (const auto& x : xs)
       for (const auto& y : b.atoms_) terms.emplace_back(x.value + y.value, x.weight * y.weight);
     std::sort(terms.begin(), terms.end(),
@@ -248,9 +243,7 @@ RungLadder solve_rung_ladder(const ColumnarBus& bus, std::size_t r, std::int64_t
   const std::int64_t admitted = bus.errors->max_faults(ladder.det.busy_period + bus.cost[r]);
   const std::int64_t k_stop = std::min(admitted, max_rungs);
   ladder.rungs.reserve(static_cast<std::size_t>(k_stop) + 1);
-  // Rung k + 1 climbs from rung k's busy period and windows: its fault
-  // overhead is nowhere smaller, so each of them lies at or below the
-  // least fixed point it seeds and the solve lands on the cold answer.
+  // Rung k + 1 climbs from rung k's fixed points (prob_rta.hpp step 1).
   WarmStart warm;
   Duration prev = Duration::zero();
   for (std::int64_t k = 0; k < k_stop; ++k) {
@@ -263,9 +256,7 @@ RungLadder solve_rung_ladder(const ColumnarBus& bus, std::size_t r, std::int64_t
     v = std::max(v, prev);
     ladder.rungs.push_back(v);
     prev = v;
-    // A rung at det.wcrt (every diverged one) holds each later rung there
-    // through the clamp, so those are not solved.
-    if (v == ladder.det.wcrt) break;
+    if (v == ladder.det.wcrt) break;  // the clamp pins every later rung here
   }
   // Top rung: the deterministic WCRT itself — the distribution's
   // provable upper support point.

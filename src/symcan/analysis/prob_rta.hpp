@@ -14,19 +14,13 @@
 //     is the deterministic WCRT itself (K is the fault count the
 //     configured error model admits inside the deterministic busy
 //     period), so the deterministic bound is the distribution's provable
-//     upper support point by construction. Each rung starts from the
-//     fixed points of the one below (columnar.hpp WarmStart): k + 1
-//     faults charge at least the overhead of k at every window and the
-//     operators are monotone, so rung k's busy period and windows lie at
-//     or below rung k + 1's least fixed points and the warm solve lands
-//     on them exactly. A rung that diverges clamps to the deterministic
-//     WCRT, and once a rung is there the clamp holds every later rung
-//     there too, so those are filled in without a solve.
+//     upper support point by construction. Rung k + 1 starts from rung
+//     k's fixed points (exact: its overhead is nowhere smaller); once a
+//     rung clamps to the deterministic WCRT, as a diverged one does, the
+//     rungs above it are that value unsolved (DESIGN.md).
 //  2. Fault mixture. The number of materialized faults is Binomial(K, p)
 //     — each admitted fault occurs independently with probability p —
-//     computed by iterated Bernoulli convolution in fixed point, in place
-//     in one weight vector. The mixture and the convolutions below merge
-//     sorted atom runs linearly; no step builds a map.
+//     computed by iterated Bernoulli convolution in fixed point, in place.
 //  3. Luck deltas. Worst-case bit stuffing and full activation jitter
 //     each materialize with a configured probability; their absence is a
 //     two-point "savings" delta convolved into the response PMF.
@@ -200,8 +194,8 @@ struct ProbBusResult {
 
 /// Solve the rung ladder of packed row `r`: the deterministic solve, then
 /// one solve per fault count on the same row with a FixedFaults error
-/// model, each started from the one below (step 1 above). As with
-/// solve_columnar(), det's name/id are left for the caller to patch.
+/// model. As with solve_columnar(), det's name/id are left for the
+/// caller to patch.
 RungLadder solve_rung_ladder(const ColumnarBus& bus, std::size_t r, std::int64_t max_rungs);
 
 /// Mix a solved ladder into the final distribution under `cfg` — the

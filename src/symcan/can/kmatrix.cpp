@@ -1,9 +1,12 @@
 #include "symcan/can/kmatrix.hpp"
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 namespace symcan {
 
@@ -41,28 +44,25 @@ std::vector<std::size_t> KMatrix::priority_order() const {
 }
 
 void KMatrix::validate() const {
-  // Standard and extended identifiers arbitrate in distinct spaces (the
-  // IDE bit participates), so uniqueness is per (format, id).
-  const auto key = [&](std::size_t i) {
-    const CanMessage& m = messages_[i];
-    return (m.format == FrameFormat::kExtended ? (std::uint64_t{1} << 32) : 0) | m.id;
-  };
-  const auto name = [&](std::size_t i) { return std::string_view{messages_[i].name}; };
-  // Sort message indices by key, ties in message order, and mark each
-  // message that repeats the key of an earlier one.
+  // Flag each message whose value repeats an earlier message's: sort the
+  // indices by (value, index) and compare neighbours.
   std::vector<std::size_t> order(messages_.size());
   std::vector<std::uint8_t> repeats(messages_.size(), 0);
   const auto mark = [&](std::uint8_t bit, const auto& of) {
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const auto c = of(a) <=> of(b);
-      return c < 0 || (c == 0 && a < b);
+      return (std::pair{of(a), a} <=> std::pair{of(b), b}) < 0;
     });
     for (std::size_t i = 1; i < order.size(); ++i)
       if (of(order[i - 1]) == of(order[i])) repeats[order[i]] |= bit;
   };
-  mark(1, key);
-  mark(2, name);
+  // Standard and extended identifiers arbitrate in distinct spaces (the
+  // IDE bit participates), so uniqueness is per (format, id).
+  mark(1, [&](std::size_t i) {
+    return (messages_[i].format == FrameFormat::kExtended ? std::uint64_t{1} << 32 : 0) |
+           messages_[i].id;
+  });
+  mark(2, [&](std::size_t i) { return std::string_view{messages_[i].name}; });
   for (std::size_t i = 0; i < messages_.size(); ++i) {
     const CanMessage& m = messages_[i];
     m.validate();
