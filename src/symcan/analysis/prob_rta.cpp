@@ -283,19 +283,17 @@ ProbMessageResult mix_ladder(const RungLadder& ladder, const ProbRtaConfig& cfg)
   // Luck deltas: with probability (1 - p) the worst case does not
   // materialize and the response comes in early by the saving. Values
   // are non-positive, so residue-to-top pushes mass toward zero saving
-  // — the conservative direction.
-  if (ladder.stuff_savings > Duration::zero()) {
-    response = convolve(response, Pmf::two_point(Duration::zero() - ladder.stuff_savings,
-                                                 Duration::zero(),
-                                                 Pmf::weight_from_ppm(cfg.stuff_ppm)));
+  // — the conservative direction. At p = 1 the delta is the point mass
+  // at zero, whose convolution is the identity.
+  const auto luck = [&](Duration saving, std::int64_t ppm) {
+    if (saving <= Duration::zero()) return;
     ++out.convolutions;
-  }
-  if (ladder.jitter > Duration::zero()) {
-    response = convolve(response, Pmf::two_point(Duration::zero() - ladder.jitter,
-                                                 Duration::zero(),
-                                                 Pmf::weight_from_ppm(cfg.jitter_ppm)));
-    ++out.convolutions;
-  }
+    if (ppm < kPpmOne)
+      response = convolve(response, Pmf::two_point(Duration::zero() - saving, Duration::zero(),
+                                                   Pmf::weight_from_ppm(ppm)));
+  };
+  luck(ladder.stuff_savings, cfg.stuff_ppm);
+  luck(ladder.jitter, cfg.jitter_ppm);
   // Responses below the best-case response time are physically
   // impossible; fold that mass back onto the floor.
   if (response.min_value() < out.det.bcrt) response = response.clamped_min(out.det.bcrt);
