@@ -118,7 +118,8 @@ std::vector<Duration> oracle_rungs(const ColumnarBus& bus, std::size_t r, std::i
   Duration prev = Duration::zero();
   for (std::int64_t k = 0; k < k_stop; ++k) {
     const MessageResult rung = solve_columnar(bus, r, FixedFaults{k});
-    Duration v = rung.diverged || rung.wcrt.is_infinite() ? det.wcrt : std::min(rung.wcrt, det.wcrt);
+    Duration v =
+        rung.diverged || rung.wcrt.is_infinite() ? det.wcrt : std::min(rung.wcrt, det.wcrt);
     v = std::max(v, prev);
     rungs.push_back(v);
     prev = v;

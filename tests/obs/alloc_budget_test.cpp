@@ -36,6 +36,18 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc{};
 }
 
+// The nothrow forms (the standard library's temporary buffers) must come
+// from the same heap as the deletes below, or ASan reports a mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -86,7 +98,8 @@ TEST(AllocBudget, MixLadderOnTheCaseStudy) {
   ASSERT_GT(rungs, 3 * ladders.size()) << "the ladders must have rungs to mix";
   std::uint64_t miss = 0;
   const long n = allocations([&] {
-    for (const analysis::RungLadder& ladder : ladders) miss += analysis::mix_ladder(ladder, cfg).miss_weight;
+    for (const analysis::RungLadder& ladder : ladders)
+      miss += analysis::mix_ladder(ladder, cfg).miss_weight;
   });
   EXPECT_GT(miss, 0u);
   EXPECT_LE(n, kMixLadderCeiling) << ladders.size() << " ladders, " << rungs << " rungs";

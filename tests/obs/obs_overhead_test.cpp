@@ -29,6 +29,18 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc{};
 }
 
+// The nothrow forms (the standard library's temporary buffers) must come
+// from the same heap as the deletes below, or ASan reports a mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
