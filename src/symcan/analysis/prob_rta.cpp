@@ -250,7 +250,13 @@ RungLadder solve_rung_ladder(const ColumnarBus& bus, std::size_t r, std::int64_t
     const MessageResult rung = solve_columnar(bus, r, FixedFaults{k}, warm);
     // Clamp into [previous rung, deterministic WCRT]: monotone ladder,
     // and det.wcrt bounds any run the deterministic model admits, so the
-    // clamp is sound even when a conditional fixed point diverges.
+    // clamp is sound even when a conditional fixed point diverges. The
+    // shipped models never make it diverge: k < max_faults(busy + C), and
+    // each charges at least k faults at det's busy period (sporadic and
+    // single-fault bursts gain at most one fault per C, as C <= the fault
+    // cost < the gap or det diverges; longer bursts extend the window by
+    // (k - 1) fault costs >= C), so that busy period bounds rung k's.
+    // tests/fuzz/rung_ladder_oracle_test.cpp checks this on fuzzed buses.
     Duration v = rung.diverged || rung.wcrt.is_infinite() ? ladder.det.wcrt
                                                           : std::min(rung.wcrt, ladder.det.wcrt);
     v = std::max(v, prev);

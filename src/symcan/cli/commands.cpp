@@ -628,9 +628,9 @@ std::string usage() {
          "              windowed rates, latency quantiles, and per-kind SLO burn.\n"
          "              --flight-recorder FILE keeps the last N records (default\n"
          "              256, --flight-capacity) and dumps them as JSONL on the\n"
-         "              first shed, a bound violation, a telemetry request with\n"
-         "              \"dump\":true, or shutdown. --metrics-prom FILE rewrites a\n"
-         "              Prometheus text-format scrape file at most once per\n"
+         "              first ring refusal, a bound violation, a telemetry request\n"
+         "              with \"dump\":true, or shutdown. --metrics-prom FILE rewrites\n"
+         "              a Prometheus text-format scrape file at most once per\n"
          "              window bucket and at shutdown.\n"
          "  version     print version and build configuration\n"
          "  help\n"

@@ -36,7 +36,6 @@ ServeCore::ServeCore(ServeConfig cfg)
     : cfg_{std::move(cfg)},
       epoch_{std::chrono::steady_clock::now()},
       ring_{cfg_.ring},
-      captain_{cfg_.captain},
       rta_{cfg_.cache},
       pool_{cfg_.jobs},
       flight_{cfg_.telemetry.flight_capacity},
@@ -145,14 +144,6 @@ ServeResponse ServeCore::handle_queued(const QueuedRequest& q, std::uint64_t bat
     finish_telemetry(t);
     return r;
   };
-
-  if (!captain_.admits(req.kind)) {
-    captain_.record_shed(req.kind);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    resp.status = ResponseStatus::kShed;
-    resp.exit_code = 2;
-    return finish(resp);
-  }
 
   try {
     if (req.kind == RequestKind::kHealth) {
@@ -266,22 +257,21 @@ void ServeCore::finish_telemetry(RequestTelemetry& t) {
     case ResponseStatus::kInvalid:
       window_errors_.add(now);
       break;
-    case ResponseStatus::kShed:
     case ResponseStatus::kRejected:
       window_shed_.add(now);
       break;
     case ResponseStatus::kOk:
       break;
   }
-  if (const auto& slo = slo_[kind_index(t.kind)]; slo && t.outcome != ResponseStatus::kShed &&
-                                                  t.outcome != ResponseStatus::kRejected) {
+  if (const auto& slo = slo_[kind_index(t.kind)]; slo && t.outcome != ResponseStatus::kRejected) {
     // SLO latency is end-to-end: queue wait counts against the target.
     slo->record(now, t.finish_ns - t.enqueue_ns);
   }
 
-  // Dump triggers: the first shed and the first bound violation are the
-  // moments an operator will want the surrounding request history.
-  if (t.outcome == ResponseStatus::kShed || t.outcome == ResponseStatus::kRejected) {
+  // Dump triggers: the first ring refusal (wire name "first-shed") and the
+  // first bound violation are the moments an operator will want the
+  // surrounding request history.
+  if (t.outcome == ResponseStatus::kRejected) {
     if (!dumped_on_shed_.exchange(true, std::memory_order_relaxed)) dump_flight("first-shed");
   } else if (t.exit_code == 1 &&
              (t.kind == RequestKind::kAnalyze || t.kind == RequestKind::kValidate)) {
@@ -401,12 +391,9 @@ std::string slo_json(const obs::SloStats& s) {
 
 }  // namespace
 
-std::string ServeCore::telemetry_json() const {
+void ServeCore::append_window_sections(std::string& out, std::int64_t now) const {
   using obs::json_number;
-  const std::int64_t now = now_ns();
   const obs::WindowStats w = window_service_us_.snapshot(now);
-  std::string out = "{";
-  out += "\"uptime_ms\":" + std::to_string(now / 1'000'000);
   out += ",\"window\":{\"windowed_total\":" + std::to_string(window_requests_.window_count(now));
   out += ",\"rate_per_sec\":" + json_number(window_requests_.window_rate(now));
   out += ",\"errors\":" + std::to_string(window_errors_.window_count(now));
@@ -433,6 +420,12 @@ std::string ServeCore::telemetry_json() const {
   out += ",\"flight_recorder\":{\"capacity\":" + std::to_string(flight_.capacity());
   out += ",\"recorded\":" + std::to_string(flight_.recorded());
   out += ",\"dumps\":" + std::to_string(dumps_.load(std::memory_order_relaxed)) + "}";
+}
+
+std::string ServeCore::telemetry_json() const {
+  const std::int64_t now = now_ns();
+  std::string out = "{\"uptime_ms\":" + std::to_string(now / 1'000'000);
+  append_window_sections(out, now);
   out += "}";
   return out;
 }
@@ -450,10 +443,8 @@ std::string ServeCore::health_json() const {
     msize = matrix_lru_.size();
   }
   const std::int64_t now = now_ns();
-  const obs::WindowStats w = window_service_us_.snapshot(now);
   std::string out = "{";
-  out += "\"mode\":\"" + std::string(to_string(captain_.mode())) + "\"";
-  out += ",\"pressure\":\"" + std::string(to_string(ring_.pressure())) + "\"";
+  out += "\"pressure\":\"" + std::string(to_string(ring_.pressure())) + "\"";
   out += ",\"ring\":{\"capacity\":" + std::to_string(ring_.config().capacity);
   out += ",\"size\":" + std::to_string(ring_.size());
   out += ",\"pushes\":" + std::to_string(rs.pushes);
@@ -462,10 +453,6 @@ std::string ServeCore::health_json() const {
   out += ",\"timed_out\":" + std::to_string(rs.timed_out);
   out += ",\"dropped_oldest\":" + std::to_string(rs.dropped_oldest);
   out += ",\"popped\":" + std::to_string(rs.popped) + "}";
-  out += ",\"captain\":{\"shed_optimize\":" + std::to_string(captain_.shed_optimize());
-  out += ",\"shed_explain\":" + std::to_string(captain_.shed_explain());
-  out += ",\"shed_prob\":" + std::to_string(captain_.shed_prob());
-  out += ",\"mode_changes\":" + std::to_string(captain_.mode_changes()) + "}";
   out += ",\"rta_cache\":{\"shards\":" + std::to_string(rta_.shard_count());
   out += ",\"capacity\":" + std::to_string(rta_.config().capacity);
   out += ",\"size\":" + std::to_string(rta_.size());
@@ -481,35 +468,11 @@ std::string ServeCore::health_json() const {
   out += ",\"ok\":" + std::to_string(ok_.load(std::memory_order_relaxed));
   out += ",\"failed\":" + std::to_string(failed_.load(std::memory_order_relaxed));
   out += ",\"invalid\":" + std::to_string(invalid_.load(std::memory_order_relaxed));
-  out += ",\"shed\":" + std::to_string(shed_.load(std::memory_order_relaxed)) + "}";
+  // Always 0; perfbench/src/serve_workload.cpp parses it as serve.shed.
+  out += ",\"shed\":0}";
   out += ",\"uptime_ms\":" + std::to_string(now / 1'000'000);
   out += ",\"build\":\"" + obs::json_escape(cfg_.build_info) + "\"";
-  out += ",\"window\":{\"windowed_total\":" + std::to_string(window_requests_.window_count(now));
-  out += ",\"rate_per_sec\":" + json_number(window_requests_.window_rate(now));
-  out += ",\"errors\":" + std::to_string(window_errors_.window_count(now));
-  out += ",\"shed\":" + std::to_string(window_shed_.window_count(now));
-  out += ",\"window_ms\":" + std::to_string(w.window_ns / 1'000'000);
-  out += ",\"service_us\":{\"count\":" + std::to_string(w.count);
-  out += ",\"mean\":" + json_number(w.mean);
-  out += ",\"p50\":" + json_number(w.p50);
-  out += ",\"p95\":" + json_number(w.p95);
-  out += ",\"p99\":" + json_number(w.p99) + "}}";
-  out += ",\"slo\":{";
-  bool first = true;
-  for (const RequestKind k :
-       {RequestKind::kAnalyze, RequestKind::kProb, RequestKind::kExplain,
-        RequestKind::kValidate, RequestKind::kOptimize, RequestKind::kHealth,
-        RequestKind::kTelemetry}) {
-    const auto& slo = slo_[kind_index(k)];
-    if (!slo) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + std::string(to_string(k)) + "\":" + slo_json(slo->snapshot(now));
-  }
-  out += "}";
-  out += ",\"flight_recorder\":{\"capacity\":" + std::to_string(flight_.capacity());
-  out += ",\"recorded\":" + std::to_string(flight_.recorded());
-  out += ",\"dumps\":" + std::to_string(dumps_.load(std::memory_order_relaxed)) + "}";
+  append_window_sections(out, now);
   out += "}";
   return out;
 }

@@ -6,7 +6,6 @@
 //
 // One core owns:
 //   - the bounded request ring (admission; overflow policies),
-//   - the Captain (graceful degradation under sustained pressure),
 //   - one sharded IncrementalRta shared by every request, so hot
 //     K-matrices stay warm across requests and across batches,
 //   - a bounded parsed-matrix memo keyed by the exact CSV text (and
@@ -26,7 +25,8 @@
 // bit-identical to handling each request alone, at any thread width,
 // and byte-for-byte equal to the one-shot CLI on the same inputs
 // (tests/serve/serve_differential_test.cpp). Telemetry rides alongside
-// the response and never feeds back into its bytes.
+// the response and never feeds back into its bytes, and nothing about
+// load decides whether a request the ring accepted is answered.
 //
 // Handlers never use the core's executor (prob and optimize force their
 // inner fan-out to jobs = 1): a transport may run its loop on every
@@ -48,7 +48,6 @@
 
 #include "symcan/analysis/incremental_rta.hpp"
 #include "symcan/obs/window.hpp"
-#include "symcan/serve/captain.hpp"
 #include "symcan/serve/request.hpp"
 #include "symcan/serve/ring.hpp"
 #include "symcan/serve/telemetry.hpp"
@@ -74,7 +73,7 @@ struct TelemetryConfig {
   /// Flight-recorder depth (last N requests retained).
   std::size_t flight_capacity = 256;
   /// When non-empty, the flight recorder dumps its ring here (JSONL,
-  /// truncating) on first shed, first bound violation, a telemetry
+  /// truncating) on the first ring refusal, first bound violation, a telemetry
   /// request with dump:true, and shutdown.
   std::string flight_path;
   /// Rolling-window shape shared by the latency window and SLO burn
@@ -87,7 +86,6 @@ struct TelemetryConfig {
 
 struct ServeConfig {
   RingConfig ring;
-  CaptainConfig captain;
   /// Shared RTA cache; its default 8 shards (CLI --serve-shards) keep
   /// batch workers from serializing on one lock.
   RtaCacheConfig cache;
@@ -134,9 +132,9 @@ class ServeCore {
   std::int64_t now_ns() const;
 
   /// Answer one request (any thread). Never throws: malformed or
-  /// unprocessable requests become kInvalid responses, inadmissible
-  /// kinds under the current mode become kShed. Telemetry is recorded
-  /// with enqueue == dequeue == start (no queue time outside the ring).
+  /// unprocessable requests become kInvalid responses. Telemetry is
+  /// recorded with enqueue == dequeue == start (no queue time outside the
+  /// ring).
   ServeResponse handle(const ServeRequest& req);
 
   /// Answer a batch via the executor; responses in request order,
@@ -163,11 +161,10 @@ class ServeCore {
   ParallelExecutor& executor() { return pool_; }
 
   BoundedRing<QueuedRequest>& ring() { return ring_; }
-  Captain& captain() { return captain_; }
   const analysis::IncrementalRta& rta_cache() const { return rta_; }
   const FlightRecorder& flight_recorder() const { return flight_; }
 
-  /// The `health` request payload: mode, pressure, ring / cache /
+  /// The `health` request payload: pressure, ring / cache /
   /// request counters, uptime + build info, windowed rates/latency and
   /// SLO burn — one JSON object.
   std::string health_json() const;
@@ -181,8 +178,7 @@ class ServeCore {
   /// labels the dump in obs and in the dumps counter.
   bool dump_flight(const char* reason);
 
-  std::int64_t handled() const { return ok_ + failed_ + invalid_ + shed_; }
-  std::int64_t shed_count() const { return shed_; }
+  std::int64_t handled() const { return ok_ + failed_ + invalid_; }
 
  private:
   /// Parse (or recall) the request's matrix. Throws ParseError on a
@@ -197,6 +193,10 @@ class ServeCore {
   /// Window/SLO/flight/registry bookkeeping for one finished record.
   void finish_telemetry(RequestTelemetry& t);
 
+  /// The sections health_json and telemetry_json share: `,"window":{...}`,
+  /// `,"slo":{...}` and `,"flight_recorder":{...}`, read at `now`.
+  void append_window_sections(std::string& out, std::int64_t now) const;
+
   std::size_t kind_index(RequestKind kind) const {
     return static_cast<std::size_t>(kind);
   }
@@ -204,7 +204,6 @@ class ServeCore {
   ServeConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
   BoundedRing<QueuedRequest> ring_;
-  Captain captain_;
   analysis::IncrementalRta rta_;
   ParallelExecutor pool_;
 
@@ -221,7 +220,6 @@ class ServeCore {
   std::atomic<std::int64_t> ok_{0};
   std::atomic<std::int64_t> failed_{0};
   std::atomic<std::int64_t> invalid_{0};
-  std::atomic<std::int64_t> shed_{0};
 
   // --- telemetry plane (always on; obs::enabled() gates only the
   // global registry/tracer side) ---
@@ -231,7 +229,7 @@ class ServeCore {
   obs::WindowedHistogram window_service_us_;  ///< Service time, all kinds.
   obs::WindowedCounter window_requests_;
   obs::WindowedCounter window_errors_;  ///< failed + invalid outcomes.
-  obs::WindowedCounter window_shed_;    ///< shed + rejected/timed-out.
+  obs::WindowedCounter window_shed_;    ///< Ring refusals (kRejected).
   /// Indexed by kind_index(); disabled targets hold nullptr.
   std::array<std::unique_ptr<obs::SloTracker>, 7> slo_;
   std::atomic<std::int64_t> dumps_{0};

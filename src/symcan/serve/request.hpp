@@ -105,7 +105,6 @@ enum class ResponseStatus : std::uint8_t {
   kOk,        ///< Analysis ran, verdict clean (CLI exit 0).
   kFailed,    ///< Analysis ran, verdict negative — misses/violations (CLI exit 1).
   kInvalid,   ///< Request malformed or unprocessable (CLI exit 2).
-  kShed,      ///< Captain refused the kind under pressure.
   kRejected,  ///< Ring overflow (reject / drop-oldest victim / deadline).
 };
 

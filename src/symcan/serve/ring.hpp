@@ -25,9 +25,9 @@
 //
 // Pressure states (PressureState): a load-shedding signal derived from
 // occupancy — kOk below elevated_fraction, kElevated from there up to
-// saturated_fraction, kSaturated above. The Captain samples it once per
-// admitted request; the thresholds are config so the contract tests can
-// walk every transition with a tiny ring.
+// saturated_fraction, kSaturated above. health reports it; the
+// thresholds are config so the contract tests can walk every transition
+// with a tiny ring.
 
 #include <chrono>
 #include <condition_variable>

@@ -122,7 +122,6 @@ class StdioLoop {
       answer(victim->seq, rejected_response(victim->req.id, victim->req.kind,
                                             "evicted by a newer request (overflow policy: "
                                             "drop-oldest)"));
-    core_.captain().observe(core_.ring().pressure());
     // The popped request may be another thread's (FIFO); each accepted
     // push pops once, so every queued request is handled by someone.
     if (auto next = core_.handle_next()) answer(next->first, next->second);

@@ -13,7 +13,8 @@
 //   parse:  a malformed line is answered kInvalid without touching the
 //           ring
 //   admit:  submit to the ring (overflow casualties are answered
-//           kRejected), one Captain pressure sample, pop one request
+//           kRejected), then pop one request; every request the ring
+//           accepts is answered
 //   handle: answer the popped request inline on this thread
 //   write:  hand the response to the in-order writer, which emits and
 //           flushes every consecutive finished response

@@ -199,5 +199,37 @@ TEST(RungLadderOracle, EveryWarmRungEqualsItsColdSolve) {
   EXPECT_GT(warm_rungs, 20000u);
 }
 
+// Why the diverged-rung clamp in solve_rung_ladder() is never taken with
+// the shipped error models: a rung below the top charges k faults with
+// k < max_faults(busy + C), and every shipped model charges at least
+// that many at the deterministic busy period, so that busy period bounds
+// the rung's own (and its windows) below the horizon. Asserted on the
+// same fuzzed buses, including the ones whose deterministic solve
+// diverges or stops just short of the horizon.
+TEST(RungLadderOracle, NoRungBelowTheTopDivergesOnceTheDeterministicSolveConverges) {
+  SplitMix rng{0x636c616d702d6e6fULL};
+  std::size_t rungs = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const KMatrix km = fuzz_matrix(rng);
+    const CanRtaConfig cfg = fuzz_config(rng);
+    ColumnarBus bus;
+    analysis::pack_bus(km, cfg, bus);
+    for (std::size_t r = 0; r < bus.size(); ++r) {
+      const MessageResult det = solve_columnar(bus, r);
+      if (det.diverged) continue;
+      const std::int64_t admitted = bus.errors->max_faults(det.busy_period + bus.cost[r]);
+      for (std::int64_t k = 0; k < std::min<std::int64_t>(admitted, 96); ++k) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " row " + std::to_string(r) + " k " +
+                     std::to_string(k));
+        const MessageResult rung = solve_columnar(bus, r, FixedFaults{k});
+        ASSERT_FALSE(rung.diverged);
+        EXPECT_LE(rung.busy_period, det.busy_period);
+        ++rungs;
+      }
+    }
+  }
+  EXPECT_GT(rungs, 20000u);
+}
+
 }  // namespace
 }  // namespace symcan

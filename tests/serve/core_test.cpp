@@ -71,11 +71,9 @@ TEST(ServeCoreTest, HealthReportsTheWholeDashboard) {
   const ServeResponse resp = core.handle(req);
   EXPECT_EQ(resp.status, ResponseStatus::kOk);
   for (const char* key :
-       {"\"mode\"", "\"pressure\"", "\"ring\"", "\"captain\"", "\"rta_cache\"",
-        "\"matrix_cache\"", "\"requests\"", "\"uptime_ms\"", "\"build\"", "\"window\"",
-        "\"slo\"", "\"flight_recorder\""})
+       {"\"pressure\"", "\"ring\"", "\"rta_cache\"", "\"matrix_cache\"", "\"requests\"",
+        "\"uptime_ms\"", "\"build\"", "\"window\"", "\"slo\"", "\"flight_recorder\""})
     EXPECT_NE(resp.health_json.find(key), std::string::npos) << key;
-  EXPECT_NE(resp.health_json.find("\"mode\":\"full\""), std::string::npos);
 }
 
 TEST(ServeCoreTest, TelemetryKindReturnsWindowedStats) {
@@ -141,43 +139,6 @@ TEST(ServeCoreTest, RepeatSubmissionsHitBothCaches) {
             std::string::npos)
       << health;
   EXPECT_GT(core.rta_cache().stats().hits, 0);
-}
-
-TEST(ServeCoreTest, ShedsInadmissibleKindsAndAccountsThem) {
-  ServeConfig cfg;
-  cfg.captain.degrade_after = 1;
-  ServeCore core{cfg};
-  // Force kEssential: two saturated samples, one mode step each.
-  core.captain().observe(PressureState::kSaturated);
-  core.captain().observe(PressureState::kSaturated);
-  ASSERT_EQ(core.captain().mode(), ServeMode::kEssential);
-
-  ServeRequest opt;
-  opt.id = "o1";
-  opt.kind = RequestKind::kOptimize;
-  opt.matrix_csv = small_matrix_csv();
-  const ServeResponse shed_opt = core.handle(opt);
-  EXPECT_EQ(shed_opt.status, ResponseStatus::kShed);
-  EXPECT_EQ(shed_opt.exit_code, 2);
-
-  ServeRequest exp;
-  exp.id = "e1";
-  exp.kind = RequestKind::kExplain;
-  exp.matrix_csv = small_matrix_csv();
-  exp.message = "whatever";
-  EXPECT_EQ(core.handle(exp).status, ResponseStatus::kShed);
-
-  // The essential kinds still get answered.
-  const ServeResponse still_live = core.handle(analyze_request(small_matrix_csv(), "a9"));
-  EXPECT_NE(still_live.status, ResponseStatus::kShed);
-
-  EXPECT_EQ(core.shed_count(), 2);
-  EXPECT_EQ(core.captain().shed_optimize(), 1);
-  EXPECT_EQ(core.captain().shed_explain(), 1);
-  EXPECT_EQ(core.handled(), 3);
-  const std::string health = core.health_json();
-  EXPECT_NE(health.find("\"shed_optimize\":1"), std::string::npos) << health;
-  EXPECT_NE(health.find("\"shed_explain\":1"), std::string::npos) << health;
 }
 
 TEST(ServeCoreTest, SubmitHandleNextRoundTripsThroughTheRing) {

@@ -2,8 +2,9 @@
 // client is answered request by request, the transcript is in arrival
 // order whatever the thread width, --batch bounds how far the reader runs
 // ahead of the writer, every line is answered exactly once under every
-// overflow policy, and the Prometheus scrape file ends with the whole
-// run's counts. Labeled `determinism` so CI also runs it under TSan.
+// overflow policy, a full ring changes no answer, and the Prometheus
+// scrape file ends with the whole run's counts. Labeled `determinism` so
+// CI also runs it under TSan.
 
 #include <gtest/gtest.h>
 
@@ -327,6 +328,36 @@ std::string read_file(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// The transcript of `symcan serve --stdio <args>` over the whole of
+/// `input`, without the health and telemetry lines (their counters and
+/// clocks are the only bytes allowed to differ between runs).
+std::vector<std::string> answers_without_health(const std::string& input,
+                                                const std::vector<std::string>& args) {
+  std::vector<std::string> argv = {"serve", "--stdio"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  std::istringstream in{input};
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run_cli(argv, in, out, err), 0) << err.str();
+  std::vector<std::string> kept;
+  for (std::string& line : split_lines(out.str())) {
+    const std::string kind = field(line, "kind");
+    if (kind != "health" && kind != "telemetry") kept.push_back(std::move(line));
+  }
+  return kept;
+}
+
+TEST(StdioTranscriptTest, OneRequestInFlightGetsTheSameAnswersAsTheDefaults) {
+  // At --ring-capacity 1 the ring is full whenever it holds a request;
+  // the answers must not depend on that.
+  const std::string input = read_file(SYMCAN_SERVE_REQUESTS_JSONL);
+  const std::vector<std::string> tight = answers_without_health(
+      input, {"--jobs", "1", "--batch", "1", "--ring-capacity", "1"});
+  const std::vector<std::string> defaults = answers_without_health(input, {});
+  ASSERT_EQ(tight.size(), 7u);
+  ASSERT_EQ(defaults.size(), tight.size());
+  for (std::size_t k = 0; k < tight.size(); ++k) EXPECT_EQ(tight[k], defaults[k]) << k;
 }
 
 /// The value of `symcan_serve_requests_total` in a scrape file, or -1.

@@ -207,23 +207,17 @@ TEST(ServeTelemetryTest, DropOldestVictimIsRecordedAsRejected) {
 TEST(ServeTelemetryTest, FirstShedTriggersAFlightDump) {
   const TempPath dump{"symcan_flight_shed.jsonl"};
   ServeConfig cfg;
-  cfg.captain.degrade_after = 1;
+  cfg.ring.capacity = 1;
+  cfg.ring.overflow = OverflowPolicy::kReject;
   cfg.telemetry.flight_path = dump.path;
   ServeCore core{cfg};
-  core.captain().observe(PressureState::kSaturated);
-  core.captain().observe(PressureState::kSaturated);
-  ASSERT_EQ(core.captain().mode(), ServeMode::kEssential);
-
-  ServeRequest opt;
-  opt.id = "o1";
-  opt.kind = RequestKind::kOptimize;
-  opt.matrix_csv = small_matrix_csv();
-  ASSERT_EQ(core.handle(opt).status, ResponseStatus::kShed);
+  ASSERT_EQ(core.submit(analyze_request("csv", "ok1")), PushOutcome::kAccepted);
+  ASSERT_EQ(core.submit(analyze_request("csv", "no1")), PushOutcome::kRejected);
 
   const std::string contents = read_file(dump.path);
   EXPECT_NE(contents.find("\"reason\":\"first-shed\""), std::string::npos) << contents;
-  EXPECT_NE(contents.find("\"id\":\"o1\""), std::string::npos) << contents;
-  EXPECT_NE(contents.find("\"outcome\":\"shed\""), std::string::npos) << contents;
+  EXPECT_NE(contents.find("\"id\":\"no1\""), std::string::npos) << contents;
+  EXPECT_NE(contents.find("\"outcome\":\"rejected\""), std::string::npos) << contents;
 }
 
 TEST(ServeTelemetryTest, TelemetryRequestWithDumpFlushesTheRecorder) {
