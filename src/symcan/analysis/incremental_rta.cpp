@@ -134,7 +134,7 @@ void IncrementalRta::ShardedLru<V>::clear() {
 }
 
 template class IncrementalRta::ShardedLru<MessageResult>;
-template class IncrementalRta::ShardedLru<RungLadder>;
+template class IncrementalRta::ShardedLru<std::shared_ptr<const RungLadder>>;
 
 // --- IncrementalRta -------------------------------------------------------
 
@@ -239,15 +239,16 @@ ProbBusResult IncrementalRta::analyze_prob(const KMatrix& km, const ProbRtaConfi
   const std::size_t n = km.size();
   const BusFacts& facts = resolve_bus(km, cfg.rta);
   std::vector<ContextKey> keys = bus_fingerprints(facts);
-  std::vector<std::optional<RungLadder>> ladders(n);
+  // A hit shares the cached ladder; the mixed result's det is relabelled,
+  // never the ladder itself.
+  std::vector<std::shared_ptr<const RungLadder>> ladders(n);
   std::vector<std::size_t> misses;
   std::vector<std::size_t> row_of(n, 0);
   RtaCacheStats delta;
   for (std::size_t i = 0; i < n; ++i) {
     keys[i] = ladder_key(keys[i], cfg.max_rungs);
-    ladders[i] = ladders_.find(keys[i], delta);
-    if (ladders[i]) {
-      relabel(ladders[i]->det, km.messages()[i]);
+    if (auto hit = ladders_.find(keys[i], delta)) {
+      ladders[i] = std::move(*hit);
     } else {
       row_of[i] = misses.size();
       misses.push_back(i);
@@ -260,11 +261,13 @@ ProbBusResult IncrementalRta::analyze_prob(const KMatrix& km, const ProbRtaConfi
   out.messages = exec.parallel_map_indexed_tiled(
       n, static_cast<std::size_t>(cfg.tile), [&](std::size_t i) {
         if (!ladders[i]) {
-          ladders[i] = solve_rung_ladder(bus, row_of[i], cfg.max_rungs);
-          relabel(ladders[i]->det, km.messages()[i]);
-          ladders_.insert(keys[i], *ladders[i], deltas[i]);
+          ladders[i] = std::make_shared<const RungLadder>(
+              solve_rung_ladder(bus, row_of[i], cfg.max_rungs));
+          ladders_.insert(keys[i], ladders[i], deltas[i]);
         }
-        return mix_ladder(*ladders[i], cfg);
+        ProbMessageResult r = mix_ladder(*ladders[i], cfg);
+        relabel(r.det, km.messages()[i]);
+        return r;
       });
   for (const RtaCacheStats& d : deltas) add(delta, d);
   flush_prob_observations(delta);

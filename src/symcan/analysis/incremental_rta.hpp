@@ -179,8 +179,9 @@ class IncrementalRta {
   RtaCacheConfig cfg_;
   ShardedLru<MessageResult> verdicts_;
   /// Ladders and verdicts never share a key space (the ladder key mixes
-  /// in the ladder shape), so the planes stay independent.
-  ShardedLru<RungLadder> ladders_;
+  /// in the ladder shape), so the planes stay independent. Ladders are
+  /// immutable once solved, so a hit shares one instead of copying it.
+  ShardedLru<std::shared_ptr<const RungLadder>> ladders_;
 };
 
 }  // namespace symcan::analysis

@@ -514,11 +514,6 @@ int cmd_serve(const Args& args, std::istream& in, std::ostream& out) {
   cfg.cache = rta_cache_from(args);
   cfg.cache.shards = static_cast<std::size_t>(args.positive_option_or(
       "serve-shards", static_cast<std::int64_t>(RtaCacheConfig{}.shards)));
-  cfg.ring.capacity = static_cast<std::size_t>(args.positive_option_or("ring-capacity", 256));
-  const std::string overflow = args.option_or("overflow", "reject");
-  if (!serve::overflow_policy_from_string(overflow, cfg.ring.overflow))
-    throw std::invalid_argument("--overflow must be reject|drop-oldest|block-with-deadline");
-  cfg.ring.block_deadline = Duration::ms(args.positive_option_or("block-deadline-ms", 100));
   cfg.batch_max = static_cast<std::size_t>(args.positive_option_or("batch", 32));
   cfg.jobs = jobs_from(args);
   cfg.matrix_cache_capacity =
@@ -610,9 +605,7 @@ std::string usage() {
          "  extend      FILE [--period-ms N] [--bytes N] [--profile-jitter F]\n"
          "              [--first-id N] [--jobs N] [--worst-case|--best-case]\n"
          "  serve       --stdio [--serve-shards N] [--rta-cache-capacity N]\n"
-         "              [--ring-capacity N] [--overflow reject|drop-oldest|\n"
-         "              block-with-deadline] [--block-deadline-ms N] [--batch N]\n"
-         "              [--jobs N] [--matrix-cache N] [--strict]\n"
+         "              [--batch N] [--jobs N] [--matrix-cache N] [--strict]\n"
          "              [--flight-recorder FILE] [--flight-capacity N]\n"
          "              [--window-bucket-ms N] [--window-buckets N]\n"
          "              [--metrics-prom FILE] [--slo-objective X]\n"
@@ -622,14 +615,15 @@ std::string usage() {
          "              one JSON response per stdout line, in input order and\n"
          "              sent as soon as ready, bit-identical to the one-shot CLI\n"
          "              on the same inputs (see DESIGN.md). --batch N bounds the\n"
-         "              lines read but not yet answered (default 32). Every\n"
-         "              request gets a telemetry record (queue wait, service time,\n"
-         "              batch id, cache hit, outcome); the 'telemetry' kind returns\n"
-         "              windowed rates, latency quantiles, and per-kind SLO burn.\n"
+         "              lines read but not yet answered (default 32); every line\n"
+         "              read is answered. Every request gets a telemetry record\n"
+         "              (queue wait, service time, batch id, cache hit, outcome);\n"
+         "              the 'telemetry' kind returns windowed rates, latency\n"
+         "              quantiles, and per-kind SLO burn.\n"
          "              --flight-recorder FILE keeps the last N records (default\n"
          "              256, --flight-capacity) and dumps them as JSONL on the\n"
-         "              first ring refusal, a bound violation, a telemetry request\n"
-         "              with \"dump\":true, or shutdown. --metrics-prom FILE rewrites\n"
+         "              first bound violation, a telemetry request with\n"
+         "              \"dump\":true, or shutdown. --metrics-prom FILE rewrites\n"
          "              a Prometheus text-format scrape file at most once per\n"
          "              window bucket and at shutdown.\n"
          "  version     print version and build configuration\n"

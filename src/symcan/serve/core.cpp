@@ -1,5 +1,6 @@
 #include "symcan/serve/core.hpp"
 
+#include <optional>
 #include <sstream>
 
 #include "symcan/can/kmatrix_io.hpp"
@@ -35,15 +36,13 @@ std::int64_t SloTargets::for_kind(RequestKind kind) const {
 ServeCore::ServeCore(ServeConfig cfg)
     : cfg_{std::move(cfg)},
       epoch_{std::chrono::steady_clock::now()},
-      ring_{cfg_.ring},
       rta_{cfg_.cache},
       pool_{cfg_.jobs},
       flight_{cfg_.telemetry.flight_capacity},
       window_service_us_{window_config(cfg_.telemetry),
                          obs::MetricsRegistry::default_latency_bounds_us()},
       window_requests_{window_config(cfg_.telemetry)},
-      window_errors_{window_config(cfg_.telemetry)},
-      window_shed_{window_config(cfg_.telemetry)} {
+      window_errors_{window_config(cfg_.telemetry)} {
   if (cfg_.matrix_cache_capacity == 0)
     throw std::invalid_argument("matrix cache capacity must be positive");
   if (cfg_.batch_max == 0) throw std::invalid_argument("batch size must be positive");
@@ -106,29 +105,24 @@ std::shared_ptr<const KMatrix> ServeCore::matrix_for(const std::string& csv, boo
 }
 
 ServeResponse ServeCore::handle(const ServeRequest& req) {
-  QueuedRequest q;
-  q.req = req;
-  // Leave the transport stamps unset: handle_queued copies its own start
-  // stamp into them, so a direct call reads enqueue == dequeue == start
-  // (zero queue wait) exactly.
-  q.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return handle_queued(q, 0);
+  const std::uint64_t flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t batch_id = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  return handle_one(req, flow, batch_id, 0);
 }
 
-ServeResponse ServeCore::handle_queued(const QueuedRequest& q, std::uint64_t batch_id) {
-  const ServeRequest& req = q.req;
+ServeResponse ServeCore::handle_one(const ServeRequest& req, std::uint64_t flow,
+                                    std::uint64_t batch_id, std::int64_t enqueue_ns) {
   RequestTelemetry t;
   t.set_id(req.id);
   t.kind = req.kind;
   t.start_ns = now_ns();
-  t.enqueue_ns = q.enqueue_ns != 0 ? q.enqueue_ns : t.start_ns;
-  t.dequeue_ns = q.dequeue_ns != 0 ? q.dequeue_ns : t.start_ns;
+  t.enqueue_ns = enqueue_ns != 0 ? enqueue_ns : t.start_ns;
   t.batch_id = batch_id;
-  t.flow = q.flow;
+  t.flow = flow;
 
   // Install the request's trace context for everything this worker (and
   // any nested fan-out) records while handling it.
-  obs::FlowScope flow_scope{q.flow};
+  obs::FlowScope flow_scope{flow};
   SYMCAN_OBS_SPAN("serve.request");
 
   ServeResponse resp;
@@ -252,29 +246,15 @@ void ServeCore::finish_telemetry(RequestTelemetry& t) {
   const std::int64_t now = t.finish_ns;
   window_requests_.add(now);
   window_service_us_.record(now, static_cast<double>(t.service_ns()) / 1000.0);
-  switch (t.outcome) {
-    case ResponseStatus::kFailed:
-    case ResponseStatus::kInvalid:
-      window_errors_.add(now);
-      break;
-    case ResponseStatus::kRejected:
-      window_shed_.add(now);
-      break;
-    case ResponseStatus::kOk:
-      break;
-  }
-  if (const auto& slo = slo_[kind_index(t.kind)]; slo && t.outcome != ResponseStatus::kRejected) {
+  if (t.outcome != ResponseStatus::kOk) window_errors_.add(now);
+  if (const auto& slo = slo_[kind_index(t.kind)]) {
     // SLO latency is end-to-end: queue wait counts against the target.
     slo->record(now, t.finish_ns - t.enqueue_ns);
   }
 
-  // Dump triggers: the first ring refusal (wire name "first-shed") and the
-  // first bound violation are the moments an operator will want the
-  // surrounding request history.
-  if (t.outcome == ResponseStatus::kRejected) {
-    if (!dumped_on_shed_.exchange(true, std::memory_order_relaxed)) dump_flight("first-shed");
-  } else if (t.exit_code == 1 &&
-             (t.kind == RequestKind::kAnalyze || t.kind == RequestKind::kValidate)) {
+  // Dump trigger: the first bound violation is the moment an operator
+  // will want the surrounding request history.
+  if (t.exit_code == 1 && (t.kind == RequestKind::kAnalyze || t.kind == RequestKind::kValidate)) {
     if (!dumped_on_violation_.exchange(true, std::memory_order_relaxed))
       dump_flight("bound-violation");
   }
@@ -290,72 +270,12 @@ void ServeCore::finish_telemetry(RequestTelemetry& t) {
 
 std::vector<ServeResponse> ServeCore::handle_batch(const std::vector<ServeRequest>& reqs) {
   if (reqs.empty()) return {};
-  std::vector<QueuedRequest> queued;
-  queued.reserve(reqs.size());
-  const std::int64_t now = now_ns();
-  for (const ServeRequest& r : reqs) {
-    QueuedRequest q;
-    q.req = r;
-    q.enqueue_ns = now;
-    q.dequeue_ns = now;
-    q.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    queued.push_back(std::move(q));
-  }
+  const std::int64_t enqueue_ns = now_ns();
+  const std::uint64_t first_flow = flow_seq_.fetch_add(reqs.size(), std::memory_order_relaxed);
   const std::uint64_t batch_id = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return pool_.parallel_map(queued,
-                            [&](const QueuedRequest& q) { return handle_queued(q, batch_id); });
-}
-
-PushOutcome ServeCore::submit(ServeRequest req, std::optional<QueuedRequest>* victim,
-                              std::uint64_t seq) {
-  QueuedRequest q;
-  q.req = std::move(req);
-  q.enqueue_ns = now_ns();
-  q.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  q.seq = seq;
-
-  // Remember enough to write a telemetry record if the ring refuses it.
-  RequestTelemetry t;
-  t.set_id(q.req.id);
-  t.kind = q.req.kind;
-  t.enqueue_ns = q.enqueue_ns;
-  t.flow = q.flow;
-
-  const PushOutcome outcome = ring_.push(std::move(q), victim);
-  if (outcome == PushOutcome::kRejected || outcome == PushOutcome::kTimedOut) {
-    const std::int64_t now = now_ns();
-    t.dequeue_ns = now;
-    t.start_ns = now;
-    t.finish_ns = now;
-    t.outcome = ResponseStatus::kRejected;
-    t.exit_code = 2;
-    finish_telemetry(t);
-  }
-  if (victim && *victim) {
-    // The drop-oldest casualty: it queued for a while, then died unserved.
-    RequestTelemetry v;
-    v.set_id((*victim)->req.id);
-    v.kind = (*victim)->req.kind;
-    v.enqueue_ns = (*victim)->enqueue_ns;
-    v.flow = (*victim)->flow;
-    const std::int64_t now = now_ns();
-    v.dequeue_ns = now;
-    v.start_ns = now;
-    v.finish_ns = now;
-    v.outcome = ResponseStatus::kRejected;
-    v.exit_code = 2;
-    finish_telemetry(v);
-  }
-  return outcome;
-}
-
-std::optional<std::pair<std::uint64_t, ServeResponse>> ServeCore::handle_next() {
-  std::vector<QueuedRequest> one = ring_.pop_batch(1);
-  if (one.empty()) return std::nullopt;
-  QueuedRequest& q = one.front();
-  q.dequeue_ns = now_ns();
-  const std::uint64_t batch_id = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return std::make_pair(q.seq, handle_queued(q, batch_id));
+  return pool_.parallel_map_indexed(reqs.size(), [&](std::size_t i) {
+    return handle_one(reqs[i], first_flow + i + 1, batch_id, enqueue_ns);
+  });
 }
 
 bool ServeCore::dump_flight(const char* reason) {
@@ -397,7 +317,6 @@ void ServeCore::append_window_sections(std::string& out, std::int64_t now) const
   out += ",\"window\":{\"windowed_total\":" + std::to_string(window_requests_.window_count(now));
   out += ",\"rate_per_sec\":" + json_number(window_requests_.window_rate(now));
   out += ",\"errors\":" + std::to_string(window_errors_.window_count(now));
-  out += ",\"shed\":" + std::to_string(window_shed_.window_count(now));
   out += ",\"window_ms\":" + std::to_string(w.window_ns / 1'000'000);
   out += ",\"service_us\":{\"count\":" + std::to_string(w.count);
   out += ",\"mean\":" + json_number(w.mean);
@@ -432,7 +351,6 @@ std::string ServeCore::telemetry_json() const {
 
 std::string ServeCore::health_json() const {
   using obs::json_number;
-  const RingStats rs = ring_.stats();
   const analysis::RtaCacheStats cs = rta_.stats();
   std::int64_t mhits = 0, mmisses = 0;
   std::size_t msize = 0;
@@ -443,16 +361,8 @@ std::string ServeCore::health_json() const {
     msize = matrix_lru_.size();
   }
   const std::int64_t now = now_ns();
-  std::string out = "{";
-  out += "\"pressure\":\"" + std::string(to_string(ring_.pressure())) + "\"";
-  out += ",\"ring\":{\"capacity\":" + std::to_string(ring_.config().capacity);
-  out += ",\"size\":" + std::to_string(ring_.size());
-  out += ",\"pushes\":" + std::to_string(rs.pushes);
-  out += ",\"accepted\":" + std::to_string(rs.accepted);
-  out += ",\"rejected\":" + std::to_string(rs.rejected);
-  out += ",\"timed_out\":" + std::to_string(rs.timed_out);
-  out += ",\"dropped_oldest\":" + std::to_string(rs.dropped_oldest);
-  out += ",\"popped\":" + std::to_string(rs.popped) + "}";
+  // Always 0; perfbench/src/serve_workload.cpp parses it as serve.rejected.
+  std::string out = "{\"ring\":{\"rejected\":0,\"timed_out\":0,\"dropped_oldest\":0}";
   out += ",\"rta_cache\":{\"shards\":" + std::to_string(rta_.shard_count());
   out += ",\"capacity\":" + std::to_string(rta_.config().capacity);
   out += ",\"size\":" + std::to_string(rta_.size());

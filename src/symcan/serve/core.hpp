@@ -5,7 +5,6 @@
 // thin JSONL loop over it — the transport layer stays pluggable).
 //
 // One core owns:
-//   - the bounded request ring (admission; overflow policies),
 //   - one sharded IncrementalRta shared by every request, so hot
 //     K-matrices stay warm across requests and across batches,
 //   - a bounded parsed-matrix memo keyed by the exact CSV text (and
@@ -26,7 +25,9 @@
 // and byte-for-byte equal to the one-shot CLI on the same inputs
 // (tests/serve/serve_differential_test.cpp). Telemetry rides alongside
 // the response and never feeds back into its bytes, and nothing about
-// load decides whether a request the ring accepted is answered.
+// load decides whether a request is answered: every request handed to
+// the core gets its answer. The core has no admission queue; a transport
+// bounds its own backlog (serve --stdio: --batch).
 //
 // Handlers never use the core's executor (prob and optimize force their
 // inner fan-out to jobs = 1): a transport may run its loop on every
@@ -40,7 +41,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -49,7 +49,6 @@
 #include "symcan/analysis/incremental_rta.hpp"
 #include "symcan/obs/window.hpp"
 #include "symcan/serve/request.hpp"
-#include "symcan/serve/ring.hpp"
 #include "symcan/serve/telemetry.hpp"
 #include "symcan/util/parallel.hpp"
 
@@ -73,8 +72,8 @@ struct TelemetryConfig {
   /// Flight-recorder depth (last N requests retained).
   std::size_t flight_capacity = 256;
   /// When non-empty, the flight recorder dumps its ring here (JSONL,
-  /// truncating) on the first ring refusal, first bound violation, a telemetry
-  /// request with dump:true, and shutdown.
+  /// truncating) on the first bound violation, a telemetry request with
+  /// dump:true, and shutdown.
   std::string flight_path;
   /// Rolling-window shape shared by the latency window and SLO burn
   /// counters: bucket_count sub-windows of bucket_ms each.
@@ -85,7 +84,6 @@ struct TelemetryConfig {
 };
 
 struct ServeConfig {
-  RingConfig ring;
   /// Shared RTA cache; its default 8 shards (CLI --serve-shards) keep
   /// batch workers from serializing on one lock.
   RtaCacheConfig cache;
@@ -95,7 +93,7 @@ struct ServeConfig {
   /// thread count (0 = hardware).
   int jobs = 0;
   /// The stdio transport keeps at most this many lines read but not yet
-  /// answered (CLI --batch).
+  /// answered (CLI --batch): the service's only admission bound.
   std::size_t batch_max = 32;
   DiagnosticPolicy policy = DiagnosticPolicy::kLenient;
   TelemetryConfig telemetry;
@@ -108,19 +106,6 @@ struct ServeConfig {
   std::string metrics_prom_path;
 };
 
-/// A request as it travels through the ring: the payload plus the
-/// telemetry stamps the transport has taken so far. Timestamps are
-/// core-clock nanoseconds (now_ns()); flow is the obs trace-context id.
-struct QueuedRequest {
-  ServeRequest req;
-  std::int64_t enqueue_ns = 0;
-  std::int64_t dequeue_ns = 0;
-  std::uint64_t flow = 0;
-  /// The transport's arrival number; the stdio loop routes the response
-  /// to this place in its transcript.
-  std::uint64_t seq = 0;
-};
-
 class ServeCore {
  public:
   explicit ServeCore(ServeConfig cfg = {});
@@ -131,42 +116,28 @@ class ServeCore {
   /// telemetry stamp uses.
   std::int64_t now_ns() const;
 
-  /// Answer one request (any thread). Never throws: malformed or
-  /// unprocessable requests become kInvalid responses. Telemetry is
-  /// recorded with enqueue == dequeue == start (no queue time outside the
-  /// ring).
+  /// Answer one request on the calling thread (any thread). Never
+  /// throws: malformed or unprocessable requests become kInvalid
+  /// responses. Each call is its own batch of one with a fresh flow id,
+  /// and its telemetry reads enqueue == start (zero queue wait). Never
+  /// enters the executor, so a loop running on every executor thread may
+  /// call it.
   ServeResponse handle(const ServeRequest& req);
 
   /// Answer a batch via the executor; responses in request order,
-  /// bit-identical to handling each request alone.
+  /// bit-identical to handling each request alone. Each record's queue
+  /// wait is the time from the call to a worker picking it up.
   std::vector<ServeResponse> handle_batch(const std::vector<ServeRequest>& reqs);
-
-  /// Ring producer side for transports; handle_next() is the consumer.
-  /// submit() stamps the enqueue time, assigns the flow id and carries
-  /// `seq` along; rejected / evicted / timed-out requests are recorded in
-  /// telemetry here, since no worker will ever see them.
-  PushOutcome submit(ServeRequest req, std::optional<QueuedRequest>* victim = nullptr,
-                     std::uint64_t seq = 0);
-
-  /// Single-request transport path: pop the oldest queued request, stamp
-  /// its dequeue time and answer it on the calling thread as a batch of
-  /// one. Returns its seq with the response, or nullopt when the ring is
-  /// empty (a drop-oldest eviction can leave a producer nothing to pop).
-  /// Never enters the executor, so a loop running on every executor
-  /// thread may call it.
-  std::optional<std::pair<std::uint64_t, ServeResponse>> handle_next();
 
   /// The executor handle_batch fans out on. A transport may occupy all
   /// of its threads with one loop (see the class comment).
   ParallelExecutor& executor() { return pool_; }
 
-  BoundedRing<QueuedRequest>& ring() { return ring_; }
   const analysis::IncrementalRta& rta_cache() const { return rta_; }
   const FlightRecorder& flight_recorder() const { return flight_; }
 
-  /// The `health` request payload: pressure, ring / cache /
-  /// request counters, uptime + build info, windowed rates/latency and
-  /// SLO burn — one JSON object.
+  /// The `health` request payload: cache and request counters, uptime +
+  /// build info, windowed rates/latency and SLO burn — one JSON object.
   std::string health_json() const;
 
   /// The `telemetry` request payload: uptime, windowed stats, per-kind
@@ -186,9 +157,11 @@ class ServeCore {
   /// (when non-null) reports whether the memo already held it.
   std::shared_ptr<const KMatrix> matrix_for(const std::string& csv, bool* hit = nullptr);
 
-  /// The actual request body: stamps start/finish around the previous
-  /// handle() logic and records the telemetry.
-  ServeResponse handle_queued(const QueuedRequest& q, std::uint64_t batch_id);
+  /// The request body shared by handle() and handle_batch(): stamps
+  /// start/finish, answers, and records the telemetry. enqueue_ns 0 means
+  /// "enqueued at start".
+  ServeResponse handle_one(const ServeRequest& req, std::uint64_t flow, std::uint64_t batch_id,
+                           std::int64_t enqueue_ns);
 
   /// Window/SLO/flight/registry bookkeeping for one finished record.
   void finish_telemetry(RequestTelemetry& t);
@@ -203,7 +176,6 @@ class ServeCore {
 
   ServeConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
-  BoundedRing<QueuedRequest> ring_;
   analysis::IncrementalRta rta_;
   ParallelExecutor pool_;
 
@@ -229,11 +201,9 @@ class ServeCore {
   obs::WindowedHistogram window_service_us_;  ///< Service time, all kinds.
   obs::WindowedCounter window_requests_;
   obs::WindowedCounter window_errors_;  ///< failed + invalid outcomes.
-  obs::WindowedCounter window_shed_;    ///< Ring refusals (kRejected).
   /// Indexed by kind_index(); disabled targets hold nullptr.
   std::array<std::unique_ptr<obs::SloTracker>, 7> slo_;
   std::atomic<std::int64_t> dumps_{0};
-  std::atomic<bool> dumped_on_shed_{false};
   std::atomic<bool> dumped_on_violation_{false};
   std::mutex dump_m_;  ///< Serializes flight-dump file writes.
 };

@@ -94,7 +94,6 @@ const char* to_string(ResponseStatus status) {
   switch (status) {
     case ResponseStatus::kFailed: return "failed";
     case ResponseStatus::kInvalid: return "invalid";
-    case ResponseStatus::kRejected: return "rejected";
     case ResponseStatus::kOk: break;
   }
   return "ok";

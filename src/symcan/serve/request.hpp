@@ -102,10 +102,9 @@ std::optional<ServeRequest> request_from_jsonl(const std::string& line, std::siz
 std::string request_to_jsonl(const ServeRequest& req);
 
 enum class ResponseStatus : std::uint8_t {
-  kOk,        ///< Analysis ran, verdict clean (CLI exit 0).
-  kFailed,    ///< Analysis ran, verdict negative — misses/violations (CLI exit 1).
-  kInvalid,   ///< Request malformed or unprocessable (CLI exit 2).
-  kRejected,  ///< Ring overflow (reject / drop-oldest victim / deadline).
+  kOk,       ///< Analysis ran, verdict clean (CLI exit 0).
+  kFailed,   ///< Analysis ran, verdict negative — misses/violations (CLI exit 1).
+  kInvalid,  ///< Request malformed or unprocessable (CLI exit 2).
 };
 
 const char* to_string(ResponseStatus status);

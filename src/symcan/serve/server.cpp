@@ -22,20 +22,6 @@ bool blank(const std::string& line) {
   return true;
 }
 
-ServeResponse rejected_response(const std::string& id, RequestKind kind, const char* why) {
-  ServeResponse resp;
-  resp.id = id;
-  resp.kind = kind;
-  resp.status = ResponseStatus::kRejected;
-  resp.exit_code = 2;
-  Diagnostic d;
-  d.source = "serve";
-  d.line = 0;
-  d.message = why;
-  resp.diagnostics = {d};
-  return resp;
-}
-
 /// The state one run_stdio_serve call shares between its threads.
 class StdioLoop {
  public:
@@ -94,37 +80,11 @@ class StdioLoop {
     return false;
   }
 
-  /// Outside the token: parse, admit through the ring, answer.
+  /// Outside the token: parse and answer on this thread.
   void serve_line(const std::string& text, std::size_t line_no, std::uint64_t seq) {
     Diagnostics diags{core_.config().policy, "serve request"};
-    auto req = request_from_jsonl(text, line_no, diags);
-    if (!req) {
-      answer(seq, invalid_response("", diags));
-      return;
-    }
-    // submit() consumes the request, so remember what a rejection
-    // response needs before handing it over.
-    const std::string req_id = req->id;
-    const RequestKind req_kind = req->kind;
-    std::optional<QueuedRequest> victim;
-    const PushOutcome outcome = core_.submit(std::move(*req), &victim, seq);
-    if (outcome == PushOutcome::kRejected) {
-      answer(seq,
-             rejected_response(req_id, req_kind, "request ring full (overflow policy: reject)"));
-      return;
-    }
-    if (outcome == PushOutcome::kTimedOut) {
-      answer(seq,
-             rejected_response(req_id, req_kind, "request ring full past the block deadline"));
-      return;
-    }
-    if (victim)
-      answer(victim->seq, rejected_response(victim->req.id, victim->req.kind,
-                                            "evicted by a newer request (overflow policy: "
-                                            "drop-oldest)"));
-    // The popped request may be another thread's (FIFO); each accepted
-    // push pops once, so every queued request is handled by someone.
-    if (auto next = core_.handle_next()) answer(next->first, next->second);
+    const auto req = request_from_jsonl(text, line_no, diags);
+    answer(seq, req ? core_.handle(*req) : invalid_response("", diags));
   }
 
   /// The in-order writer: park the response at its arrival number, then

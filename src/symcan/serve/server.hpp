@@ -10,24 +10,20 @@
 //   token:  the thread holding the read token waits until fewer than
 //           batch_max lines are unanswered, reads and numbers one line,
 //           and releases the token to the next thread
-//   parse:  a malformed line is answered kInvalid without touching the
-//           ring
-//   admit:  submit to the ring (overflow casualties are answered
-//           kRejected), then pop one request; every request the ring
-//           accepts is answered
-//   handle: answer the popped request inline on this thread
+//   parse:  a malformed line is answered kInvalid
+//   handle: ServeCore::handle answers the request on this thread
 //   write:  hand the response to the in-order writer, which emits and
 //           flushes every consecutive finished response
 //
 // The transcript is in arrival order: response k is the answer to the
-// k-th non-blank line (or, under drop-oldest, its rejection), whichever
-// thread produced it. batch_max (--batch) bounds the lines read but not
-// yet written, which is the reorder window behind a slow head-of-line
-// request. A closed-loop client that waits for each answer before
-// sending the next line gets it at once. The transcript is a pure
-// function of the input lines and the ServeConfig at any --jobs width,
-// by the handle() determinism contract; only telemetry (batch ids,
-// stamps) varies.
+// k-th non-blank line, whichever thread produced it. batch_max (--batch)
+// bounds the lines read but not yet written, which is the reorder window
+// behind a slow head-of-line request, and is the only admission bound:
+// every line read is answered. A closed-loop client that waits for each
+// answer before sending the next line gets it at once. The transcript
+// is a pure function of the input lines and the ServeConfig at any
+// --jobs width, by the handle() determinism contract; only telemetry
+// (batch ids, stamps) varies.
 //
 // Handlers must not re-enter the executor: the loop occupies every one
 // of its threads, so a nested parallel_map with more than one item would

@@ -19,7 +19,6 @@ std::string telemetry_to_jsonl(const RequestTelemetry& t) {
   out += ",\"outcome\":\"" + std::string(to_string(t.outcome)) + "\"";
   out += ",\"exit_code\":" + std::to_string(t.exit_code);
   out += ",\"enqueue_ns\":" + std::to_string(t.enqueue_ns);
-  out += ",\"dequeue_ns\":" + std::to_string(t.dequeue_ns);
   out += ",\"start_ns\":" + std::to_string(t.start_ns);
   out += ",\"finish_ns\":" + std::to_string(t.finish_ns);
   out += ",\"queue_wait_ns\":" + std::to_string(t.queue_wait_ns());

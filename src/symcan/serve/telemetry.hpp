@@ -1,7 +1,7 @@
 #pragma once
 
 // Request-scoped telemetry for `symcan serve`: one fixed-size record per
-// request tracing its life from ring admission to response bytes, plus
+// request tracing its life from arrival at the core to response bytes, plus
 // the flight recorder that keeps the last N of them for post-incident
 // dumps.
 //
@@ -12,12 +12,10 @@
 //
 //   queue_wait_ns() + service_ns() == finish_ns - enqueue_ns
 //
-// (queue wait = enqueue→start, service = start→finish; dequeue_ns marks
-// when the scheduler popped the request, bounding scheduler overhead as
-// start - dequeue). Requests that never reach a worker — rejected at the
-// ring, evicted as a drop-oldest victim, timed out past the block
-// deadline — carry outcome kRejected with start == finish == the moment
-// of refusal, so the identity still holds.
+// (queue wait = enqueue→start, service = start→finish). A request that
+// ServeCore::handle answers on the calling thread is enqueued at its
+// start, so its queue wait is exactly 0; in handle_batch the wait is the
+// time until an executor worker picked the request up.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,11 +33,10 @@ struct RequestTelemetry {
   RequestKind kind = RequestKind::kAnalyze;
   ResponseStatus outcome = ResponseStatus::kOk;
   int exit_code = 0;
-  std::int64_t enqueue_ns = 0;  ///< Ring admission (or handle() entry).
-  std::int64_t dequeue_ns = 0;  ///< Scheduler popped the request.
+  std::int64_t enqueue_ns = 0;  ///< handle_batch entry (handle(): == start_ns).
   std::int64_t start_ns = 0;    ///< A worker began handling it.
   std::int64_t finish_ns = 0;   ///< Response fully rendered.
-  std::uint64_t batch_id = 0;   ///< handle_batch / handle_next call that carried it.
+  std::uint64_t batch_id = 0;   ///< handle / handle_batch call that carried it.
   std::uint64_t flow = 0;       ///< Trace-context id (obs::FlowScope).
   std::int8_t matrix_cache = -1;  ///< 1 hit, 0 miss, -1 not consulted.
   std::uint64_t response_bytes = 0;

@@ -1,7 +1,7 @@
-// Allocation ceilings for the probabilistic request path: mixing a
-// solved rung ladder, a warm IncrementalRta::analyze_prob whose every
-// ladder is a cache hit, and the KMatrix::validate a serve request
-// repeats on its memoized matrix. The global operator new is replaced
+// Allocation ceilings for the request paths: mixing a solved rung
+// ladder, a warm IncrementalRta::analyze_prob whose every ladder is a
+// cache hit, the KMatrix::validate a serve request repeats on its
+// memoized matrix, and a warm analyze request through ServeCore::handle. The global operator new is replaced
 // with a counting shim (as in obs_overhead_test.cpp) and each ceiling is
 // the count the current code reaches on the case-study bus, so a change
 // that brings back per-atom or per-message allocations fails here.
@@ -18,6 +18,8 @@
 #include "symcan/analysis/incremental_rta.hpp"
 #include "symcan/analysis/presets.hpp"
 #include "symcan/analysis/prob_rta.hpp"
+#include "symcan/can/kmatrix_io.hpp"
+#include "symcan/serve/core.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace {
@@ -81,8 +83,9 @@ ProbRtaConfig prob_config() {
 
 // Ceilings: the counts the current code reaches on the case-study bus.
 constexpr long kMixLadderCeiling = 425;
-constexpr long kWarmAnalyzeProbCeiling = 491;
+constexpr long kWarmAnalyzeProbCeiling = 435;
 constexpr long kValidateCeiling = 2;
+constexpr long kWarmServeAnalyzeCeiling = 46;
 
 TEST(AllocBudget, MixLadderOnTheCaseStudy) {
   const KMatrix km = case_study();
@@ -122,6 +125,25 @@ TEST(AllocBudget, ValidateTheCaseStudy) {
   const KMatrix km = case_study();
   const long n = allocations([&] { km.validate(); });
   EXPECT_LE(n, kValidateCeiling) << km.size() << " messages";
+}
+
+TEST(AllocBudget, WarmServeAnalyzeHit) {
+  serve::ServeConfig cfg;
+  cfg.jobs = 1;
+  serve::ServeCore core{cfg};
+  serve::ServeRequest req;
+  req.id = "warm";
+  req.kind = serve::RequestKind::kAnalyze;
+  req.preset = pipeline::AssumptionPreset::kWorstCase;
+  req.matrix_csv = kmatrix_to_csv(generate_powertrain(PowertrainConfig::case_study()));
+  const serve::ServeResponse cold = core.handle(req);
+  serve::ServeResponse warm;
+  const long n = allocations([&] { warm = core.handle(req); });
+  EXPECT_EQ(warm.output, cold.output);
+  EXPECT_NE(core.health_json().find("\"hits\":1,\"misses\":1}"), std::string::npos)
+      << "the matrix memo must hit";
+  EXPECT_EQ(core.rta_cache().stats().misses, core.rta_cache().stats().hits);
+  EXPECT_LE(n, kWarmServeAnalyzeCeiling);
 }
 
 }  // namespace

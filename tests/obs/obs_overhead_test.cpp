@@ -114,7 +114,6 @@ TEST(ObsOverhead, RequestTelemetryRecordingAllocatesNothing) {
   for (int i = 0; i < 10'000; ++i) {
     t.set_id(id);
     t.enqueue_ns = i;
-    t.dequeue_ns = i + 1;
     t.start_ns = i + 2;
     t.finish_ns = i + 40;
     recorder.record(t);

@@ -71,7 +71,7 @@ TEST(ServeCoreTest, HealthReportsTheWholeDashboard) {
   const ServeResponse resp = core.handle(req);
   EXPECT_EQ(resp.status, ResponseStatus::kOk);
   for (const char* key :
-       {"\"pressure\"", "\"ring\"", "\"rta_cache\"", "\"matrix_cache\"", "\"requests\"",
+       {"\"ring\"", "\"rta_cache\"", "\"matrix_cache\"", "\"requests\"",
         "\"uptime_ms\"", "\"build\"", "\"window\"", "\"slo\"", "\"flight_recorder\""})
     EXPECT_NE(resp.health_json.find(key), std::string::npos) << key;
 }
@@ -141,35 +141,27 @@ TEST(ServeCoreTest, RepeatSubmissionsHitBothCaches) {
   EXPECT_GT(core.rta_cache().stats().hits, 0);
 }
 
-TEST(ServeCoreTest, SubmitHandleNextRoundTripsThroughTheRing) {
-  ServeConfig cfg;
-  cfg.ring.capacity = 2;
-  cfg.ring.overflow = OverflowPolicy::kReject;
-  ServeCore core{cfg};
-  EXPECT_EQ(core.submit(analyze_request("csv", "q1"), nullptr, 1), PushOutcome::kAccepted);
-  EXPECT_EQ(core.submit(analyze_request("csv", "q2"), nullptr, 2), PushOutcome::kAccepted);
-  EXPECT_EQ(core.submit(analyze_request("csv", "q3"), nullptr, 3), PushOutcome::kRejected);
-  // handle_next() answers in arrival order and hands back each seq.
-  for (const std::uint64_t seq : {1u, 2u}) {
-    const auto next = core.handle_next();
-    ASSERT_TRUE(next.has_value());
-    EXPECT_EQ(next->first, seq);
-    EXPECT_EQ(next->second.id, "q" + std::to_string(seq));
+TEST(ServeCoreTest, HandleAnswersOnTheCallingThreadAsABatchOfOne) {
+  ServeCore core;
+  for (const char* id : {"q1", "q2"}) {
+    const ServeResponse resp = core.handle(analyze_request("csv", id));
+    EXPECT_EQ(resp.id, id);
+    EXPECT_EQ(resp.status, ResponseStatus::kInvalid);
   }
-  EXPECT_FALSE(core.handle_next().has_value());
-  // submit() stamped the enqueue time and a flow id; handle_next() stamped
-  // the dequeue time, never before the enqueue. The rejected q3 has a
-  // record too.
+  // Each call drew a fresh flow id and batch id and was enqueued at its
+  // start, whatever its outcome.
   const std::vector<RequestTelemetry> records = core.flight_recorder().snapshot();
-  ASSERT_EQ(records.size(), 3u);
-  std::set<std::uint64_t> flows;
+  ASSERT_EQ(records.size(), 2u);
+  std::set<std::uint64_t> flows, batches;
   for (const RequestTelemetry& t : records) {
     EXPECT_GT(t.enqueue_ns, 0);
-    EXPECT_GE(t.dequeue_ns, t.enqueue_ns);
+    EXPECT_EQ(t.queue_wait_ns(), 0);
     flows.insert(t.flow);
+    batches.insert(t.batch_id);
   }
-  EXPECT_EQ(flows.size(), 3u);
+  EXPECT_EQ(flows.size(), 2u);
   EXPECT_EQ(flows.count(0), 0u);
+  EXPECT_EQ(batches, (std::set<std::uint64_t>{1, 2}));
 }
 
 }  // namespace

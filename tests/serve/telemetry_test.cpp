@@ -61,7 +61,6 @@ TEST(RequestTelemetryTest, JsonlCarriesTheDecomposition) {
   t.kind = RequestKind::kAnalyze;
   t.outcome = ResponseStatus::kOk;
   t.enqueue_ns = 100;
-  t.dequeue_ns = 150;
   t.start_ns = 200;
   t.finish_ns = 450;
   t.batch_id = 7;
@@ -71,7 +70,7 @@ TEST(RequestTelemetryTest, JsonlCarriesTheDecomposition) {
   const std::string line = telemetry_to_jsonl(t);
   for (const char* frag :
        {"\"id\":\"r1\"", "\"kind\":\"analyze\"", "\"outcome\":\"ok\"",
-        "\"enqueue_ns\":100", "\"dequeue_ns\":150", "\"start_ns\":200",
+        "\"enqueue_ns\":100", "\"start_ns\":200",
         "\"finish_ns\":450", "\"queue_wait_ns\":100", "\"service_ns\":250",
         "\"batch_id\":7", "\"flow\":9", "\"matrix_cache\":1",
         "\"response_bytes\":33"})
@@ -118,17 +117,15 @@ TEST(FlightRecorderTest, DumpJsonlHasOneLinePerRetainedRecord) {
 
 // Every served request carries a complete record whose queue-wait +
 // service time equals enqueue->finish exactly, in integer nanoseconds,
-// through the ring path the stdio loop runs: submit, then handle_next.
-TEST(ServeTelemetryTest, RingPathRecordsAnExactDecomposition) {
+// through the path the stdio loop runs: one handle() call per request.
+TEST(ServeTelemetryTest, HandlePathRecordsAnExactDecomposition) {
   ServeConfig core_cfg;
-  core_cfg.jobs = 1;  // serialize workers: the memo hit/miss split is exact
+  core_cfg.jobs = 1;
   ServeCore core{core_cfg};
   const std::string csv = small_matrix_csv();
   for (int i = 0; i < 4; ++i)
-    ASSERT_EQ(core.submit(analyze_request(csv, "q" + std::to_string(i))),
-              PushOutcome::kAccepted);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(core.handle_next().has_value());
-  EXPECT_FALSE(core.handle_next().has_value());
+    EXPECT_EQ(core.handle(analyze_request(csv, "q" + std::to_string(i))).status,
+              ResponseStatus::kOk);
 
   const std::vector<RequestTelemetry> records = core.flight_recorder().snapshot();
   ASSERT_EQ(records.size(), 4u);
@@ -137,16 +134,15 @@ TEST(ServeTelemetryTest, RingPathRecordsAnExactDecomposition) {
     SCOPED_TRACE(t.id);
     EXPECT_EQ(t.queue_wait_ns() + t.service_ns(), t.finish_ns - t.enqueue_ns);
     EXPECT_GT(t.enqueue_ns, 0);
-    EXPECT_GE(t.dequeue_ns, t.enqueue_ns);
-    EXPECT_GE(t.start_ns, t.dequeue_ns);
+    EXPECT_EQ(t.start_ns, t.enqueue_ns);
     EXPECT_GE(t.finish_ns, t.start_ns);
     EXPECT_EQ(t.outcome, ResponseStatus::kOk);
     EXPECT_GT(t.response_bytes, 0u);
     flows.insert(t.flow);
     batches.insert(t.batch_id);
   }
-  // Distinct flow ids: each request is its own trace tree. Each
-  // handle_next call is a batch of one.
+  // Distinct flow ids: each request is its own trace tree. Each handle()
+  // call is a batch of one.
   EXPECT_EQ(flows.size(), 4u);
   EXPECT_EQ(batches, (std::set<std::uint64_t>{1, 2, 3, 4}));
   // Same CSV four times: first parse misses the memo, the rest hit.
@@ -165,59 +161,8 @@ TEST(ServeTelemetryTest, DirectHandleHasZeroQueueWait) {
   const std::vector<RequestTelemetry> records = core.flight_recorder().snapshot();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].queue_wait_ns(), 0);
-  EXPECT_EQ(records[0].enqueue_ns, records[0].dequeue_ns);
   EXPECT_EQ(records[0].service_ns(),
             records[0].finish_ns - records[0].enqueue_ns);
-}
-
-TEST(ServeTelemetryTest, RejectedAtTheRingStillGetsARecord) {
-  ServeConfig cfg;
-  cfg.ring.capacity = 1;
-  cfg.ring.overflow = OverflowPolicy::kReject;
-  ServeCore core{cfg};
-  ASSERT_EQ(core.submit(analyze_request("csv", "ok1")), PushOutcome::kAccepted);
-  ASSERT_EQ(core.submit(analyze_request("csv", "no1")), PushOutcome::kRejected);
-  const std::vector<RequestTelemetry> records = core.flight_recorder().snapshot();
-  ASSERT_EQ(records.size(), 1u);  // only the refusal is finished so far
-  EXPECT_STREQ(records[0].id, "no1");
-  EXPECT_EQ(records[0].outcome, ResponseStatus::kRejected);
-  // Refused before any worker: start == finish, identity still holds.
-  EXPECT_EQ(records[0].start_ns, records[0].finish_ns);
-  EXPECT_EQ(records[0].queue_wait_ns() + records[0].service_ns(),
-            records[0].finish_ns - records[0].enqueue_ns);
-}
-
-TEST(ServeTelemetryTest, DropOldestVictimIsRecordedAsRejected) {
-  ServeConfig cfg;
-  cfg.ring.capacity = 1;
-  cfg.ring.overflow = OverflowPolicy::kDropOldest;
-  ServeCore core{cfg};
-  ASSERT_EQ(core.submit(analyze_request("csv", "old")), PushOutcome::kAccepted);
-  std::optional<QueuedRequest> victim;
-  ASSERT_EQ(core.submit(analyze_request("csv", "new"), &victim),
-            PushOutcome::kReplacedOldest);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->req.id, "old");
-  const std::vector<RequestTelemetry> records = core.flight_recorder().snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_STREQ(records[0].id, "old");
-  EXPECT_EQ(records[0].outcome, ResponseStatus::kRejected);
-}
-
-TEST(ServeTelemetryTest, FirstShedTriggersAFlightDump) {
-  const TempPath dump{"symcan_flight_shed.jsonl"};
-  ServeConfig cfg;
-  cfg.ring.capacity = 1;
-  cfg.ring.overflow = OverflowPolicy::kReject;
-  cfg.telemetry.flight_path = dump.path;
-  ServeCore core{cfg};
-  ASSERT_EQ(core.submit(analyze_request("csv", "ok1")), PushOutcome::kAccepted);
-  ASSERT_EQ(core.submit(analyze_request("csv", "no1")), PushOutcome::kRejected);
-
-  const std::string contents = read_file(dump.path);
-  EXPECT_NE(contents.find("\"reason\":\"first-shed\""), std::string::npos) << contents;
-  EXPECT_NE(contents.find("\"id\":\"no1\""), std::string::npos) << contents;
-  EXPECT_NE(contents.find("\"outcome\":\"rejected\""), std::string::npos) << contents;
 }
 
 TEST(ServeTelemetryTest, TelemetryRequestWithDumpFlushesTheRecorder) {
