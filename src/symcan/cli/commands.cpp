@@ -617,15 +617,15 @@ std::string usage() {
          "              on the same inputs (see DESIGN.md). --batch N bounds the\n"
          "              lines read but not yet answered (default 32); every line\n"
          "              read is answered. Every request gets a telemetry record\n"
-         "              (queue wait, service time, batch id, cache hit, outcome);\n"
-         "              the 'telemetry' kind returns windowed rates, latency\n"
-         "              quantiles, and per-kind SLO burn.\n"
+         "              (service time, cache hit, outcome); the 'telemetry'\n"
+         "              kind returns windowed rates, latency quantiles, and\n"
+         "              per-kind SLO burn.\n"
          "              --flight-recorder FILE keeps the last N records (default\n"
-         "              256, --flight-capacity) and dumps them as JSONL on the\n"
-         "              first bound violation, a telemetry request with\n"
-         "              \"dump\":true, or shutdown. --metrics-prom FILE rewrites\n"
-         "              a Prometheus text-format scrape file at most once per\n"
-         "              window bucket and at shutdown.\n"
+         "              256, --flight-capacity) and dumps them as JSONL on a\n"
+         "              telemetry request with \"dump\":true, or shutdown.\n"
+         "              --metrics-prom FILE rewrites a Prometheus text-format\n"
+         "              scrape file at most once per window bucket and at\n"
+         "              shutdown.\n"
          "  version     print version and build configuration\n"
          "  help\n"
          "--jobs N selects N worker threads for sweep/sensitivity/optimize/\n"

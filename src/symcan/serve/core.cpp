@@ -37,7 +37,6 @@ ServeCore::ServeCore(ServeConfig cfg)
     : cfg_{std::move(cfg)},
       epoch_{std::chrono::steady_clock::now()},
       rta_{cfg_.cache},
-      pool_{cfg_.jobs},
       flight_{cfg_.telemetry.flight_capacity},
       window_service_us_{window_config(cfg_.telemetry),
                          obs::MetricsRegistry::default_latency_bounds_us()},
@@ -105,24 +104,15 @@ std::shared_ptr<const KMatrix> ServeCore::matrix_for(const std::string& csv, boo
 }
 
 ServeResponse ServeCore::handle(const ServeRequest& req) {
-  const std::uint64_t flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t batch_id = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return handle_one(req, flow, batch_id, 0);
-}
-
-ServeResponse ServeCore::handle_one(const ServeRequest& req, std::uint64_t flow,
-                                    std::uint64_t batch_id, std::int64_t enqueue_ns) {
   RequestTelemetry t;
   t.set_id(req.id);
   t.kind = req.kind;
   t.start_ns = now_ns();
-  t.enqueue_ns = enqueue_ns != 0 ? enqueue_ns : t.start_ns;
-  t.batch_id = batch_id;
-  t.flow = flow;
+  t.flow = flow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  // Install the request's trace context for everything this worker (and
+  // Install the request's trace context for everything this thread (and
   // any nested fan-out) records while handling it.
-  obs::FlowScope flow_scope{flow};
+  obs::FlowScope flow_scope{t.flow};
   SYMCAN_OBS_SPAN("serve.request");
 
   ServeResponse resp;
@@ -177,9 +167,9 @@ ServeResponse ServeCore::handle_one(const ServeRequest& req, std::uint64_t flow,
         spec.stuff_ppm = req.stuff_ppm;
         spec.jitter_ppm = req.jitter_ppm;
         spec.max_rungs = req.max_rungs;
-        // Batch workers already run in parallel; the convolution fan-out
-        // inside each stays serial (results are bit-identical at any
-        // width, so this is a scheduling choice only).
+        // The transport already runs requests in parallel; the
+        // convolution fan-out inside each stays serial (results are
+        // bit-identical at any width, so this is a scheduling choice only).
         spec.jobs = 1;
         rc = pipeline::render_prob(*km, pipeline::assumptions_for(req.preset), spec, out, &rta_);
         break;
@@ -204,8 +194,8 @@ ServeResponse ServeCore::handle_one(const ServeRequest& req, std::uint64_t flow,
         spec.population = req.population;
         spec.target_jitter = req.target_jitter;
         spec.best_case = req.preset == pipeline::AssumptionPreset::kBestCase;
-        // Batch workers already run in parallel; the GA inside each
-        // stays serial (its results are bit-identical at any width).
+        // The transport already runs requests in parallel; the GA inside
+        // each stays serial (its results are bit-identical at any width).
         spec.jobs = 1;
         spec.cache = cfg_.cache;
         rc = pipeline::render_optimize(*km, spec, out);
@@ -247,35 +237,13 @@ void ServeCore::finish_telemetry(RequestTelemetry& t) {
   window_requests_.add(now);
   window_service_us_.record(now, static_cast<double>(t.service_ns()) / 1000.0);
   if (t.outcome != ResponseStatus::kOk) window_errors_.add(now);
-  if (const auto& slo = slo_[kind_index(t.kind)]) {
-    // SLO latency is end-to-end: queue wait counts against the target.
-    slo->record(now, t.finish_ns - t.enqueue_ns);
-  }
-
-  // Dump trigger: the first bound violation is the moment an operator
-  // will want the surrounding request history.
-  if (t.exit_code == 1 && (t.kind == RequestKind::kAnalyze || t.kind == RequestKind::kValidate)) {
-    if (!dumped_on_violation_.exchange(true, std::memory_order_relaxed))
-      dump_flight("bound-violation");
-  }
+  if (const auto& slo = slo_[kind_index(t.kind)]) slo->record(now, t.service_ns());
 
   if (obs::enabled()) {
-    auto& m = obs::metrics();
-    m.histogram("serve.request.queue_wait_us")
-        .observe(static_cast<double>(t.queue_wait_ns()) / 1000.0);
-    m.histogram("serve.request.service_us")
+    obs::metrics()
+        .histogram("serve.request.service_us")
         .observe(static_cast<double>(t.service_ns()) / 1000.0);
   }
-}
-
-std::vector<ServeResponse> ServeCore::handle_batch(const std::vector<ServeRequest>& reqs) {
-  if (reqs.empty()) return {};
-  const std::int64_t enqueue_ns = now_ns();
-  const std::uint64_t first_flow = flow_seq_.fetch_add(reqs.size(), std::memory_order_relaxed);
-  const std::uint64_t batch_id = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return pool_.parallel_map_indexed(reqs.size(), [&](std::size_t i) {
-    return handle_one(reqs[i], first_flow + i + 1, batch_id, enqueue_ns);
-  });
 }
 
 bool ServeCore::dump_flight(const char* reason) {

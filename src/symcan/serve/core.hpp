@@ -6,33 +6,34 @@
 //
 // One core owns:
 //   - one sharded IncrementalRta shared by every request, so hot
-//     K-matrices stay warm across requests and across batches,
+//     K-matrices stay warm across requests,
 //   - a bounded parsed-matrix memo keyed by the exact CSV text (and
 //     diagnostic policy), so re-submitted matrices skip the parser,
-//   - a ParallelExecutor for batch fan-out (or for a transport loop
-//     that occupies every one of its threads, as serve --stdio does),
 //   - the telemetry plane: a RequestTelemetry record per request
-//     (queue-wait / service-time decomposition, batch id, cache
-//     hit/miss, outcome), rolling-window latency/rate aggregates and
-//     per-kind SLO burn counters (obs/window.hpp), and a flight
-//     recorder holding the last N records for post-incident dumps.
+//     (service time, flow id, cache hit/miss, outcome), rolling-window
+//     latency/rate aggregates and per-kind SLO burn counters
+//     (obs/window.hpp), and a flight recorder holding the last N records
+//     for post-incident dumps.
+//
+// The core starts no thread. handle() answers on the calling thread and
+// may be called from any number of threads at once; a transport brings
+// its own threads (serve --stdio runs its loop on a ParallelExecutor of
+// config().jobs threads).
 //
 // Determinism: handle() is a pure function of the request given the
 // pipeline stages' determinism contracts — caches return bit-identical
-// results to fresh computation, per-request seeds drive the stochastic
-// stages, and parallel_map preserves order — so a batch's responses are
-// bit-identical to handling each request alone, at any thread width,
-// and byte-for-byte equal to the one-shot CLI on the same inputs
-// (tests/serve/serve_differential_test.cpp). Telemetry rides alongside
-// the response and never feeds back into its bytes, and nothing about
-// load decides whether a request is answered: every request handed to
-// the core gets its answer. The core has no admission queue; a transport
-// bounds its own backlog (serve --stdio: --batch).
+// results to fresh computation and per-request seeds drive the
+// stochastic stages — so concurrent calls answer bit-identically to
+// handling each request alone, and byte-for-byte equal to the one-shot
+// CLI on the same inputs (tests/serve/serve_differential_test.cpp).
+// Telemetry rides alongside the response and never feeds back into its
+// bytes, and nothing about load decides whether a request is answered:
+// every request handed to the core gets its answer. The core has no
+// admission queue; a transport bounds its own backlog (serve --stdio:
+// --batch).
 //
-// Handlers never use the core's executor (prob and optimize force their
-// inner fan-out to jobs = 1): a transport may run its loop on every
-// executor thread, and a nested parallel_map with more than one item
-// would then wait forever for a free worker.
+// Handlers run their inner fan-out serially (prob and optimize force
+// jobs = 1): the transport already spreads requests over its threads.
 
 #include <array>
 #include <atomic>
@@ -44,13 +45,11 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "symcan/analysis/incremental_rta.hpp"
 #include "symcan/obs/window.hpp"
 #include "symcan/serve/request.hpp"
 #include "symcan/serve/telemetry.hpp"
-#include "symcan/util/parallel.hpp"
 
 namespace symcan::serve {
 
@@ -72,8 +71,7 @@ struct TelemetryConfig {
   /// Flight-recorder depth (last N requests retained).
   std::size_t flight_capacity = 256;
   /// When non-empty, the flight recorder dumps its ring here (JSONL,
-  /// truncating) on the first bound violation, a telemetry request with
-  /// dump:true, and shutdown.
+  /// truncating) on a telemetry request with dump:true and at shutdown.
   std::string flight_path;
   /// Rolling-window shape shared by the latency window and SLO burn
   /// counters: bucket_count sub-windows of bucket_ms each.
@@ -85,12 +83,11 @@ struct TelemetryConfig {
 
 struct ServeConfig {
   /// Shared RTA cache; its default 8 shards (CLI --serve-shards) keep
-  /// batch workers from serializing on one lock.
+  /// concurrent handle() calls from serializing on one lock.
   RtaCacheConfig cache;
   /// Parsed-matrix memo entries (distinct CSV texts held ready).
   std::size_t matrix_cache_capacity = 64;
-  /// ParallelExecutor width: handle_batch's fan-out and the stdio loop's
-  /// thread count (0 = hardware).
+  /// The stdio loop's thread count (0 = hardware).
   int jobs = 0;
   /// The stdio transport keeps at most this many lines read but not yet
   /// answered (CLI --batch): the service's only admission bound.
@@ -118,20 +115,9 @@ class ServeCore {
 
   /// Answer one request on the calling thread (any thread). Never
   /// throws: malformed or unprocessable requests become kInvalid
-  /// responses. Each call is its own batch of one with a fresh flow id,
-  /// and its telemetry reads enqueue == start (zero queue wait). Never
-  /// enters the executor, so a loop running on every executor thread may
-  /// call it.
+  /// responses. Each call draws a fresh flow id, stamps start/finish and
+  /// records the telemetry.
   ServeResponse handle(const ServeRequest& req);
-
-  /// Answer a batch via the executor; responses in request order,
-  /// bit-identical to handling each request alone. Each record's queue
-  /// wait is the time from the call to a worker picking it up.
-  std::vector<ServeResponse> handle_batch(const std::vector<ServeRequest>& reqs);
-
-  /// The executor handle_batch fans out on. A transport may occupy all
-  /// of its threads with one loop (see the class comment).
-  ParallelExecutor& executor() { return pool_; }
 
   const analysis::IncrementalRta& rta_cache() const { return rta_; }
   const FlightRecorder& flight_recorder() const { return flight_; }
@@ -157,12 +143,6 @@ class ServeCore {
   /// (when non-null) reports whether the memo already held it.
   std::shared_ptr<const KMatrix> matrix_for(const std::string& csv, bool* hit = nullptr);
 
-  /// The request body shared by handle() and handle_batch(): stamps
-  /// start/finish, answers, and records the telemetry. enqueue_ns 0 means
-  /// "enqueued at start".
-  ServeResponse handle_one(const ServeRequest& req, std::uint64_t flow, std::uint64_t batch_id,
-                           std::int64_t enqueue_ns);
-
   /// Window/SLO/flight/registry bookkeeping for one finished record.
   void finish_telemetry(RequestTelemetry& t);
 
@@ -177,7 +157,6 @@ class ServeCore {
   ServeConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
   analysis::IncrementalRta rta_;
-  ParallelExecutor pool_;
 
   /// Bounded LRU of parsed matrices, keyed by the exact CSV text —
   /// exact-text keys cannot collide, so a hit is the same matrix by
@@ -196,7 +175,6 @@ class ServeCore {
   // --- telemetry plane (always on; obs::enabled() gates only the
   // global registry/tracer side) ---
   std::atomic<std::uint64_t> flow_seq_{0};
-  std::atomic<std::uint64_t> batch_seq_{0};
   FlightRecorder flight_;
   obs::WindowedHistogram window_service_us_;  ///< Service time, all kinds.
   obs::WindowedCounter window_requests_;
@@ -204,7 +182,6 @@ class ServeCore {
   /// Indexed by kind_index(); disabled targets hold nullptr.
   std::array<std::unique_ptr<obs::SloTracker>, 7> slo_;
   std::atomic<std::int64_t> dumps_{0};
-  std::atomic<bool> dumped_on_violation_{false};
   std::mutex dump_m_;  ///< Serializes flight-dump file writes.
 };
 

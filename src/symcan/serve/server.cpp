@@ -11,6 +11,7 @@
 #include "symcan/obs/export.hpp"
 #include "symcan/obs/obs.hpp"
 #include "symcan/obs/prometheus.hpp"
+#include "symcan/util/parallel.hpp"
 
 namespace symcan::serve {
 
@@ -138,8 +139,15 @@ class StdioLoop {
 }  // namespace
 
 int run_stdio_serve(ServeCore& core, std::istream& in, std::ostream& out) {
+  // Untie `in` for the run (see server.hpp); the old tie comes back on
+  // return.
+  struct Untie {
+    std::istream& in;
+    std::ostream* const tie;
+    ~Untie() { in.tie(tie); }
+  } untie{in, in.tie(nullptr)};
   StdioLoop loop{core, in, out};
-  ParallelExecutor& pool = core.executor();
+  ParallelExecutor pool{core.config().jobs};
   pool.parallel_map_indexed(static_cast<std::size_t>(pool.threads()), [&](std::size_t) {
     loop.run();
     return 0;

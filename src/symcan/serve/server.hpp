@@ -4,8 +4,8 @@
 //
 // One request object per input line, one response object per output
 // line. The loop is a leader/followers loop: it runs once on every
-// thread of the core's ParallelExecutor (the calling thread included;
-// --jobs sets the width, no thread is created), and each pass goes
+// thread of a ParallelExecutor of config().jobs threads (--jobs; the
+// calling thread included), and each pass goes
 //
 //   token:  the thread holding the read token waits until fewer than
 //           batch_max lines are unanswered, reads and numbers one line,
@@ -23,11 +23,11 @@
 // answer before sending the next line gets it at once. The transcript
 // is a pure function of the input lines and the ServeConfig at any
 // --jobs width, by the handle() determinism contract; only telemetry
-// (batch ids, stamps) varies.
+// (flow ids, stamps) varies.
 //
-// Handlers must not re-enter the executor: the loop occupies every one
-// of its threads, so a nested parallel_map with more than one item would
-// wait forever (see ServeCore).
+// `in` is untied for the run (its old tie is restored on return): every
+// write is flushed under the writer's lock, and a tie would flush `out`
+// again from the reading thread outside it.
 
 #include <iosfwd>
 

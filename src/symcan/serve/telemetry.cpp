@@ -18,12 +18,15 @@ std::string telemetry_to_jsonl(const RequestTelemetry& t) {
   out += ",\"kind\":\"" + std::string(to_string(t.kind)) + "\"";
   out += ",\"outcome\":\"" + std::string(to_string(t.outcome)) + "\"";
   out += ",\"exit_code\":" + std::to_string(t.exit_code);
-  out += ",\"enqueue_ns\":" + std::to_string(t.enqueue_ns);
   out += ",\"start_ns\":" + std::to_string(t.start_ns);
   out += ",\"finish_ns\":" + std::to_string(t.finish_ns);
-  out += ",\"queue_wait_ns\":" + std::to_string(t.queue_wait_ns());
+  // Always 0: handle() answers on the calling thread. Kept because
+  // perfbench/src/serve_workload.cpp reads it from every record.
+  out += ",\"queue_wait_ns\":0";
   out += ",\"service_ns\":" + std::to_string(t.service_ns());
-  out += ",\"batch_id\":" + std::to_string(t.batch_id);
+  // The flow: every handle() call is a batch of one. Kept because
+  // perfbench/src/serve_workload.cpp reads it from every record.
+  out += ",\"batch_id\":" + std::to_string(t.flow);
   out += ",\"flow\":" + std::to_string(t.flow);
   out += ",\"matrix_cache\":" + std::to_string(static_cast<int>(t.matrix_cache));
   out += ",\"response_bytes\":" + std::to_string(t.response_bytes);

@@ -7,15 +7,10 @@
 //
 // The record is plain data with no heap members (the id is a truncating
 // char array), so recording one is a bounded copy — no allocation — and
-// the flight recorder can preallocate its whole ring up front. Timing
-// decomposes exactly in integer nanoseconds:
-//
-//   queue_wait_ns() + service_ns() == finish_ns - enqueue_ns
-//
-// (queue wait = enqueue→start, service = start→finish). A request that
-// ServeCore::handle answers on the calling thread is enqueued at its
-// start, so its queue wait is exactly 0; in handle_batch the wait is the
-// time until an executor worker picked the request up.
+// the flight recorder can preallocate its whole ring up front. Timing is
+// in integer nanoseconds on the core's monotonic clock: ServeCore::handle
+// answers on the calling thread, so service_ns() == finish_ns - start_ns
+// is the request's whole time in the core.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,17 +28,14 @@ struct RequestTelemetry {
   RequestKind kind = RequestKind::kAnalyze;
   ResponseStatus outcome = ResponseStatus::kOk;
   int exit_code = 0;
-  std::int64_t enqueue_ns = 0;  ///< handle_batch entry (handle(): == start_ns).
-  std::int64_t start_ns = 0;    ///< A worker began handling it.
-  std::int64_t finish_ns = 0;   ///< Response fully rendered.
-  std::uint64_t batch_id = 0;   ///< handle / handle_batch call that carried it.
-  std::uint64_t flow = 0;       ///< Trace-context id (obs::FlowScope).
+  std::int64_t start_ns = 0;      ///< handle() began.
+  std::int64_t finish_ns = 0;     ///< Response fully rendered.
+  std::uint64_t flow = 0;         ///< Trace-context id (obs::FlowScope).
   std::int8_t matrix_cache = -1;  ///< 1 hit, 0 miss, -1 not consulted.
   std::uint64_t response_bytes = 0;
 
   void set_id(const std::string& s);
 
-  std::int64_t queue_wait_ns() const { return start_ns - enqueue_ns; }
   std::int64_t service_ns() const { return finish_ns - start_ns; }
 };
 

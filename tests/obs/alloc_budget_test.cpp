@@ -1,9 +1,11 @@
-// Allocation ceilings for the request paths: mixing a solved rung
-// ladder, a warm IncrementalRta::analyze_prob whose every ladder is a
-// cache hit, the KMatrix::validate a serve request repeats on its
-// memoized matrix, and a warm analyze request through ServeCore::handle. The global operator new is replaced
-// with a counting shim (as in obs_overhead_test.cpp) and each ceiling is
-// the count the current code reaches on the case-study bus, so a change
+// Allocation ceilings for the request paths: parsing the case-study
+// CSV, a whole-bus CanRta::analyze, the `analyze` table render, mixing a
+// solved rung ladder, a warm IncrementalRta::analyze_prob whose every
+// ladder is a cache hit, the KMatrix::validate a serve request repeats
+// on its memoized matrix, and a warm analyze request through
+// ServeCore::handle. The global operator new is replaced with a counting
+// shim (as in obs_overhead_test.cpp) and each ceiling is the count the
+// current code reaches on the case-study bus (second call), so a change
 // that brings back per-atom or per-message allocations fails here.
 
 #include <gtest/gtest.h>
@@ -13,12 +15,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
 #include <vector>
 
+#include "symcan/analysis/can_rta.hpp"
 #include "symcan/analysis/incremental_rta.hpp"
 #include "symcan/analysis/presets.hpp"
 #include "symcan/analysis/prob_rta.hpp"
 #include "symcan/can/kmatrix_io.hpp"
+#include "symcan/pipeline/stages.hpp"
 #include "symcan/serve/core.hpp"
 #include "symcan/workload/powertrain.hpp"
 
@@ -82,10 +87,53 @@ ProbRtaConfig prob_config() {
 }
 
 // Ceilings: the counts the current code reaches on the case-study bus.
+constexpr long kParseCsvCeiling = 418;
+constexpr long kCanRtaAnalyzeCeiling = 61;
+constexpr long kCanRtaSolveOnlyCeiling = 1;  ///< analyze() on a built CanRta.
+constexpr long kRenderAnalyzeCeiling = 99;
 constexpr long kMixLadderCeiling = 425;
 constexpr long kWarmAnalyzeProbCeiling = 435;
 constexpr long kValidateCeiling = 2;
 constexpr long kWarmServeAnalyzeCeiling = 46;
+
+TEST(AllocBudget, ParseTheCaseStudyCsv) {
+  const std::string csv = kmatrix_to_csv(generate_powertrain(PowertrainConfig::case_study()));
+  Diagnostics first_diags;
+  ASSERT_TRUE(kmatrix_from_csv(csv, first_diags));
+  std::optional<KMatrix> km;
+  const long n = allocations([&] {
+    Diagnostics diags;
+    km = kmatrix_from_csv(csv, diags);
+  });
+  ASSERT_TRUE(km);
+  EXPECT_LE(n, kParseCsvCeiling) << km->size() << " messages";
+}
+
+TEST(AllocBudget, CanRtaAnalyzeTheCaseStudy) {
+  // Built from the matrix as a caller holding a KMatrix does: CanRta
+  // copies it, and that copy is all but one of the allocations.
+  const KMatrix km = generate_powertrain(PowertrainConfig::case_study());
+  const CanRtaConfig cfg = worst_case_assumptions();
+  const BusResult cold = CanRta{km, cfg}.analyze();
+  BusResult warm;
+  const long n = allocations([&] { warm = CanRta{km, cfg}.analyze(); });
+  ASSERT_EQ(warm.messages.size(), cold.messages.size());
+  EXPECT_LE(n, kCanRtaAnalyzeCeiling) << warm.messages.size() << " messages";
+  const CanRta rta{km, cfg};
+  const long solve_only = allocations([&] { warm = rta.analyze(); });
+  EXPECT_LE(solve_only, kCanRtaSolveOnlyCeiling);
+}
+
+TEST(AllocBudget, RenderAnalyzeTheCaseStudy) {
+  const KMatrix km = generate_powertrain(PowertrainConfig::case_study());
+  const CanRtaConfig cfg = worst_case_assumptions();
+  std::ostringstream cold;
+  pipeline::render_analyze(km, cfg, cold);
+  std::ostringstream warm;
+  const long n = allocations([&] { pipeline::render_analyze(km, cfg, warm); });
+  EXPECT_EQ(warm.str(), cold.str());
+  EXPECT_LE(n, kRenderAnalyzeCeiling) << km.size() << " messages";
+}
 
 TEST(AllocBudget, MixLadderOnTheCaseStudy) {
   const KMatrix km = case_study();

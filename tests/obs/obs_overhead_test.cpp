@@ -113,9 +113,9 @@ TEST(ObsOverhead, RequestTelemetryRecordingAllocatesNothing) {
   const long before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 10'000; ++i) {
     t.set_id(id);
-    t.enqueue_ns = i;
-    t.start_ns = i + 2;
+    t.start_ns = i;
     t.finish_ns = i + 40;
+    t.flow = static_cast<std::uint64_t>(i) + 1;
     recorder.record(t);
   }
   const long after = g_allocations.load(std::memory_order_relaxed);

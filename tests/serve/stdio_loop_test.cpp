@@ -2,12 +2,14 @@
 // client is answered request by request, the transcript is in arrival
 // order whatever the thread width, --batch bounds how far the reader runs
 // ahead of the writer, every line is answered exactly once at every
-// --batch bound, one request in flight changes no answer, and the
-// Prometheus scrape file ends with the whole run's counts. Labeled `determinism` so
+// --batch bound, one request in flight changes no answer, a tied input
+// stream is flushed only by the writer, and the Prometheus scrape file
+// ends with the whole run's counts. Labeled `determinism` so
 // CI also runs it under TSan.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -231,6 +233,40 @@ TEST_P(StdioLoopTest, ClosedLoopClientIsAnsweredRequestByRequest) {
   }
   EXPECT_EQ(field(out.back(), "id"), "c-health");
   EXPECT_EQ(r.max_ahead, 1u);
+}
+
+/// A transcript buffer that counts its sync() calls: one per flush.
+class SyncCountingOutput : public std::stringbuf {
+ public:
+  std::atomic<int> syncs{0};
+
+ protected:
+  int sync() override {
+    syncs.fetch_add(1, std::memory_order_relaxed);
+    return 0;
+  }
+};
+
+// `in` tied to `out` (as std::cin is to std::cout) would flush `out` from
+// the reading thread before every line, outside the writer's lock. The
+// loop unties it for the run, so only the writer flushes: at most once
+// per answered line. The tie is back in place afterwards.
+TEST_P(StdioLoopTest, TiedInputIsFlushedOnlyByTheWriter) {
+  constexpr int kRequests = 8;
+  std::string input;
+  for (int i = 0; i < kRequests; ++i) input += analyze_line(csv_, "t" + std::to_string(i)) + "\n";
+  std::istringstream in{input};
+  SyncCountingOutput out_buf;
+  std::ostream out{&out_buf};
+  in.tie(&out);
+  ServeConfig cfg;
+  cfg.jobs = GetParam();
+  ServeCore core{cfg};
+  EXPECT_EQ(run_stdio_serve(core, in, out), 0);
+  EXPECT_EQ(in.tie(), &out);
+  const std::size_t answered = split_lines(out_buf.str()).size();
+  EXPECT_EQ(answered, static_cast<std::size_t>(kRequests));
+  EXPECT_LE(static_cast<std::size_t>(out_buf.syncs.load()), answered);
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, StdioLoopTest, ::testing::Values(1, 4));

@@ -60,21 +60,19 @@ TEST(RequestTelemetryTest, JsonlCarriesTheDecomposition) {
   t.set_id("r1");
   t.kind = RequestKind::kAnalyze;
   t.outcome = ResponseStatus::kOk;
-  t.enqueue_ns = 100;
   t.start_ns = 200;
   t.finish_ns = 450;
-  t.batch_id = 7;
   t.flow = 9;
   t.matrix_cache = 1;
   t.response_bytes = 33;
   const std::string line = telemetry_to_jsonl(t);
   for (const char* frag :
        {"\"id\":\"r1\"", "\"kind\":\"analyze\"", "\"outcome\":\"ok\"",
-        "\"enqueue_ns\":100", "\"start_ns\":200",
-        "\"finish_ns\":450", "\"queue_wait_ns\":100", "\"service_ns\":250",
-        "\"batch_id\":7", "\"flow\":9", "\"matrix_cache\":1",
+        "\"start_ns\":200", "\"finish_ns\":450", "\"queue_wait_ns\":0,",
+        "\"service_ns\":250", "\"batch_id\":9,", "\"flow\":9,", "\"matrix_cache\":1",
         "\"response_bytes\":33"})
     EXPECT_NE(line.find(frag), std::string::npos) << frag << " in " << line;
+  EXPECT_EQ(line.find("enqueue_ns"), std::string::npos) << line;
 }
 
 TEST(FlightRecorderTest, RejectsZeroCapacity) {
@@ -115,13 +113,11 @@ TEST(FlightRecorderTest, DumpJsonlHasOneLinePerRetainedRecord) {
   EXPECT_EQ(lines, 4);
 }
 
-// Every served request carries a complete record whose queue-wait +
-// service time equals enqueue->finish exactly, in integer nanoseconds,
-// through the path the stdio loop runs: one handle() call per request.
+// Every served request carries a complete record whose service time is
+// its whole start->finish span, in integer nanoseconds, through the path
+// the stdio loop runs: one handle() call per request.
 TEST(ServeTelemetryTest, HandlePathRecordsAnExactDecomposition) {
-  ServeConfig core_cfg;
-  core_cfg.jobs = 1;
-  ServeCore core{core_cfg};
+  ServeCore core;
   const std::string csv = small_matrix_csv();
   for (int i = 0; i < 4; ++i)
     EXPECT_EQ(core.handle(analyze_request(csv, "q" + std::to_string(i))).status,
@@ -129,22 +125,18 @@ TEST(ServeTelemetryTest, HandlePathRecordsAnExactDecomposition) {
 
   const std::vector<RequestTelemetry> records = core.flight_recorder().snapshot();
   ASSERT_EQ(records.size(), 4u);
-  std::set<std::uint64_t> flows, batches;
+  std::set<std::uint64_t> flows;
   for (const RequestTelemetry& t : records) {
     SCOPED_TRACE(t.id);
-    EXPECT_EQ(t.queue_wait_ns() + t.service_ns(), t.finish_ns - t.enqueue_ns);
-    EXPECT_GT(t.enqueue_ns, 0);
-    EXPECT_EQ(t.start_ns, t.enqueue_ns);
+    EXPECT_GT(t.start_ns, 0);
     EXPECT_GE(t.finish_ns, t.start_ns);
+    EXPECT_EQ(t.service_ns(), t.finish_ns - t.start_ns);
     EXPECT_EQ(t.outcome, ResponseStatus::kOk);
     EXPECT_GT(t.response_bytes, 0u);
     flows.insert(t.flow);
-    batches.insert(t.batch_id);
   }
-  // Distinct flow ids: each request is its own trace tree. Each handle()
-  // call is a batch of one.
-  EXPECT_EQ(flows.size(), 4u);
-  EXPECT_EQ(batches, (std::set<std::uint64_t>{1, 2, 3, 4}));
+  // Distinct flow ids: each request is its own trace tree.
+  EXPECT_EQ(flows, (std::set<std::uint64_t>{1, 2, 3, 4}));
   // Same CSV four times: first parse misses the memo, the rest hit.
   int hits = 0, misses = 0;
   for (const RequestTelemetry& t : records) {
@@ -155,14 +147,22 @@ TEST(ServeTelemetryTest, HandlePathRecordsAnExactDecomposition) {
   EXPECT_EQ(hits, 3);
 }
 
+// handle() answers on the calling thread, so the flight JSONL reports no
+// queue wait and each record as a batch of one named by its flow.
 TEST(ServeTelemetryTest, DirectHandleHasZeroQueueWait) {
-  ServeCore core;
+  const TempPath dump{"symcan_flight_direct_handle.jsonl"};
+  ServeConfig cfg;
+  cfg.telemetry.flight_path = dump.path;
+  ServeCore core{cfg};
   core.handle(analyze_request(small_matrix_csv(), "h1"));
+  ASSERT_TRUE(core.dump_flight("test"));
   const std::vector<RequestTelemetry> records = core.flight_recorder().snapshot();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].queue_wait_ns(), 0);
-  EXPECT_EQ(records[0].service_ns(),
-            records[0].finish_ns - records[0].enqueue_ns);
+  const std::string contents = read_file(dump.path);
+  const std::string service = "\"service_ns\":" + std::to_string(records[0].service_ns()) + ",";
+  const std::string batch = "\"batch_id\":" + std::to_string(records[0].flow) + ",";
+  for (const std::string& frag : {std::string{"\"queue_wait_ns\":0,"}, service, batch})
+    EXPECT_NE(contents.find(frag), std::string::npos) << frag << " in " << contents;
 }
 
 TEST(ServeTelemetryTest, TelemetryRequestWithDumpFlushesTheRecorder) {
@@ -196,6 +196,27 @@ TEST(ServeTelemetryTest, DumpWithoutAPathReportsFalse) {
   core2.handle(analyze_request(small_matrix_csv(), "a2"));
   EXPECT_TRUE(core2.dump_flight("test"));
   EXPECT_NE(core2.telemetry_json().find("\"dumps\":1"), std::string::npos);
+}
+
+// An unschedulable analyze is a normal answer, not an incident: it
+// writes no flight file on the request thread. Only a telemetry request
+// with dump:true and shutdown dump.
+TEST(ServeTelemetryTest, AnUnschedulableAnalyzeWritesNoFlightFile) {
+  const TempPath dump{"symcan_flight_unschedulable.jsonl"};
+  std::remove(dump.path.c_str());
+  PowertrainConfig pc;
+  pc.message_count = 12;
+  KMatrix km = generate_powertrain(pc);
+  // A 1 us deadline no frame can meet.
+  km.messages().front().deadline_policy = DeadlinePolicy::kExplicit;
+  km.messages().front().explicit_deadline = Duration::us(1);
+  ServeConfig cfg;
+  cfg.telemetry.flight_path = dump.path;
+  ServeCore core{cfg};
+  const ServeResponse resp = core.handle(analyze_request(kmatrix_to_csv(km), "late"));
+  ASSERT_EQ(resp.exit_code, 1) << resp.output;
+  EXPECT_FALSE(std::ifstream{dump.path}.good()) << read_file(dump.path);
+  EXPECT_NE(core.telemetry_json().find("\"dumps\":0"), std::string::npos);
 }
 
 TEST(ServeTelemetryTest, SloBurnAppearsAfterSlowRequests) {
