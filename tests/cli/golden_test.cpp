@@ -411,6 +411,13 @@ TEST_F(GoldenTest, SensitivityText) {
   check_text("sensitivity.txt", out_.str());
 }
 
+TEST_F(GoldenTest, UsageText) {
+  // The help text lists every option the CLI accepts, so any change to
+  // that surface shows up as a diff of this file.
+  ASSERT_EQ(run({"--help"}), 0) << err_.str();
+  check_text("usage.txt", out_.str());
+}
+
 TEST_F(GoldenTest, ReportMarkdownIdenticalWithCacheOff) {
   // The report must not depend on whether the memo layer is active.
   const int rc = run({"report", matrix_, "--jitter", "0.25", "--jobs", "2", "--rta-cache", "off"});
