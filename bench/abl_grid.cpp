@@ -4,8 +4,7 @@
 // solves): each row packs its jitter variant into the columnar solve
 // core once and every error column re-solves from the same columns, so
 // a grid cell costs solves only — the regime the columnar refactor
-// targets. The micro benchmarks time a small grid at several tile sizes
-// (tiling is a scheduling knob; results are byte-identical).
+// targets. The micro benchmark times a small grid at one and four jobs.
 
 #include "common.hpp"
 #include "symcan/sensitivity/sweep.hpp"
@@ -65,16 +64,9 @@ void BM_GridSweep(benchmark::State& state) {
   cfg.step = 0.05;       // 13 rows
   cfg.error_points = 13;  // x 13 columns
   cfg.parallelism = static_cast<int>(state.range(0));
-  cfg.tile = static_cast<int>(state.range(1));
   for (auto _ : state) benchmark::DoNotOptimize(sweep_grid(km, cfg));
 }
-BENCHMARK(BM_GridSweep)
-    ->Args({1, 0})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({4, 7})
-    ->ArgNames({"jobs", "tile"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GridSweep)->Arg(1)->Arg(4)->ArgName("jobs")->Unit(benchmark::kMillisecond);
 
 /// The full million-point grid as a single timed iteration: what the CI
 /// smoke gate runs to prove the demo completes (and how long it takes).

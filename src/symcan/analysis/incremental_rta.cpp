@@ -258,17 +258,16 @@ ProbBusResult IncrementalRta::analyze_prob(const KMatrix& km, const ProbRtaConfi
   if (!misses.empty()) pack_bus(facts, bus, misses);
   std::vector<RtaCacheStats> deltas(n);
   ParallelExecutor exec{cfg.parallelism};
-  out.messages = exec.parallel_map_indexed_tiled(
-      n, static_cast<std::size_t>(cfg.tile), [&](std::size_t i) {
-        if (!ladders[i]) {
-          ladders[i] = std::make_shared<const RungLadder>(
-              solve_rung_ladder(bus, row_of[i], cfg.max_rungs));
-          ladders_.insert(keys[i], ladders[i], deltas[i]);
-        }
-        ProbMessageResult r = mix_ladder(*ladders[i], cfg);
-        relabel(r.det, km.messages()[i]);
-        return r;
-      });
+  out.messages = exec.parallel_map_indexed_tiled(n, [&](std::size_t i) {
+    if (!ladders[i]) {
+      ladders[i] = std::make_shared<const RungLadder>(
+          solve_rung_ladder(bus, row_of[i], cfg.max_rungs));
+      ladders_.insert(keys[i], ladders[i], deltas[i]);
+    }
+    ProbMessageResult r = mix_ladder(*ladders[i], cfg);
+    relabel(r.det, km.messages()[i]);
+    return r;
+  });
   for (const RtaCacheStats& d : deltas) add(delta, d);
   flush_prob_observations(delta);
   if (obs::enabled()) {

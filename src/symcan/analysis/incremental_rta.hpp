@@ -59,8 +59,8 @@ namespace symcan::analysis {
 
 /// Cache policy. `enabled = false` degrades to the uncached analyses
 /// (analysis::analyze_bus, analysis::analyze_prob) without the per-call
-/// KMatrix/config copies of CanRta, which is what the --rta-cache off
-/// ablation measures.
+/// KMatrix/config copies of CanRta: the reference the cache differential
+/// tests and the ablation benches compare against.
 struct RtaCacheConfig {
   bool enabled = true;
   /// Maximum number of cached per-message results, summed over all
@@ -71,8 +71,7 @@ struct RtaCacheConfig {
   std::size_t capacity = 65536;
   /// Number of independent LRU shards (each with its own lock), so the
   /// workers of a fan-out or of `symcan serve` do not contend on one
-  /// mutex. 1 is the historical single-LRU cache. `symcan serve
-  /// --serve-shards` overrides it.
+  /// mutex; 1 gives a single LRU.
   std::size_t shards = 8;
   /// Run KMatrix::validate() on every analyze() input. Hot loops that
   /// re-analyze thousands of ID permutations of one already-validated

@@ -223,7 +223,6 @@ void validate_prob_config(const ProbRtaConfig& cfg) {
   if (cfg.max_rungs < 1 || cfg.max_rungs > 4096)
     throw std::invalid_argument("max_rungs must lie in [1, 4096]");
   if (cfg.parallelism < 0) throw std::invalid_argument("parallelism must be >= 0");
-  if (cfg.tile < 0) throw std::invalid_argument("tile must be >= 0");
 }
 
 // --- rung ladder ---------------------------------------------------------
@@ -350,8 +349,7 @@ ProbBusResult analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg) {
     ColumnarBus bus;
     pack_bus(km, cfg.rta, bus);
     out.messages = exec.parallel_map_indexed_tiled(
-        km.size(), static_cast<std::size_t>(cfg.tile),
-        [&](std::size_t i) { return analyze_row(bus, i, km.messages()[i], cfg); });
+        km.size(), [&](std::size_t i) { return analyze_row(bus, i, km.messages()[i], cfg); });
   }
   out.utilization = km.utilization(cfg.rta.worst_case_stuffing);
   if (obs::enabled()) {

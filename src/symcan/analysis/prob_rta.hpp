@@ -32,7 +32,7 @@
 // mass only ever moves toward worse outcomes, so every reported miss
 // probability over-approximates the exact rational one (conservative),
 // and the whole pipeline is pure integer arithmetic: bit-identical
-// results at any thread count, tile size, or platform.
+// results at any thread count or platform.
 //
 // Degenerate gate: when every probability is 1 (the defaults), the
 // Bernoulli and delta convolutions are exact shifts with zero residue,
@@ -148,10 +148,9 @@ struct ProbRtaConfig {
   /// folded into the top rung, which is the deterministic WCRT — sound,
   /// just coarser).
   std::int64_t max_rungs = 96;
-  /// Fan-out knobs for analyze_prob (0 = hardware / auto tile). Purely
-  /// speed: results are bit-identical at any width and tile size.
+  /// Fan-out width for analyze_prob (0 = hardware). Purely speed:
+  /// results are bit-identical at any width.
   int parallelism = 1;
-  int tile = 0;
 };
 
 /// Throws std::invalid_argument on out-of-range ppm / max_rungs.
@@ -208,8 +207,7 @@ ProbMessageResult analyze_message_prob(const KMatrix& km, const ProbRtaConfig& c
 
 /// Analyze every message: one whole-bus pack, then the ladders and
 /// mixtures fanned out over util::ParallelExecutor with slot-indexed
-/// tiling on the shared read-only bus — bit-identical at any jobs x tile
-/// combination.
+/// tiling on the shared read-only bus — bit-identical at any width.
 ProbBusResult analyze_prob(const KMatrix& km, const ProbRtaConfig& cfg);
 
 }  // namespace symcan::analysis

@@ -88,25 +88,11 @@ int jobs_from(const Args& args) {
   return static_cast<int>(args.count_option_or("jobs", 0));
 }
 
-/// --tile N: work items per tile in the parallel fan-outs (sweep points,
-/// GA individuals). 0 = auto-size from batch and thread count, the
-/// default. Tiling affects scheduling only — every result lands in its
-/// own index slot, so output is byte-identical at any tile size.
-/// Negative or non-numeric values are rejected (exit 2).
-int tile_from(const Args& args) {
-  return static_cast<int>(args.count_option_or("tile", 0));
-}
-
-/// --rta-cache on|off: RTA memoization for the commands that re-analyze
-/// edited matrices. Default on — cached verdicts are bit-identical to
-/// fresh ones, so off exists only to measure the cache's effect.
+/// RTA memoization for the commands that re-analyze edited matrices.
 /// --rta-cache-capacity N bounds the number of cached per-message
 /// verdicts (summed over shards; rejected unless a positive integer).
 RtaCacheConfig rta_cache_from(const Args& args) {
-  const std::string v = args.option_or("rta-cache", "on");
-  if (v != "on" && v != "off") throw std::invalid_argument("--rta-cache must be on|off");
   RtaCacheConfig cache;
-  cache.enabled = v == "on";
   cache.capacity =
       static_cast<std::size_t>(args.positive_option_or("rta-cache-capacity", 65536));
   return cache;
@@ -155,7 +141,6 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     spec.jitter_ppm = args.int_option_or("jitter-ppm", 1'000'000);
     spec.max_rungs = args.positive_option_or("max-rungs", 96);
     spec.jobs = jobs_from(args);
-    spec.tile = tile_from(args);
     fail_on_unused(args);
     return pipeline::render_prob(km, cfg, spec, out);
   }
@@ -179,7 +164,6 @@ int cmd_sweep(const Args& args, std::ostream& out) {
     cfg.jitter_ppm = args.int_option_or("jitter-ppm", 1'000'000);
     cfg.max_rungs = args.positive_option_or("max-rungs", 96);
     cfg.parallelism = jobs_from(args);
-    cfg.tile = tile_from(args);
     cfg.cache = rta_cache_from(args);
     fail_on_unused(args);
     const FaultSweepResult res = sweep_fault_probability(km, cfg);
@@ -195,7 +179,6 @@ int cmd_sweep(const Args& args, std::ostream& out) {
   cfg.to = args.double_option_or("to", 0.60);
   cfg.step = args.double_option_or("step", 0.05);
   cfg.parallelism = jobs_from(args);
-  cfg.tile = tile_from(args);
   cfg.cache = rta_cache_from(args);
   fail_on_unused(args);
   const JitterSweepResult res = sweep_jitter(km, cfg);
@@ -211,7 +194,6 @@ int cmd_sensitivity(const Args& args, std::ostream& out) {
   JitterSweepConfig cfg;
   cfg.rta = assumptions_from(args);
   cfg.parallelism = jobs_from(args);
-  cfg.tile = tile_from(args);
   cfg.cache = rta_cache_from(args);
   fail_on_unused(args);
   const SensitivityReport rep = analyze_sensitivity(km, cfg);
@@ -233,7 +215,6 @@ int cmd_optimize(const Args& args, std::ostream& out) {
   spec.population = static_cast<int>(args.positive_option_or("population", 32));
   spec.target_jitter = args.double_option_or("target-jitter", 0.25);
   spec.jobs = jobs_from(args);
-  spec.tile = tile_from(args);
   spec.cache = rta_cache_from(args);
   const std::string output = args.option_or("out", "");
   fail_on_unused(args);
@@ -336,7 +317,6 @@ int cmd_monitor(const Args& args, std::ostream& out) {
   const std::optional<std::string> events_out = args.path_option("events-jsonl");
   const bool json = args.has_flag("json");
   const bool no_bounds = args.has_flag("no-bounds");
-  const std::size_t chunk = static_cast<std::size_t>(args.positive_option_or("chunk", 4096));
   fail_on_unused(args);
 
   stream::StreamAnalyzer analyzer;
@@ -367,6 +347,7 @@ int cmd_monitor(const Args& args, std::ostream& out) {
 
   // Chunked ingest stands in for the arrival batches a live capture
   // would deliver; results are chunk-invariant by contract.
+  constexpr std::size_t chunk = 4096;
   const auto& events = trace.events();
   for (std::size_t i = 0; i < events.size(); i += chunk)
     analyzer.ingest(events.data() + i, std::min(chunk, events.size() - i));
@@ -512,8 +493,6 @@ int cmd_serve(const Args& args, std::istream& in, std::ostream& out) {
     throw std::invalid_argument("serve requires --stdio (the only transport today)");
   serve::ServeConfig cfg;
   cfg.cache = rta_cache_from(args);
-  cfg.cache.shards = static_cast<std::size_t>(args.positive_option_or(
-      "serve-shards", static_cast<std::int64_t>(RtaCacheConfig{}.shards)));
   cfg.batch_max = static_cast<std::size_t>(args.positive_option_or("batch", 32));
   cfg.jobs = jobs_from(args);
   cfg.matrix_cache_capacity =
@@ -566,7 +545,7 @@ std::string usage() {
          "              [--tt-offsets] [--out FILE]      synthesize a K-Matrix CSV\n"
          "  analyze     FILE [--worst-case|--best-case] [--jitter F] [--override-known]\n"
          "              [--prob [--fault-ppm N] [--stuff-ppm N] [--jitter-ppm N]\n"
-         "              [--max-rungs N] [--jobs N] [--tile N]]\n"
+         "              [--max-rungs N] [--jobs N]]\n"
          "              --prob reports per-message deadline-miss probabilities:\n"
          "              the response-time distribution from convolving per-fault-\n"
          "              count bounds (each admitted fault materializes with\n"
@@ -574,7 +553,7 @@ std::string usage() {
          "              activation jitter; the deterministic WCRT is the\n"
          "              distribution's upper support point, and all-1e6 ppm\n"
          "              (the default) reproduces the deterministic verdicts\n"
-         "  sweep       FILE [--from F] [--to F] [--step F] [--jobs N] [--tile N]\n"
+         "  sweep       FILE [--from F] [--to F] [--step F] [--jobs N]\n"
          "              [--worst-case|--best-case]\n"
          "              [--prob [--from-ppm N] [--to-ppm N] [--points N]\n"
          "              [--stuff-ppm N] [--jitter-ppm N] [--max-rungs N]]\n"
@@ -584,9 +563,9 @@ std::string usage() {
          "  import      FILE.dbc [--bitrate BPS] [--bus-name NAME] [--out FILE]\n"
          "  report      FILE [--worst-case|--best-case] [--jitter F]   markdown summary\n"
          "  budget      FILE [--worst-case|--best-case]   jitter budgets (Section 5.2)\n"
-         "  sensitivity FILE [--worst-case|--best-case] [--jobs N] [--tile N]\n"
+         "  sensitivity FILE [--worst-case|--best-case] [--jobs N]\n"
          "  optimize    FILE [--generations N] [--population N] [--seed N]\n"
-         "              [--target-jitter F] [--jobs N] [--tile N] [--out FILE]\n"
+         "              [--target-jitter F] [--jobs N] [--out FILE]\n"
          "  simulate    FILE [--millis N] [--seed N] [--errors none|sporadic|burst]\n"
          "              [--error-gap-ms N] [--stats] [--window-ms N] [--stats-json FILE]\n"
          "              [--trace-jsonl FILE] [--trace-chrome FILE]\n"
@@ -597,14 +576,14 @@ std::string usage() {
          "              [--error-gap-ms N] [--json]    bound-vs-observed report;\n"
          "              exit 1 if any simulated response exceeds its RTA bound\n"
          "  monitor     FILE [--millis N] [--seed N] [--errors none|sporadic|burst]\n"
-         "              [--error-gap-ms N] [--from-trace FILE.jsonl] [--chunk N]\n"
+         "              [--error-gap-ms N] [--from-trace FILE.jsonl]\n"
          "              [--json] [--stats-json FILE] [--events-jsonl FILE] [--no-bounds]\n"
          "              stream the trace through the online health analyzer:\n"
          "              per-message EWMA baselines, jitter/drift/stall/arrhythmia\n"
          "              onset+clear events; exit 1 if a response crossed its bound\n"
          "  extend      FILE [--period-ms N] [--bytes N] [--profile-jitter F]\n"
          "              [--first-id N] [--jobs N] [--worst-case|--best-case]\n"
-         "  serve       --stdio [--serve-shards N] [--rta-cache-capacity N]\n"
+         "  serve       --stdio [--rta-cache-capacity N]\n"
          "              [--batch N] [--jobs N] [--matrix-cache N] [--strict]\n"
          "              [--flight-recorder FILE] [--flight-capacity N]\n"
          "              [--window-bucket-ms N] [--window-buckets N]\n"
@@ -631,18 +610,14 @@ std::string usage() {
          "--jobs N selects N worker threads for sweep/sensitivity/optimize/\n"
          "extend/report (0 = all hardware threads, the default; results are\n"
          "bit-identical at any width).\n"
-         "--tile N shards those fan-outs into fixed-size work tiles\n"
-         "(0 = auto, the default); purely a scheduling knob — outputs are\n"
-         "byte-identical at every tile size and worker count.\n"
          "--strict escalates ingest warnings (zero cycle times, stray\n"
          "signal lines, non-0|1 boolean columns) to errors. Malformed input\n"
          "prints one line-numbered diagnostic per problem and exits 2.\n"
-         "--rta-cache on|off (default on) memoizes per-message RTA verdicts\n"
-         "across the re-analyses those same commands perform; cached results\n"
-         "are bit-identical to fresh ones, so 'off' exists only to measure.\n"
-         "--rta-cache-capacity N (default 65536) bounds the cached verdicts,\n"
-         "which are split across 8 independently locked LRU shards;\n"
-         "--serve-shards N (serve only) picks another shard count.\n"
+         "Those commands memoize per-message RTA verdicts across the\n"
+         "re-analyses they perform; cached results are bit-identical to\n"
+         "fresh ones. --rta-cache-capacity N (default 65536) bounds the\n"
+         "cached verdicts, which are split across 8 independently locked\n"
+         "LRU shards.\n"
          "--trace-out FILE / --metrics-out FILE / --metrics-prom FILE work\n"
          "with every command: they record spans (chrome://tracing JSON) and\n"
          "metrics (counters, histograms, per-iteration series; --metrics-prom\n"

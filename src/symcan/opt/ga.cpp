@@ -115,7 +115,6 @@ GaResult optimize_priorities(const KMatrix& km, const GaConfig& cfg) {
   if (cfg.archive < 2) throw std::invalid_argument("optimize_priorities: archive too small");
   if (cfg.eval_fractions.empty())
     throw std::invalid_argument("optimize_priorities: need at least one evaluation fraction");
-  if (cfg.tile < 0) throw std::invalid_argument("optimize_priorities: tile must be >= 0");
 
   const std::size_t n = km.size();
   GaResult result;
@@ -141,8 +140,7 @@ GaResult optimize_priorities(const KMatrix& km, const GaConfig& cfg) {
     result.evaluations += static_cast<int>(orders.size());
     const auto t0 = std::chrono::steady_clock::now();
     auto evaluated = exec.parallel_map_tiled(
-        orders, static_cast<std::size_t>(cfg.tile),
-        [&](const PriorityOrder& o) { return evaluate_order(km, o, cfg, rta); });
+        orders, [&](const PriorityOrder& o) { return evaluate_order(km, o, cfg, rta); });
     last_eval_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
     if (obs::enabled()) {

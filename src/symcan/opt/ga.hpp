@@ -63,13 +63,6 @@ struct GaConfig {
   /// bit-identical at any parallelism.
   int parallelism = 1;
 
-  /// Individuals per work tile in the fitness fan-out (0 = auto-size
-  /// from batch and thread count). Tiling batches cheap evaluations so
-  /// workers claim work in chunks instead of one atomic per individual;
-  /// it never changes the evolved populations (slot-indexed results).
-  /// Must be >= 0.
-  int tile = 0;
-
   /// RTA memoization across fitness evaluations. Neighbouring candidates
   /// share most of their interference contexts, so the optimizer's
   /// dominant cost collapses to the messages each edit actually touches.

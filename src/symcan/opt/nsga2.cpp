@@ -97,7 +97,6 @@ GaResult optimize_priorities_nsga2(const KMatrix& km, const GaConfig& cfg) {
     throw std::invalid_argument("optimize_priorities_nsga2: population too small");
   if (cfg.eval_fractions.empty())
     throw std::invalid_argument("optimize_priorities_nsga2: need an evaluation fraction");
-  if (cfg.tile < 0) throw std::invalid_argument("optimize_priorities_nsga2: tile must be >= 0");
 
   const std::size_t n = km.size();
   const std::size_t mu = static_cast<std::size_t>(cfg.population);
@@ -120,8 +119,7 @@ GaResult optimize_priorities_nsga2(const KMatrix& km, const GaConfig& cfg) {
     result.evaluations += static_cast<int>(orders.size());
     const auto t0 = std::chrono::steady_clock::now();
     auto evaluated = exec.parallel_map_tiled(
-        orders, static_cast<std::size_t>(cfg.tile),
-        [&](const PriorityOrder& o) { return evaluate_order(km, o, cfg, rta); });
+        orders, [&](const PriorityOrder& o) { return evaluate_order(km, o, cfg, rta); });
     last_eval_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
     if (obs::enabled()) {

@@ -100,7 +100,6 @@ int render_prob(const KMatrix& km, const CanRtaConfig& cfg, const ProbSpec& spec
   pcfg.jitter_ppm = spec.jitter_ppm;
   pcfg.max_rungs = spec.max_rungs;
   pcfg.parallelism = spec.jobs;
-  pcfg.tile = spec.tile;
   analysis::validate_prob_config(pcfg);
 
   const LoadReport load = analyze_load(km, cfg.worst_case_stuffing);
@@ -184,7 +183,6 @@ GaConfig ga_config_for(const KMatrix& km, const OptimizeSpec& spec) {
   cfg.eval_fractions = {spec.target_jitter};
   cfg.seeds = {current_order(km), deadline_monotonic_order(km)};
   cfg.parallelism = spec.jobs;
-  cfg.tile = spec.tile;
   cfg.cache = spec.cache;
   return cfg;
 }

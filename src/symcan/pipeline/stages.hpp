@@ -85,10 +85,9 @@ struct ProbSpec {
   std::int64_t stuff_ppm = 1'000'000;
   std::int64_t jitter_ppm = 1'000'000;
   std::int64_t max_rungs = 96;
-  /// Fan-out knobs (0 = hardware / auto tile). Speed only: rendered
-  /// bytes are identical at any jobs x tile combination.
+  /// Fan-out width (0 = hardware). Speed only: rendered bytes are
+  /// identical at any width.
   int jobs = 0;
-  int tile = 0;
 };
 
 /// `symcan analyze --prob`: load line, per-message deadline-miss
@@ -125,9 +124,6 @@ struct OptimizeSpec {
   /// Worker threads for fitness evaluation (0 = hardware). Evolved
   /// populations are bit-identical at any width.
   int jobs = 0;
-  /// Individuals per fan-out tile (0 = auto). Scheduling only — evolved
-  /// populations are byte-identical for every tile size.
-  int tile = 0;
   RtaCacheConfig cache;
 };
 

@@ -31,7 +31,6 @@ std::vector<Duration> JitterSweepResult::response_curve(const std::string& messa
 JitterSweepResult sweep_jitter(const KMatrix& km, const JitterSweepConfig& cfg) {
   if (cfg.step <= 0 || cfg.to < cfg.from)
     throw std::invalid_argument("sweep_jitter: bad sweep bounds");
-  if (cfg.tile < 0) throw std::invalid_argument("sweep_jitter: tile must be >= 0");
   JitterSweepResult out;
   // Half-step epsilon keeps the endpoint inclusive despite FP accumulation.
   for (double f = cfg.from; f <= cfg.to + cfg.step / 2; f += cfg.step) out.fractions.push_back(f);
@@ -39,12 +38,11 @@ JitterSweepResult sweep_jitter(const KMatrix& km, const JitterSweepConfig& cfg) 
   IncrementalRta rta{cfg.cache};
   {
     SYMCAN_OBS_SPAN("sweep.jitter");
-    out.results = exec.parallel_map_tiled(
-        out.fractions, static_cast<std::size_t>(cfg.tile), [&](double f) {
-          KMatrix variant = km;
-          assume_jitter_fraction(variant, f, cfg.override_known);
-          return rta.analyze(variant, cfg.rta);
-        });
+    out.results = exec.parallel_map_tiled(out.fractions, [&](double f) {
+      KMatrix variant = km;
+      assume_jitter_fraction(variant, f, cfg.override_known);
+      return rta.analyze(variant, cfg.rta);
+    });
   }
   if (obs::enabled()) {
     obs::count("sweep.jitter.points", static_cast<std::int64_t>(out.fractions.size()));
@@ -60,7 +58,6 @@ JitterSweepResult sweep_jitter(const KMatrix& km, const JitterSweepConfig& cfg) 
 ErrorSweepResult sweep_errors(const KMatrix& km, const ErrorSweepConfig& cfg) {
   if (cfg.points < 2) throw std::invalid_argument("sweep_errors: need >= 2 points");
   if (cfg.from <= cfg.to) throw std::invalid_argument("sweep_errors: from must exceed to");
-  if (cfg.tile < 0) throw std::invalid_argument("sweep_errors: tile must be >= 0");
   ErrorSweepResult out;
   const double lo = std::log(static_cast<double>(cfg.to.count_ns()));
   const double hi = std::log(static_cast<double>(cfg.from.count_ns()));
@@ -72,12 +69,11 @@ ErrorSweepResult sweep_errors(const KMatrix& km, const ErrorSweepConfig& cfg) {
   IncrementalRta rta{cfg.cache};
   {
     SYMCAN_OBS_SPAN("sweep.errors");
-    out.results = exec.parallel_map_tiled(
-        out.min_inter_error, static_cast<std::size_t>(cfg.tile), [&](Duration gap) {
-          CanRtaConfig point = cfg.rta;
-          point.errors = std::make_shared<SporadicErrors>(gap);
-          return rta.analyze(km, point);
-        });
+    out.results = exec.parallel_map_tiled(out.min_inter_error, [&](Duration gap) {
+      CanRtaConfig point = cfg.rta;
+      point.errors = std::make_shared<SporadicErrors>(gap);
+      return rta.analyze(km, point);
+    });
   }
   if (obs::enabled()) {
     obs::count("sweep.errors.points", static_cast<std::int64_t>(out.min_inter_error.size()));
@@ -102,7 +98,6 @@ FaultSweepResult sweep_fault_probability(const KMatrix& km, const FaultSweepConf
     throw std::invalid_argument("sweep_fault_probability: from_ppm must exceed to_ppm");
   if (cfg.to_ppm < 1 || cfg.from_ppm > 1'000'000)
     throw std::invalid_argument("sweep_fault_probability: ppm bounds must lie in [1, 1000000]");
-  if (cfg.tile < 0) throw std::invalid_argument("sweep_fault_probability: tile must be >= 0");
   FaultSweepResult out;
   const double lo = std::log(static_cast<double>(cfg.to_ppm));
   const double hi = std::log(static_cast<double>(cfg.from_ppm));
@@ -114,18 +109,17 @@ FaultSweepResult sweep_fault_probability(const KMatrix& km, const FaultSweepConf
   IncrementalRta rta{cfg.cache};
   {
     SYMCAN_OBS_SPAN("sweep.prob");
-    out.results = exec.parallel_map_tiled(
-        out.fault_ppm, static_cast<std::size_t>(cfg.tile), [&](std::int64_t ppm) {
-          analysis::ProbRtaConfig point;
-          point.rta = cfg.rta;
-          point.fault_ppm = ppm;
-          point.stuff_ppm = cfg.stuff_ppm;
-          point.jitter_ppm = cfg.jitter_ppm;
-          point.max_rungs = cfg.max_rungs;
-          // The sweep fans out over points; each point stays serial.
-          point.parallelism = 1;
-          return rta.analyze_prob(km, point);
-        });
+    out.results = exec.parallel_map_tiled(out.fault_ppm, [&](std::int64_t ppm) {
+      analysis::ProbRtaConfig point;
+      point.rta = cfg.rta;
+      point.fault_ppm = ppm;
+      point.stuff_ppm = cfg.stuff_ppm;
+      point.jitter_ppm = cfg.jitter_ppm;
+      point.max_rungs = cfg.max_rungs;
+      // The sweep fans out over points; each point stays serial.
+      point.parallelism = 1;
+      return rta.analyze_prob(km, point);
+    });
   }
   if (obs::enabled()) {
     obs::count("sweep.prob.points", static_cast<std::int64_t>(out.fault_ppm.size()));
@@ -144,7 +138,6 @@ GridSweepResult sweep_grid(const KMatrix& km, const GridSweepConfig& cfg) {
   if (cfg.error_points < 2) throw std::invalid_argument("sweep_grid: need >= 2 error points");
   if (cfg.error_from <= cfg.error_to)
     throw std::invalid_argument("sweep_grid: error_from must exceed error_to");
-  if (cfg.tile < 0) throw std::invalid_argument("sweep_grid: tile must be >= 0");
   if (!cfg.rta.errors) throw std::invalid_argument("sweep_grid: error model must not be null");
   km.validate();
 
@@ -168,31 +161,30 @@ GridSweepResult sweep_grid(const KMatrix& km, const GridSweepConfig& cfg) {
   std::vector<std::vector<Cell>> rows;
   {
     SYMCAN_OBS_SPAN("sweep.grid");
-    rows = exec.parallel_map_tiled(
-        out.fractions, static_cast<std::size_t>(cfg.tile), [&](double f) {
-          // One pack per row: the jitter edit changes the columns, the
-          // error model does not (it is per-solve state), so every
-          // column of this row solves from the same arena.
-          static thread_local analysis::ColumnarBus bus;
-          KMatrix variant = km;
-          assume_jitter_fraction(variant, f, cfg.override_known);
-          analysis::pack_bus(variant, cfg.rta, bus);
-          std::vector<Cell> row;
-          row.reserve(cols);
-          for (const Duration gap : out.min_inter_error) {
-            const SporadicErrors errors{gap};
-            std::size_t misses = 0;
-            Duration worst = Duration::zero();
-            for (std::size_t i = 0; i < n; ++i) {
-              const MessageResult r = analysis::solve_columnar(bus, i, errors);
-              if (!r.schedulable) ++misses;
-              worst = max(worst, r.wcrt);
-            }
-            row.push_back(Cell{
-                n > 0 ? static_cast<double>(misses) / static_cast<double>(n) : 0.0, worst});
-          }
-          return row;
-        });
+    rows = exec.parallel_map_tiled(out.fractions, [&](double f) {
+      // One pack per row: the jitter edit changes the columns, the
+      // error model does not (it is per-solve state), so every
+      // column of this row solves from the same arena.
+      static thread_local analysis::ColumnarBus bus;
+      KMatrix variant = km;
+      assume_jitter_fraction(variant, f, cfg.override_known);
+      analysis::pack_bus(variant, cfg.rta, bus);
+      std::vector<Cell> row;
+      row.reserve(cols);
+      for (const Duration gap : out.min_inter_error) {
+        const SporadicErrors errors{gap};
+        std::size_t misses = 0;
+        Duration worst = Duration::zero();
+        for (std::size_t i = 0; i < n; ++i) {
+          const MessageResult r = analysis::solve_columnar(bus, i, errors);
+          if (!r.schedulable) ++misses;
+          worst = max(worst, r.wcrt);
+        }
+        row.push_back(
+            Cell{n > 0 ? static_cast<double>(misses) / static_cast<double>(n) : 0.0, worst});
+      }
+      return row;
+    });
   }
   out.miss_fraction.reserve(out.cells());
   out.worst_wcrt.reserve(out.cells());

@@ -28,11 +28,6 @@ struct JitterSweepConfig {
   /// Worker threads for evaluating sweep points (0 = hardware
   /// concurrency, 1 = serial). Results are bit-identical either way.
   int parallelism = 1;
-  /// Sweep points per work tile handed to a worker (0 = auto-size from
-  /// point count and thread count). Affects scheduling only — results
-  /// are byte-identical for every tile size (the determinism suite pins
-  /// this). Must be >= 0.
-  int tile = 0;
   /// RTA memoization across sweep points: messages the swept jitter does
   /// not reach keep their interference context and are served from cache.
   RtaCacheConfig cache;
@@ -65,8 +60,6 @@ struct ErrorSweepConfig {
   /// Worker threads for evaluating sweep points (0 = hardware
   /// concurrency, 1 = serial). Results are bit-identical either way.
   int parallelism = 1;
-  /// Sweep points per work tile (0 = auto; see JitterSweepConfig::tile).
-  int tile = 0;
   /// RTA memoization across sweep points (the error model is part of the
   /// cache key, so each point only reuses what it legitimately can).
   RtaCacheConfig cache;
@@ -97,8 +90,6 @@ struct FaultSweepConfig {
   /// Worker threads for evaluating sweep points (0 = hardware
   /// concurrency, 1 = serial). Results are bit-identical either way.
   int parallelism = 1;
-  /// Sweep points per work tile (0 = auto; see JitterSweepConfig::tile).
-  int tile = 0;
   /// Ladder memoization across sweep points (the fault probability is
   /// mix-time state, so every point reuses every ladder).
   RtaCacheConfig cache;
@@ -139,9 +130,6 @@ struct GridSweepConfig {
   CanRtaConfig rta;  ///< Its error model is replaced at every column.
   /// Worker threads over rows (0 = hardware concurrency, 1 = serial).
   int parallelism = 1;
-  /// Rows per work tile (0 = auto; scheduling only, results are
-  /// byte-identical for every tile size). Must be >= 0.
-  int tile = 0;
 };
 
 /// Per-cell aggregates in row-major order (row = jitter fraction index,

@@ -82,8 +82,8 @@ struct TelemetryConfig {
 };
 
 struct ServeConfig {
-  /// Shared RTA cache; its default 8 shards (CLI --serve-shards) keep
-  /// concurrent handle() calls from serializing on one lock.
+  /// Shared RTA cache; its default 8 shards keep concurrent handle()
+  /// calls from serializing on one lock.
   RtaCacheConfig cache;
   /// Parsed-matrix memo entries (distinct CSV texts held ready).
   std::size_t matrix_cache_capacity = 64;

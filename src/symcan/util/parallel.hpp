@@ -43,54 +43,49 @@ class ParallelExecutor {
   /// If any invocations throw, the exception of the lowest failing index
   /// is rethrown once all items have been attempted.
   template <typename F>
-  auto parallel_map_indexed(std::size_t count, F&& fn)
-      -> std::vector<std::decay_t<std::invoke_result_t<F&, std::size_t>>> {
-    using R = std::decay_t<std::invoke_result_t<F&, std::size_t>>;
-    std::vector<std::optional<R>> slots(count);
-    std::vector<std::exception_ptr> errors(count);
-    run(count, [&](std::size_t i) {
-      try {
-        slots[i].emplace(fn(i));
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-    for (std::size_t i = 0; i < count; ++i)
-      if (errors[i]) std::rethrow_exception(errors[i]);
-    std::vector<R> out;
-    out.reserve(count);
-    for (auto& s : slots) out.push_back(std::move(*s));
-    return out;
+  auto parallel_map_indexed(std::size_t count, F&& fn) {
+    return map_tiles(count, 1, fn);
   }
 
   /// Order-preserving map over a vector: out[i] == fn(items[i]).
   template <typename T, typename F>
-  auto parallel_map(const std::vector<T>& items, F&& fn)
-      -> std::vector<std::decay_t<std::invoke_result_t<F&, const T&>>> {
+  auto parallel_map(const std::vector<T>& items, F&& fn) {
     return parallel_map_indexed(items.size(), [&](std::size_t i) { return fn(items[i]); });
   }
 
-  /// Tile size for a batch when the caller asked for automatic sharding
-  /// (tile == 0): about four tiles per thread — small enough to balance
-  /// uneven item costs, large enough that the per-tile dispatch (one
-  /// atomic claim) amortizes over cheap items — clamped to [1, 64].
+  /// Tile size for a batch: about four tiles per thread — small enough
+  /// to balance uneven item costs, large enough that the per-tile
+  /// dispatch (one atomic claim) amortizes over cheap items — clamped
+  /// to [1, 64].
   static std::size_t auto_tile(std::size_t count, int threads);
 
-  /// parallel_map_indexed with the index space sharded into fixed-size
-  /// tiles: workers claim whole tiles, but every result still lands in
-  /// its own index slot, so the output (values and which-exception-wins)
-  /// is byte-identical for EVERY tile size and thread count — tiling
-  /// changes only how work is batched onto threads. tile == 0 derives
-  /// a size via auto_tile.
+  /// parallel_map_indexed with the index space sharded into auto_tile
+  /// sized tiles: workers claim whole tiles, but every result still
+  /// lands in its own index slot, so the output (values and which
+  /// exception wins) is byte-identical at every thread count — tiling
+  /// changes only how work is batched onto threads.
   template <typename F>
-  auto parallel_map_indexed_tiled(std::size_t count, std::size_t tile, F&& fn)
+  auto parallel_map_indexed_tiled(std::size_t count, F&& fn) {
+    return map_tiles(count, auto_tile(count, threads_), fn);
+  }
+
+  /// Order-preserving tiled map over a vector: out[i] == fn(items[i]).
+  template <typename T, typename F>
+  auto parallel_map_tiled(const std::vector<T>& items, F&& fn) {
+    return parallel_map_indexed_tiled(items.size(), [&](std::size_t i) { return fn(items[i]); });
+  }
+
+ private:
+  /// fn(i) for every i in [0, count), dispatched as tiles of `width`
+  /// consecutive indices. Each result and exception lands in its own
+  /// index slot; the lowest-index exception is rethrown at the end.
+  template <typename F>
+  auto map_tiles(std::size_t count, std::size_t width, F& fn)
       -> std::vector<std::decay_t<std::invoke_result_t<F&, std::size_t>>> {
     using R = std::decay_t<std::invoke_result_t<F&, std::size_t>>;
-    const std::size_t width = tile == 0 ? auto_tile(count, threads_) : tile;
     std::vector<std::optional<R>> slots(count);
     std::vector<std::exception_ptr> errors(count);
-    const std::size_t tiles = count == 0 ? 0 : (count + width - 1) / width;
-    run(tiles, [&](std::size_t t) {
+    run((count + width - 1) / width, [&](std::size_t t) {
       const std::size_t lo = t * width;
       const std::size_t hi = lo + width < count ? lo + width : count;
       for (std::size_t i = lo; i < hi; ++i) {
@@ -109,15 +104,6 @@ class ParallelExecutor {
     return out;
   }
 
-  /// Order-preserving tiled map over a vector: out[i] == fn(items[i]).
-  template <typename T, typename F>
-  auto parallel_map_tiled(const std::vector<T>& items, std::size_t tile, F&& fn)
-      -> std::vector<std::decay_t<std::invoke_result_t<F&, const T&>>> {
-    return parallel_map_indexed_tiled(items.size(), tile,
-                                      [&](std::size_t i) { return fn(items[i]); });
-  }
-
- private:
   /// Dispatch body(i) over [0, count) to the pool and block until every
   /// index has completed. body must not throw (the template layer wraps).
   void run(std::size_t count, const std::function<void(std::size_t)>& body);

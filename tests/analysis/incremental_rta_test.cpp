@@ -252,7 +252,7 @@ TEST(IncrementalRtaTest, EditsOnASharedCacheAcrossWorkersMatchFresh) {
   rta.analyze(km, cfg);
   rta.analyze_prob(km, prob);
   ParallelExecutor exec{4};
-  const std::vector<int> done = exec.parallel_map_indexed_tiled(edits.size(), 1, [&](std::size_t e) {
+  const std::vector<int> done = exec.parallel_map_indexed(edits.size(), [&](std::size_t e) {
     expect_identical(rta.analyze(edits[e], cfg), CanRta{edits[e], cfg}.analyze());
     const ProbBusResult cached = rta.analyze_prob(edits[e], prob);
     const ProbBusResult fresh = analyze_prob(edits[e], prob);

@@ -1,16 +1,15 @@
 // Acceptance gate: probabilistic analysis results — raw atoms and the
-// rendered report bytes — are identical at every jobs x tile
-// combination. The convolution pipeline is pure integer arithmetic, so
-// parallelism and tiling are scheduling choices only; this suite (run
+// rendered report bytes — are identical at every worker count. The
+// convolution pipeline is pure integer arithmetic, so parallelism and
+// the auto-sized tiles are scheduling choices only; this suite (run
 // under TSan via the `determinism` label) pins that contract at
-// jobs {1, 4} x tile {1, 7, 64}.
+// jobs {1, 2, 3, 4} against the serial baseline.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "symcan/analysis/presets.hpp"
 #include "symcan/analysis/prob_rta.hpp"
@@ -20,17 +19,7 @@
 namespace symcan {
 namespace {
 
-struct Fanout {
-  int jobs;
-  int tile;
-};
-
-const std::vector<Fanout>& fanouts() {
-  static const std::vector<Fanout> kFanouts = {
-      {1, 1}, {1, 7}, {1, 64}, {4, 1}, {4, 7}, {4, 64},
-  };
-  return kFanouts;
-}
+const int kJobs[] = {1, 2, 3, 4};
 
 KMatrix busy_matrix(std::uint64_t seed) {
   PowertrainConfig wl;
@@ -48,18 +37,14 @@ TEST(ProbDeterminism, AtomsIdenticalAcrossJobsAndTiles) {
   cfg.fault_ppm = 250'000;
   cfg.stuff_ppm = 900'000;
   cfg.jitter_ppm = 750'000;
-  cfg.parallelism = fanouts()[0].jobs;
-  cfg.tile = fanouts()[0].tile;
+  cfg.parallelism = 1;
   const ProbBusResult baseline = analyze_prob(km, cfg);
-  for (std::size_t f = 1; f < fanouts().size(); ++f) {
-    cfg.parallelism = fanouts()[f].jobs;
-    cfg.tile = fanouts()[f].tile;
+  for (const int jobs : kJobs) {
+    cfg.parallelism = jobs;
     const ProbBusResult got = analyze_prob(km, cfg);
     ASSERT_EQ(got.messages.size(), baseline.messages.size());
     for (std::size_t i = 0; i < baseline.messages.size(); ++i) {
-      const std::string tag = baseline.messages[i].det.name + " jobs=" +
-                              std::to_string(fanouts()[f].jobs) + " tile=" +
-                              std::to_string(fanouts()[f].tile);
+      const std::string tag = baseline.messages[i].det.name + " jobs=" + std::to_string(jobs);
       EXPECT_EQ(got.messages[i].response.atoms(), baseline.messages[i].response.atoms()) << tag;
       EXPECT_EQ(got.messages[i].miss_weight, baseline.messages[i].miss_weight) << tag;
       EXPECT_EQ(got.messages[i].rungs, baseline.messages[i].rungs) << tag;
@@ -75,18 +60,15 @@ TEST(ProbDeterminism, RenderedReportByteIdenticalAcrossJobsAndTiles) {
   spec.fault_ppm = 100'000;
   spec.stuff_ppm = 850'000;
   spec.jitter_ppm = 500'000;
-  spec.jobs = fanouts()[0].jobs;
-  spec.tile = fanouts()[0].tile;
+  spec.jobs = 1;
   std::ostringstream baseline;
   const int rc0 = pipeline::render_prob(km, rta, spec, baseline);
-  for (std::size_t f = 1; f < fanouts().size(); ++f) {
-    spec.jobs = fanouts()[f].jobs;
-    spec.tile = fanouts()[f].tile;
+  for (const int jobs : kJobs) {
+    spec.jobs = jobs;
     std::ostringstream out;
     const int rc = pipeline::render_prob(km, rta, spec, out);
     EXPECT_EQ(rc, rc0);
-    EXPECT_EQ(out.str(), baseline.str())
-        << "jobs=" << fanouts()[f].jobs << " tile=" << fanouts()[f].tile;
+    EXPECT_EQ(out.str(), baseline.str()) << "jobs=" << jobs;
   }
 }
 
@@ -99,7 +81,6 @@ TEST(ProbDeterminism, SharedCacheDoesNotPerturbParallelResults) {
   cfg.rta = worst_case_assumptions();
   cfg.fault_ppm = 333'333;
   cfg.parallelism = 4;
-  cfg.tile = 7;
   analysis::IncrementalRta rta;
   const ProbBusResult first = rta.analyze_prob(km, cfg);
   const ProbBusResult second = rta.analyze_prob(km, cfg);

@@ -1,9 +1,10 @@
-// Tile-size invariance: the tiled fan-outs (jitter/error/grid sweeps,
-// GA/NSGA-II fitness evaluation) shard their index space into fixed-size
-// work tiles, but every result lands in its own index slot — so the
-// output must be byte-identical for EVERY tile size at EVERY worker
-// count. This suite pins that property across tiles {1, 7, 64} x jobs
-// {1, 4} against the tile=0 (auto) serial baseline, and additionally
+// Tile invariance: the tiled fan-outs (jitter/error/grid sweeps,
+// GA/NSGA-II fitness evaluation) shard their index space into work tiles
+// sized by ParallelExecutor::auto_tile, but every result lands in its
+// own index slot — so the output must be byte-identical at EVERY worker
+// count. This suite pins that property across jobs {1, 2, 3, 4} against
+// the serial baseline (a 13-point sweep runs tiles of 4, 2, 2 and 1
+// there, so the tile loop runs at more than one width), and additionally
 // pins sweep_grid's cells against independently computed full analyses
 // (the grid's one-pack-per-row columnar shortcut must not show).
 //
@@ -23,8 +24,7 @@
 namespace symcan {
 namespace {
 
-const int kTiles[] = {1, 7, 64};
-const int kJobs[] = {1, 4};
+const int kJobs[] = {1, 2, 3, 4};
 
 KMatrix case_matrix() { return generate_powertrain(PowertrainConfig::case_study()); }
 
@@ -50,22 +50,18 @@ TEST(TileInvariance, JitterSweepByteIdenticalAcrossTilesAndJobs) {
   JitterSweepConfig base;
   base.rta = worst_case_assumptions();
   base.parallelism = 1;
-  base.tile = 0;
   const JitterSweepResult ref = sweep_jitter(km, base);
+  ASSERT_EQ(ref.fractions.size(), 13u);  // tiles of 4, 2, 2 and 1 at jobs 1..4
 
   for (const int jobs : kJobs) {
-    for (const int tile : kTiles) {
-      JitterSweepConfig cfg = base;
-      cfg.parallelism = jobs;
-      cfg.tile = tile;
-      const JitterSweepResult got = sweep_jitter(km, cfg);
-      const std::string where = "jobs=" + std::to_string(jobs) + " tile=" + std::to_string(tile);
-      ASSERT_EQ(ref.fractions, got.fractions) << where;
-      ASSERT_EQ(ref.results.size(), got.results.size()) << where;
-      for (std::size_t i = 0; i < ref.results.size(); ++i)
-        expect_same_bus_result(ref.results[i], got.results[i],
-                               where + " point " + std::to_string(i));
-    }
+    JitterSweepConfig cfg = base;
+    cfg.parallelism = jobs;
+    const JitterSweepResult got = sweep_jitter(km, cfg);
+    const std::string where = "jobs=" + std::to_string(jobs);
+    ASSERT_EQ(ref.fractions, got.fractions) << where;
+    ASSERT_EQ(ref.results.size(), got.results.size()) << where;
+    for (std::size_t i = 0; i < ref.results.size(); ++i)
+      expect_same_bus_result(ref.results[i], got.results[i], where + " point " + std::to_string(i));
   }
 }
 
@@ -74,22 +70,17 @@ TEST(TileInvariance, ErrorSweepByteIdenticalAcrossTilesAndJobs) {
   ErrorSweepConfig base;
   base.rta = worst_case_assumptions();
   base.parallelism = 1;
-  base.tile = 0;
   const ErrorSweepResult ref = sweep_errors(km, base);
 
   for (const int jobs : kJobs) {
-    for (const int tile : kTiles) {
-      ErrorSweepConfig cfg = base;
-      cfg.parallelism = jobs;
-      cfg.tile = tile;
-      const ErrorSweepResult got = sweep_errors(km, cfg);
-      const std::string where = "jobs=" + std::to_string(jobs) + " tile=" + std::to_string(tile);
-      ASSERT_EQ(ref.min_inter_error.size(), got.min_inter_error.size()) << where;
-      for (std::size_t i = 0; i < ref.results.size(); ++i) {
-        EXPECT_EQ(ref.min_inter_error[i].count_ns(), got.min_inter_error[i].count_ns()) << where;
-        expect_same_bus_result(ref.results[i], got.results[i],
-                               where + " point " + std::to_string(i));
-      }
+    ErrorSweepConfig cfg = base;
+    cfg.parallelism = jobs;
+    const ErrorSweepResult got = sweep_errors(km, cfg);
+    const std::string where = "jobs=" + std::to_string(jobs);
+    ASSERT_EQ(ref.min_inter_error.size(), got.min_inter_error.size()) << where;
+    for (std::size_t i = 0; i < ref.results.size(); ++i) {
+      EXPECT_EQ(ref.min_inter_error[i].count_ns(), got.min_inter_error[i].count_ns()) << where;
+      expect_same_bus_result(ref.results[i], got.results[i], where + " point " + std::to_string(i));
     }
   }
 }
@@ -101,24 +92,20 @@ TEST(TileInvariance, GridSweepByteIdenticalAcrossTilesAndJobs) {
   base.step = 0.10;  // 7 rows x 7 columns keeps the TSan runtime sane
   base.error_points = 7;
   base.parallelism = 1;
-  base.tile = 0;
   const GridSweepResult ref = sweep_grid(km, base);
   ASSERT_GT(ref.points(), 0u);
 
   for (const int jobs : kJobs) {
-    for (const int tile : kTiles) {
-      GridSweepConfig cfg = base;
-      cfg.parallelism = jobs;
-      cfg.tile = tile;
-      const GridSweepResult got = sweep_grid(km, cfg);
-      const std::string where = "jobs=" + std::to_string(jobs) + " tile=" + std::to_string(tile);
-      ASSERT_EQ(ref.fractions, got.fractions) << where;
-      ASSERT_EQ(ref.miss_fraction, got.miss_fraction) << where;
-      ASSERT_EQ(ref.worst_wcrt.size(), got.worst_wcrt.size()) << where;
-      for (std::size_t i = 0; i < ref.worst_wcrt.size(); ++i)
-        EXPECT_EQ(ref.worst_wcrt[i].count_ns(), got.worst_wcrt[i].count_ns())
-            << where << " cell " << i;
-    }
+    GridSweepConfig cfg = base;
+    cfg.parallelism = jobs;
+    const GridSweepResult got = sweep_grid(km, cfg);
+    const std::string where = "jobs=" + std::to_string(jobs);
+    ASSERT_EQ(ref.fractions, got.fractions) << where;
+    ASSERT_EQ(ref.miss_fraction, got.miss_fraction) << where;
+    ASSERT_EQ(ref.worst_wcrt.size(), got.worst_wcrt.size()) << where;
+    for (std::size_t i = 0; i < ref.worst_wcrt.size(); ++i)
+      EXPECT_EQ(ref.worst_wcrt[i].count_ns(), got.worst_wcrt[i].count_ns())
+          << where << " cell " << i;
   }
 }
 
@@ -158,58 +145,26 @@ TEST(TileInvariance, GaPopulationsByteIdenticalAcrossTilesAndJobs) {
   base.archive = 4;
   base.generations = 3;
   base.parallelism = 1;
-  base.tile = 0;
   const GaResult ref = optimize_priorities(km, base);
   const GaResult ref2 = optimize_priorities_nsga2(km, base);
 
   for (const int jobs : kJobs) {
-    for (const int tile : kTiles) {
-      GaConfig cfg = base;
-      cfg.parallelism = jobs;
-      cfg.tile = tile;
-      const std::string where = "jobs=" + std::to_string(jobs) + " tile=" + std::to_string(tile);
+    GaConfig cfg = base;
+    cfg.parallelism = jobs;
+    const std::string where = "jobs=" + std::to_string(jobs);
 
-      const GaResult got = optimize_priorities(km, cfg);
-      EXPECT_EQ(ref.best.order, got.best.order) << where;
-      EXPECT_EQ(ref.best.misses, got.best.misses) << where;
-      EXPECT_EQ(ref.best.robustness_cost, got.best.robustness_cost) << where;
-      EXPECT_EQ(ref.best_misses_history, got.best_misses_history) << where;
-      ASSERT_EQ(ref.pareto.size(), got.pareto.size()) << where;
+    const GaResult got = optimize_priorities(km, cfg);
+    EXPECT_EQ(ref.best.order, got.best.order) << where;
+    EXPECT_EQ(ref.best.misses, got.best.misses) << where;
+    EXPECT_EQ(ref.best.robustness_cost, got.best.robustness_cost) << where;
+    EXPECT_EQ(ref.best_misses_history, got.best_misses_history) << where;
+    ASSERT_EQ(ref.pareto.size(), got.pareto.size()) << where;
 
-      const GaResult got2 = optimize_priorities_nsga2(km, cfg);
-      EXPECT_EQ(ref2.best.order, got2.best.order) << where;
-      EXPECT_EQ(ref2.best.misses, got2.best.misses) << where;
-      EXPECT_EQ(ref2.best_misses_history, got2.best_misses_history) << where;
-    }
+    const GaResult got2 = optimize_priorities_nsga2(km, cfg);
+    EXPECT_EQ(ref2.best.order, got2.best.order) << where;
+    EXPECT_EQ(ref2.best.misses, got2.best.misses) << where;
+    EXPECT_EQ(ref2.best_misses_history, got2.best_misses_history) << where;
   }
-}
-
-TEST(TileInvariance, NegativeTileRejected) {
-  const KMatrix km = case_matrix();
-  JitterSweepConfig sweep;
-  sweep.rta = worst_case_assumptions();
-  sweep.tile = -1;
-  EXPECT_THROW(sweep_jitter(km, sweep), std::invalid_argument);
-
-  ErrorSweepConfig errors;
-  errors.rta = worst_case_assumptions();
-  errors.tile = -3;
-  EXPECT_THROW(sweep_errors(km, errors), std::invalid_argument);
-
-  GridSweepConfig grid;
-  grid.rta = worst_case_assumptions();
-  grid.tile = -7;
-  EXPECT_THROW(sweep_grid(km, grid), std::invalid_argument);
-
-  GaConfig ga;
-  ga.rta = worst_case_assumptions();
-  ga.eval_fractions = {0.25};
-  ga.population = 8;
-  ga.archive = 4;
-  ga.generations = 1;
-  ga.tile = -1;
-  EXPECT_THROW(optimize_priorities(km, ga), std::invalid_argument);
-  EXPECT_THROW(optimize_priorities_nsga2(km, ga), std::invalid_argument);
 }
 
 }  // namespace

@@ -68,17 +68,25 @@ TEST(ParallelExecutor, PropagatesExceptionsAtEveryWidth) {
 
 TEST(ParallelExecutor, PropagatesLowestIndexException) {
   // Several items fail; the surfaced exception must deterministically be
-  // the lowest failing index regardless of scheduling.
+  // the lowest failing index regardless of scheduling, one item per task
+  // or several per tile.
+  const auto fn = [](std::size_t i) {
+    if (i % 20 == 13) throw std::runtime_error("fail at " + std::to_string(i));
+    return i;
+  };
+  ASSERT_GT(ParallelExecutor::auto_tile(128, 4), 1u);
   for (int repeat = 0; repeat < 5; ++repeat) {
     ParallelExecutor exec{4};
-    try {
-      exec.parallel_map_indexed(128, [](std::size_t i) {
-        if (i % 20 == 13) throw std::runtime_error("fail at " + std::to_string(i));
-        return i;
-      });
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "fail at 13");
+    for (const bool tiled : {false, true}) {
+      try {
+        if (tiled)
+          exec.parallel_map_indexed_tiled(128, fn);
+        else
+          exec.parallel_map_indexed(128, fn);
+        FAIL() << "expected an exception, tiled=" << tiled;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "fail at 13") << "tiled=" << tiled;
+      }
     }
   }
 }
@@ -129,6 +137,8 @@ TEST(ParallelExecutor, SerialAndParallelAgree) {
   ParallelExecutor serial{1};
   ParallelExecutor parallel{6};
   EXPECT_EQ(serial.parallel_map(items, fn), parallel.parallel_map(items, fn));
+  ASSERT_GT(ParallelExecutor::auto_tile(items.size(), parallel.threads()), 1u);
+  EXPECT_EQ(serial.parallel_map(items, fn), parallel.parallel_map_tiled(items, fn));
 }
 
 }  // namespace
