@@ -80,12 +80,20 @@ KMatrix load_matrix(const Args& args, std::size_t positional_index = 0) {
   return km;
 }
 
-/// --jobs N: worker threads for the parallel fan-out commands (sweep,
-/// sensitivity, optimize, extend, report). 0 = one per hardware thread,
-/// the default — results are bit-identical at any width, so there is no
-/// reason not to use the whole machine interactively. 1 = serial.
+/// Upper bound of --jobs. Every unit of width is an OS thread started
+/// up front, so an unchecked value could ask for millions of threads.
+constexpr std::int64_t kMaxJobs = 256;
+
+/// --jobs N: worker threads for the parallel fan-out commands (analyze
+/// --prob, sweep, sensitivity, optimize, extend, report, serve). 0 = one
+/// per hardware thread, the default — results are bit-identical at any
+/// width, so there is no reason not to use the whole machine
+/// interactively. 1 = serial. Values above kMaxJobs are rejected (exit 2).
 int jobs_from(const Args& args) {
-  return static_cast<int>(args.count_option_or("jobs", 0));
+  const std::int64_t jobs = args.count_option_or("jobs", 0);
+  if (jobs > kMaxJobs)
+    throw std::invalid_argument("option --jobs must be <= " + std::to_string(kMaxJobs));
+  return static_cast<int>(jobs);
 }
 
 /// RTA memoization for the commands that re-analyze edited matrices.
@@ -607,9 +615,9 @@ std::string usage() {
          "              shutdown.\n"
          "  version     print version and build configuration\n"
          "  help\n"
-         "--jobs N selects N worker threads for sweep/sensitivity/optimize/\n"
-         "extend/report (0 = all hardware threads, the default; results are\n"
-         "bit-identical at any width).\n"
+         "--jobs N selects N worker threads for analyze --prob/sweep/\n"
+         "sensitivity/optimize/extend/report/serve (0 = all hardware threads,\n"
+         "the default; at most 256; results are bit-identical at any width).\n"
          "--strict escalates ingest warnings (zero cycle times, stray\n"
          "signal lines, non-0|1 boolean columns) to errors. Malformed input\n"
          "prints one line-numbered diagnostic per problem and exits 2.\n"

@@ -209,6 +209,7 @@ TEST_F(CliTest, ServeValidatesItsKnobsBeforeReadingRequests) {
       {"serve", "--stdio", "--batch", "0"},
       {"serve", "--stdio", "--matrix-cache", "nope"},
       {"serve", "--stdio", "--rta-cache-capacity", "0"},
+      {"serve", "--stdio", "--jobs", "100000"},
       {"serve", "--stdio", "--frobnicate", "1"},
   };
   for (const auto& args : bad) {
@@ -327,6 +328,17 @@ TEST_F(CliTest, JobsRejectsNegativeAndGarbage) {
   EXPECT_NE(err_.str().find("--jobs"), std::string::npos);
   EXPECT_EQ(run({"sweep", path_, "--jobs", "two"}), 2);
   EXPECT_NE(err_.str().find("not an integer"), std::string::npos);
+  // Above the documented 256 — including values that would wrap in an
+  // int to 1 thread or to a negative "use the hardware" width — every
+  // command exits 2 before it builds an executor.
+  for (const std::string jobs : {"257", "100000", "2147483648", "4294967297"}) {
+    for (const std::string command : {"sweep", "sensitivity", "optimize", "extend", "report"}) {
+      err_.str("");
+      EXPECT_EQ(run({command, path_, "--jobs", jobs}), 2) << command << " --jobs " << jobs;
+      EXPECT_NE(err_.str().find("--jobs must be <= 256"), std::string::npos) << err_.str();
+    }
+    EXPECT_EQ(run({"analyze", path_, "--prob", "--jobs", jobs}), 2) << jobs;
+  }
 }
 
 TEST_F(CliTest, GenerateRejectsNonPositiveSizes) {
