@@ -90,7 +90,7 @@ ProbRtaConfig prob_config() {
 constexpr long kParseCsvCeiling = 418;
 constexpr long kCanRtaAnalyzeCeiling = 61;
 constexpr long kCanRtaSolveOnlyCeiling = 1;  ///< analyze() on a built CanRta.
-constexpr long kRenderAnalyzeCeiling = 99;
+constexpr long kRenderAnalyzeCeiling = 41;
 constexpr long kMixLadderCeiling = 425;
 constexpr long kWarmAnalyzeProbCeiling = 435;
 constexpr long kValidateCeiling = 2;
