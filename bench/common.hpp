@@ -17,6 +17,7 @@
 
 #include "symcan/analysis/presets.hpp"
 #include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 #include "symcan/obs/obs.hpp"
 #include "symcan/util/table.hpp"
 #include "symcan/workload/powertrain.hpp"
@@ -120,35 +121,25 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
     ConsoleReporter::ReportRuns(reports);
   }
 
-  std::string results_json() const {
-    std::string out = "[";
-    bool first = true;
+  /// Writes the results array as the value of `w`'s pending key.
+  void write_results(obs::JsonOut& w) const {
+    w.begin_array(true);
     std::vector<std::string> seen;
     for (const std::string& name : order_) {
       if (std::find(seen.begin(), seen.end(), name) != seen.end()) continue;
       seen.push_back(name);
       const Stats& s = stats_.at(name);
-      out += first ? "\n    " : ",\n    ";
-      first = false;
-      out += "{\"name\": \"" + obs::json_escape(name) + "\"";
-      out += ", \"runs\": " + std::to_string(s.runs);
-      out += ", \"mean_wall_ms\": " +
-             obs::json_number(s.runs > 0 ? s.sum_wall_ms / static_cast<double>(s.runs) : 0.0);
-      out += ", \"min_wall_ms\": " + obs::json_number(s.min_wall_ms);
+      w.begin_object().field("name", name).field("runs", s.runs);
+      w.field("mean_wall_ms", s.runs > 0 ? s.sum_wall_ms / static_cast<double>(s.runs) : 0.0);
+      w.field("min_wall_ms", s.min_wall_ms);
       if (!s.counters.empty()) {
-        out += ", \"counters\": {";
-        bool first_counter = true;
-        for (const auto& [counter, value] : s.counters) {
-          out += first_counter ? "" : ", ";
-          first_counter = false;
-          out += "\"" + obs::json_escape(counter) + "\": " + obs::json_number(value);
-        }
-        out += "}";
+        w.key("counters").begin_object();
+        for (const auto& [counter, value] : s.counters) w.field(counter, value);
+        w.end_object();
       }
-      out += "}";
+      w.end_object();
     }
-    out += first ? "]" : "\n  ]";
-    return out;
+    w.end_array();
   }
 
  private:
@@ -170,12 +161,13 @@ inline int run_benchmarks(int argc, char** argv) {
     JsonCaptureReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
     obs::set_enabled(false);
-    std::string out = "{\n  \"bench\": \"" + obs::json_escape(req.bench_name) + "\",\n";
-    out += "  \"results\": " + reporter.results_json() + ",\n";
-    out += "  \"metrics\": " + obs::metrics_to_json(obs::metrics());
-    // metrics_to_json ends with "}\n"; splice it into the enclosing object.
-    while (!out.empty() && out.back() == '\n') out.pop_back();
-    out += "\n}\n";
+    std::string metrics = obs::metrics_to_json(obs::metrics());
+    metrics.pop_back();  // the trailing line break; the enclosing object adds its own
+    std::string out;
+    obs::JsonOut w{out, obs::JsonOut::Layout::kSpaced};
+    w.begin_object(true).field("bench", req.bench_name).key("results");
+    reporter.write_results(w);
+    w.key("metrics").raw(metrics).end_object().end_line();
     obs::write_file(req.path, out);
     std::cout << "wrote " << req.path << "\n";
   }

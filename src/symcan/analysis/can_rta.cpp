@@ -38,9 +38,17 @@ void flush_rta_observations(const BusResult& out) {
   m.counter("rta.can.diverged").add(diverged);
 }
 
+namespace {
+
+void check_inputs(const KMatrix& km, const CanRtaConfig& cfg) {
+  if (!cfg.errors) throw std::invalid_argument("CanRta: error model must not be null");
+  km.validate();
+}
+
+}  // namespace
+
 CanRta::CanRta(KMatrix km, CanRtaConfig cfg) : km_{std::move(km)}, cfg_{std::move(cfg)} {
-  if (!cfg_.errors) throw std::invalid_argument("CanRta: error model must not be null");
-  km_.validate();
+  check_inputs(km_, cfg_);
 }
 
 MessageResult CanRta::analyze_message(std::size_t index) const {
@@ -59,6 +67,11 @@ BusResult analyze_bus(const KMatrix& km, const CanRtaConfig& cfg) {
   out.messages = solve_rows(km, cfg);
   flush_rta_observations(out);
   return out;
+}
+
+BusResult analyze_uncached(const KMatrix& km, const CanRtaConfig& cfg) {
+  check_inputs(km, cfg);
+  return analyze_bus(km, cfg);
 }
 
 }  // namespace analysis

@@ -115,6 +115,10 @@ namespace analysis {
 /// cache-off IncrementalRta::analyze() both run exactly this.
 BusResult analyze_bus(const KMatrix& km, const CanRtaConfig& cfg);
 
+/// The one checked cache-off whole-bus analysis: CanRta's input checks,
+/// then analyze_bus, without CanRta's copy of the matrix.
+BusResult analyze_uncached(const KMatrix& km, const CanRtaConfig& cfg);
+
 }  // namespace analysis
 
 /// Analyzer bound to one K-Matrix and one configuration. Stateless after

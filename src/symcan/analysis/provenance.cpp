@@ -6,7 +6,7 @@
 #include "symcan/analysis/columnar.hpp"
 #include "symcan/can/kmatrix.hpp"
 #include "symcan/model/event_model.hpp"
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 #include "symcan/util/table.hpp"
 
 namespace symcan::analysis {
@@ -110,16 +110,6 @@ std::string iterates_to_text(const std::vector<Duration>& xs) {
   return out;
 }
 
-std::string iterates_to_json(const std::vector<Duration>& xs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) out += ",";
-    appendf(out, "%" PRId64, xs[i].count_ns());
-  }
-  out += "]";
-  return out;
-}
-
 }  // namespace
 
 std::string provenance_to_text(const Provenance& p) {
@@ -169,52 +159,45 @@ std::string provenance_to_text(const Provenance& p) {
 
 std::string provenance_to_json(const Provenance& p) {
   const MessageResult& r = p.result;
-  std::string out = "{";
-  appendf(out, "\"message\":\"%s\",", obs::json_escape(p.name).c_str());
-  appendf(out, "\"id\":%u,", p.id);
-  appendf(out, "\"schedulable\":%s,", r.schedulable ? "true" : "false");
-  appendf(out, "\"diverged\":%s,", r.diverged ? "true" : "false");
-  appendf(out, "\"wcrt_ns\":%" PRId64 ",", r.wcrt.count_ns());
-  appendf(out, "\"bcrt_ns\":%" PRId64 ",", r.bcrt.count_ns());
-  appendf(out, "\"deadline_ns\":%" PRId64 ",", r.deadline.count_ns());
-  appendf(out, "\"busy_period_ns\":%" PRId64 ",", r.busy_period.count_ns());
-  appendf(out, "\"instances\":%" PRId64 ",", r.instances);
-  appendf(out, "\"fixedpoint_iterations\":%" PRId64 ",", r.fixedpoint_iterations);
-  out += "\"breakdown\":{";
-  appendf(out, "\"blocking_frame\":\"%s\",", obs::json_escape(p.blocking_frame).c_str());
-  appendf(out, "\"bus_blocking_ns\":%" PRId64 ",", p.bus_blocking.count_ns());
-  appendf(out, "\"intra_node_blocking_ns\":%" PRId64 ",", p.intra_node_blocking.count_ns());
-  appendf(out, "\"critical_instance\":%" PRId64 ",", p.critical_instance);
-  appendf(out, "\"critical_window_ns\":%" PRId64 ",", p.critical_window.count_ns());
-  appendf(out, "\"preceding_instances_ns\":%" PRId64 ",", p.preceding_instances.count_ns());
-  out += "\"interference\":[";
-  for (std::size_t i = 0; i < p.interference.size(); ++i) {
-    const InterferenceShare& s = p.interference[i];
-    if (i) out += ",";
-    out += "{";
-    appendf(out, "\"name\":\"%s\",", obs::json_escape(s.name).c_str());
-    appendf(out, "\"offset_group\":%s,", s.offset_group ? "true" : "false");
+  std::string out;
+  obs::JsonOut w{out};
+  const auto iterates = [&](const char* key, const std::vector<Duration>& xs) {
+    w.key(key).begin_array();
+    for (const Duration x : xs) w.value(x.count_ns());
+    w.end_array();
+  };
+  w.begin_object().field("message", p.name).field("id", p.id);
+  w.field("schedulable", r.schedulable).field("diverged", r.diverged);
+  w.field("wcrt_ns", r.wcrt.count_ns()).field("bcrt_ns", r.bcrt.count_ns());
+  w.field("deadline_ns", r.deadline.count_ns()).field("busy_period_ns", r.busy_period.count_ns());
+  w.field("instances", r.instances).field("fixedpoint_iterations", r.fixedpoint_iterations);
+  w.key("breakdown").begin_object().field("blocking_frame", p.blocking_frame);
+  w.field("bus_blocking_ns", p.bus_blocking.count_ns());
+  w.field("intra_node_blocking_ns", p.intra_node_blocking.count_ns());
+  w.field("critical_instance", p.critical_instance);
+  w.field("critical_window_ns", p.critical_window.count_ns());
+  w.field("preceding_instances_ns", p.preceding_instances.count_ns());
+  w.key("interference").begin_array();
+  for (const InterferenceShare& s : p.interference) {
+    w.begin_object().field("name", s.name).field("offset_group", s.offset_group);
     if (s.offset_group) {
-      out += "\"members\":[";
-      for (std::size_t j = 0; j < s.members.size(); ++j) {
-        if (j) out += ",";
-        appendf(out, "\"%s\"", obs::json_escape(s.members[j]).c_str());
-      }
-      out += "],";
+      w.key("members").begin_array();
+      for (const std::string& m : s.members) w.value(m);
+      w.end_array();
     } else {
-      appendf(out, "\"preemptions\":%" PRId64 ",", s.preemptions);
+      w.field("preemptions", s.preemptions);
     }
-    appendf(out, "\"contribution_ns\":%" PRId64 "}", s.contribution.count_ns());
+    w.field("contribution_ns", s.contribution.count_ns()).end_object();
   }
-  out += "],";
-  appendf(out, "\"interference_total_ns\":%" PRId64 ",", p.interference_total.count_ns());
-  appendf(out, "\"error_overhead_ns\":%" PRId64 ",", p.error_overhead.count_ns());
-  appendf(out, "\"own_cost_ns\":%" PRId64 ",", p.own_cost.count_ns());
-  appendf(out, "\"arrival_credit_ns\":%" PRId64 ",", p.arrival_credit.count_ns());
-  appendf(out, "\"sum_of_parts_ns\":%" PRId64 ",", p.sum_of_parts().count_ns());
-  appendf(out, "\"sum_check\":%s},", p.sum_check() ? "true" : "false");
-  appendf(out, "\"busy_iterates_ns\":%s,", iterates_to_json(p.busy_iterates).c_str());
-  appendf(out, "\"window_iterates_ns\":%s}", iterates_to_json(p.window_iterates).c_str());
+  w.end_array().field("interference_total_ns", p.interference_total.count_ns());
+  w.field("error_overhead_ns", p.error_overhead.count_ns());
+  w.field("own_cost_ns", p.own_cost.count_ns());
+  w.field("arrival_credit_ns", p.arrival_credit.count_ns());
+  w.field("sum_of_parts_ns", p.sum_of_parts().count_ns());
+  w.field("sum_check", p.sum_check()).end_object();
+  iterates("busy_iterates_ns", p.busy_iterates);
+  iterates("window_iterates_ns", p.window_iterates);
+  w.end_object();
   return out;
 }
 

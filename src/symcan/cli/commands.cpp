@@ -84,16 +84,21 @@ KMatrix load_matrix(const Args& args, std::size_t positional_index = 0) {
 /// up front, so an unchecked value could ask for millions of threads.
 constexpr std::int64_t kMaxJobs = 256;
 
+/// `v`, the value of option --`name`, or exit 2 when it exceeds `max`.
+/// Caps the options that size threads or memory set up front.
+std::int64_t at_most(const std::string& name, std::int64_t v, std::int64_t max) {
+  if (v > max)
+    throw std::invalid_argument("option --" + name + " must be <= " + std::to_string(max));
+  return v;
+}
+
 /// --jobs N: worker threads for the parallel fan-out commands (analyze
 /// --prob, sweep, sensitivity, optimize, extend, report, serve). 0 = one
 /// per hardware thread, the default — results are bit-identical at any
 /// width, so there is no reason not to use the whole machine
 /// interactively. 1 = serial. Values above kMaxJobs are rejected (exit 2).
 int jobs_from(const Args& args) {
-  const std::int64_t jobs = args.count_option_or("jobs", 0);
-  if (jobs > kMaxJobs)
-    throw std::invalid_argument("option --jobs must be <= " + std::to_string(kMaxJobs));
-  return static_cast<int>(jobs);
+  return static_cast<int>(at_most("jobs", args.count_option_or("jobs", 0), kMaxJobs));
 }
 
 /// RTA memoization for the commands that re-analyze edited matrices.
@@ -335,7 +340,7 @@ int cmd_monitor(const Args& args, std::ostream& out) {
     rta.worst_case_stuffing = true;
     rta.deadline_override = DeadlinePolicy::kPeriod;
     rta.errors = pipeline::matching_error_model(sim.errors);
-    analyzer.set_bounds(CanRta{km, rta}.analyze());
+    analyzer.set_bounds(analysis::analyze_uncached(km, rta));
   }
 
   Trace trace;
@@ -404,7 +409,7 @@ int cmd_report(const Args& args, std::ostream& out) {
                    100 * load.utilization, within_load_limit(load, 0.4) ? "ok" : "EXCEEDED",
                    within_load_limit(load, 0.6) ? "ok" : "EXCEEDED");
 
-  const BusResult res = CanRta{km, cfg}.analyze();
+  const BusResult res = analysis::analyze_uncached(km, cfg);
   out << strprintf("- schedulability: %zu/%zu messages meet their deadline\n",
                    res.messages.size() - res.miss_count(), res.messages.size());
   Duration worst = Duration::zero();
@@ -509,13 +514,17 @@ int cmd_serve(const Args& args, std::istream& in, std::ostream& out) {
 
   // Telemetry plane: always on (the windows and flight ring are cheap);
   // the flags pick where dumps land and how much history is retained.
+  // The ring and the window buckets are allocated when the core starts,
+  // and the bucket width is converted to nanoseconds, so each is capped.
   if (const auto flight = args.path_option("flight-recorder"))
     cfg.telemetry.flight_path = *flight;
+  const auto capped = [&](const std::string& name, std::int64_t fallback, std::int64_t max) {
+    return at_most(name, args.positive_option_or(name, fallback), max);
+  };
   cfg.telemetry.flight_capacity =
-      static_cast<std::size_t>(args.positive_option_or("flight-capacity", 256));
-  cfg.telemetry.window_bucket_ms = args.positive_option_or("window-bucket-ms", 5000);
-  cfg.telemetry.window_buckets =
-      static_cast<std::size_t>(args.positive_option_or("window-buckets", 12));
+      static_cast<std::size_t>(capped("flight-capacity", 256, 65'536));
+  cfg.telemetry.window_bucket_ms = capped("window-bucket-ms", 5000, 86'400'000);
+  cfg.telemetry.window_buckets = static_cast<std::size_t>(capped("window-buckets", 12, 4096));
   // SLO objective: the burn-rate denominator is (1 - objective), so 1.0
   // (or anything outside the open interval) would divide by zero and
   // poison the telemetry/health JSON — reject it here, before the
@@ -608,8 +617,11 @@ std::string usage() {
          "              kind returns windowed rates, latency quantiles, and\n"
          "              per-kind SLO burn.\n"
          "              --flight-recorder FILE keeps the last N records (default\n"
-         "              256, --flight-capacity) and dumps them as JSONL on a\n"
-         "              telemetry request with \"dump\":true, or shutdown.\n"
+         "              256, at most 65536, --flight-capacity) and dumps them as\n"
+         "              JSONL on a telemetry request with \"dump\":true, or shutdown.\n"
+         "              The rolling window is --window-buckets N buckets (default\n"
+         "              12, at most 4096) of --window-bucket-ms N each (default\n"
+         "              5000, at most 86400000).\n"
          "              --metrics-prom FILE rewrites a Prometheus text-format\n"
          "              scrape file at most once per window bucket and at\n"
          "              shutdown.\n"

@@ -68,17 +68,6 @@ std::shared_ptr<const ErrorModel> matching_error_model(const SimErrorProcess& p)
   return std::make_shared<NoErrors>();
 }
 
-namespace {
-
-/// Cache-off analysis under CanRta's checks, without its matrix copy.
-BusResult analyze_uncached(const KMatrix& km, const CanRtaConfig& cfg) {
-  if (!cfg.errors) throw std::invalid_argument("CanRta: error model must not be null");
-  km.validate();
-  return analysis::analyze_bus(km, cfg);
-}
-
-}  // namespace
-
 int render_analyze(const KMatrix& km, const CanRtaConfig& cfg, std::ostream& out,
                    analysis::IncrementalRta* cache) {
   SYMCAN_OBS_SPAN("pipeline.analyze");
@@ -87,7 +76,7 @@ int render_analyze(const KMatrix& km, const CanRtaConfig& cfg, std::ostream& out
   appendf(text, "bus %s: %zu messages, load %.1f%% of %.0f kbit/s\n", km.bus_name().c_str(),
           km.size(), 100 * load.utilization, load.bandwidth_bps / 1000);
 
-  const BusResult res = cache ? cache->analyze(km, cfg) : analyze_uncached(km, cfg);
+  const BusResult res = cache ? cache->analyze(km, cfg) : analysis::analyze_uncached(km, cfg);
   TextTable t;
   t.header({"message", "id", "wcrt", "deadline", "slack", "verdict"});
   for (const std::size_t i : km.priority_order()) {
@@ -173,7 +162,7 @@ int render_validate(const KMatrix& km, const ValidateSpec& spec, std::ostream& o
   rta.deadline_override = DeadlinePolicy::kPeriod;
   rta.errors = matching_error_model(sim.errors);
 
-  const BusResult bounds = cache ? cache->analyze(km, rta) : analyze_uncached(km, rta);
+  const BusResult bounds = cache ? cache->analyze(km, rta) : analysis::analyze_uncached(km, rta);
   const BoundValidation v = compare_bound_vs_observed(bounds, simulate(km, sim));
   if (spec.json)
     out << validation_to_json(v) << "\n";

@@ -251,7 +251,8 @@ bool ServeCore::dump_flight(const char* reason) {
   if (cfg_.telemetry.flight_path.empty()) return false;
   std::lock_guard<std::mutex> lock(dump_m_);
   try {
-    std::string out = "{\"reason\":\"" + std::string(reason) + "\"}\n";
+    std::string out;
+    obs::JsonOut{out}.begin_object().field("reason", reason).end_object().end_line();
     out += flight_.dump_jsonl();
     obs::write_file(cfg_.telemetry.flight_path, out);
   } catch (const std::exception&) {
@@ -262,63 +263,43 @@ bool ServeCore::dump_flight(const char* reason) {
   return true;
 }
 
-namespace {
-
-std::string slo_json(const obs::SloStats& s) {
-  using obs::json_number;
-  std::string out = "{\"target_ms\":" + std::to_string(s.target_ns / 1'000'000);
-  out += ",\"objective\":" + json_number(s.objective);
-  out += ",\"total\":" + std::to_string(s.total);
-  out += ",\"over_target\":" + std::to_string(s.over_target);
-  out += ",\"window_total\":" + std::to_string(s.window_total);
-  out += ",\"window_over\":" + std::to_string(s.window_over);
-  out += ",\"burn_rate\":" + json_number(s.burn_rate);
-  out += ",\"budget_used\":" + json_number(s.budget_used) + "}";
-  return out;
-}
-
-}  // namespace
-
-void ServeCore::append_window_sections(std::string& out, std::int64_t now) const {
-  using obs::json_number;
-  const obs::WindowStats w = window_service_us_.snapshot(now);
-  out += ",\"window\":{\"windowed_total\":" + std::to_string(window_requests_.window_count(now));
-  out += ",\"rate_per_sec\":" + json_number(window_requests_.window_rate(now));
-  out += ",\"errors\":" + std::to_string(window_errors_.window_count(now));
-  out += ",\"window_ms\":" + std::to_string(w.window_ns / 1'000'000);
-  out += ",\"service_us\":{\"count\":" + std::to_string(w.count);
-  out += ",\"mean\":" + json_number(w.mean);
-  out += ",\"p50\":" + json_number(w.p50);
-  out += ",\"p95\":" + json_number(w.p95);
-  out += ",\"p99\":" + json_number(w.p99) + "}}";
-  out += ",\"slo\":{";
-  bool first = true;
+void ServeCore::write_window_sections(obs::JsonOut& w, std::int64_t now) const {
+  const obs::WindowStats ws = window_service_us_.snapshot(now);
+  w.key("window").begin_object().field("windowed_total", window_requests_.window_count(now));
+  w.field("rate_per_sec", window_requests_.window_rate(now));
+  w.field("errors", window_errors_.window_count(now)).field("window_ms", ws.window_ns / 1'000'000);
+  w.key("service_us").begin_object().field("count", ws.count).field("mean", ws.mean);
+  w.field("p50", ws.p50).field("p95", ws.p95).field("p99", ws.p99).end_object().end_object();
+  w.key("slo").begin_object();
   for (const RequestKind k :
        {RequestKind::kAnalyze, RequestKind::kProb, RequestKind::kExplain,
         RequestKind::kValidate, RequestKind::kOptimize, RequestKind::kHealth,
         RequestKind::kTelemetry}) {
     const auto& slo = slo_[kind_index(k)];
     if (!slo) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + std::string(to_string(k)) + "\":" + slo_json(slo->snapshot(now));
+    const obs::SloStats s = slo->snapshot(now);
+    w.key(to_string(k)).begin_object().field("target_ms", s.target_ns / 1'000'000);
+    w.field("objective", s.objective).field("total", s.total);
+    w.field("over_target", s.over_target).field("window_total", s.window_total);
+    w.field("window_over", s.window_over).field("burn_rate", s.burn_rate);
+    w.field("budget_used", s.budget_used).end_object();
   }
-  out += "}";
-  out += ",\"flight_recorder\":{\"capacity\":" + std::to_string(flight_.capacity());
-  out += ",\"recorded\":" + std::to_string(flight_.recorded());
-  out += ",\"dumps\":" + std::to_string(dumps_.load(std::memory_order_relaxed)) + "}";
+  w.end_object().key("flight_recorder").begin_object().field("capacity", flight_.capacity());
+  w.field("recorded", flight_.recorded());
+  w.field("dumps", dumps_.load(std::memory_order_relaxed)).end_object();
 }
 
 std::string ServeCore::telemetry_json() const {
   const std::int64_t now = now_ns();
-  std::string out = "{\"uptime_ms\":" + std::to_string(now / 1'000'000);
-  append_window_sections(out, now);
-  out += "}";
+  std::string out;
+  obs::JsonOut w{out};
+  w.begin_object().field("uptime_ms", now / 1'000'000);
+  write_window_sections(w, now);
+  w.end_object();
   return out;
 }
 
 std::string ServeCore::health_json() const {
-  using obs::json_number;
   const analysis::RtaCacheStats cs = rta_.stats();
   std::int64_t mhits = 0, mmisses = 0;
   std::size_t msize = 0;
@@ -329,29 +310,26 @@ std::string ServeCore::health_json() const {
     msize = matrix_lru_.size();
   }
   const std::int64_t now = now_ns();
+  std::string out;
+  obs::JsonOut w{out};
   // Always 0; perfbench/src/serve_workload.cpp parses it as serve.rejected.
-  std::string out = "{\"ring\":{\"rejected\":0,\"timed_out\":0,\"dropped_oldest\":0}";
-  out += ",\"rta_cache\":{\"shards\":" + std::to_string(rta_.shard_count());
-  out += ",\"capacity\":" + std::to_string(rta_.config().capacity);
-  out += ",\"size\":" + std::to_string(rta_.size());
-  out += ",\"hits\":" + std::to_string(cs.hits);
-  out += ",\"misses\":" + std::to_string(cs.misses);
-  out += ",\"evictions\":" + std::to_string(cs.evictions);
-  out += ",\"hit_rate\":" + json_number(cs.hit_rate()) + "}";
-  out += ",\"matrix_cache\":{\"capacity\":" + std::to_string(cfg_.matrix_cache_capacity);
-  out += ",\"size\":" + std::to_string(msize);
-  out += ",\"hits\":" + std::to_string(mhits);
-  out += ",\"misses\":" + std::to_string(mmisses) + "}";
-  out += ",\"requests\":{\"handled\":" + std::to_string(handled());
-  out += ",\"ok\":" + std::to_string(ok_.load(std::memory_order_relaxed));
-  out += ",\"failed\":" + std::to_string(failed_.load(std::memory_order_relaxed));
-  out += ",\"invalid\":" + std::to_string(invalid_.load(std::memory_order_relaxed));
+  w.begin_object().key("ring").begin_object().field("rejected", 0).field("timed_out", 0);
+  w.field("dropped_oldest", 0).end_object();
+  w.key("rta_cache").begin_object().field("shards", rta_.shard_count());
+  w.field("capacity", rta_.config().capacity).field("size", rta_.size());
+  w.field("hits", cs.hits).field("misses", cs.misses).field("evictions", cs.evictions);
+  w.field("hit_rate", cs.hit_rate()).end_object();
+  w.key("matrix_cache").begin_object().field("capacity", cfg_.matrix_cache_capacity);
+  w.field("size", msize).field("hits", mhits).field("misses", mmisses).end_object();
+  w.key("requests").begin_object().field("handled", handled());
+  w.field("ok", ok_.load(std::memory_order_relaxed));
+  w.field("failed", failed_.load(std::memory_order_relaxed));
+  w.field("invalid", invalid_.load(std::memory_order_relaxed));
   // Always 0; perfbench/src/serve_workload.cpp parses it as serve.shed.
-  out += ",\"shed\":0}";
-  out += ",\"uptime_ms\":" + std::to_string(now / 1'000'000);
-  out += ",\"build\":\"" + obs::json_escape(cfg_.build_info) + "\"";
-  append_window_sections(out, now);
-  out += "}";
+  w.field("shed", 0).end_object();
+  w.field("uptime_ms", now / 1'000'000).field("build", cfg_.build_info);
+  write_window_sections(w, now);
+  w.end_object();
   return out;
 }
 

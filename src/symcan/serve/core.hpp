@@ -47,6 +47,7 @@
 #include <utility>
 
 #include "symcan/analysis/incremental_rta.hpp"
+#include "symcan/obs/json.hpp"
 #include "symcan/obs/window.hpp"
 #include "symcan/serve/request.hpp"
 #include "symcan/serve/telemetry.hpp"
@@ -146,9 +147,9 @@ class ServeCore {
   /// Window/SLO/flight/registry bookkeeping for one finished record.
   void finish_telemetry(RequestTelemetry& t);
 
-  /// The sections health_json and telemetry_json share: `,"window":{...}`,
-  /// `,"slo":{...}` and `,"flight_recorder":{...}`, read at `now`.
-  void append_window_sections(std::string& out, std::int64_t now) const;
+  /// The sections health_json and telemetry_json share, read at `now`:
+  /// the window, slo and flight_recorder keys of the open object.
+  void write_window_sections(obs::JsonOut& w, std::int64_t now) const;
 
   std::size_t kind_index(RequestKind kind) const {
     return static_cast<std::size_t>(kind);

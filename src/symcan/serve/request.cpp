@@ -1,6 +1,6 @@
 #include "symcan/serve/request.hpp"
 
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 #include "symcan/util/jsonl.hpp"
 
 namespace symcan::serve {
@@ -292,74 +292,54 @@ std::optional<ServeRequest> request_from_jsonl(const std::string& line, std::siz
   return req;
 }
 
-namespace {
-
-/// `key` is the spelled separator and key, e.g. ",\"id\":".
-void append_text(std::string& out, const char* key, const std::string& text) {
-  out += key;
-  obs::append_json_quoted(out, text);
-}
-
-}  // namespace
-
 std::string request_to_jsonl(const ServeRequest& req) {
-  using obs::json_number;
   std::string out;
   out.reserve(128 + req.id.size() + req.matrix_csv.size() * 9 / 8 + req.message.size());
-  append_text(out, "{\"id\":", req.id);
-  out += ",\"kind\":\"" + std::string(to_string(req.kind)) + "\"";
+  obs::JsonOut w{out};
+  w.begin_object().field("id", req.id).field("kind", to_string(req.kind));
   if (req.kind != RequestKind::kHealth && req.kind != RequestKind::kTelemetry)
-    append_text(out, ",\"matrix_csv\":", req.matrix_csv);
-  if (req.preset != AssumptionPreset::kDefault)
-    out += ",\"preset\":\"" + std::string(pipeline::to_string(req.preset)) + "\"";
-  if (req.jitter) out += ",\"jitter\":" + json_number(*req.jitter);
-  if (req.override_known) out += ",\"override_known\":true";
+    w.field("matrix_csv", req.matrix_csv);
+  if (req.preset != AssumptionPreset::kDefault) w.field("preset", pipeline::to_string(req.preset));
+  if (req.jitter) w.field("jitter", *req.jitter);
+  if (req.override_known) w.field("override_known", true);
   // `message` is mandatory for explain, so it is always spelled there
   // (an empty name is a present-but-empty value, not an absent key).
-  if (req.kind == RequestKind::kExplain) append_text(out, ",\"message\":", req.message);
-  if (req.json) out += ",\"json\":true";
-  if (req.millis != 2000) out += ",\"millis\":" + std::to_string(req.millis);
-  if (req.seed) out += ",\"seed\":" + std::to_string(*req.seed);
-  if (req.errors != "none") append_text(out, ",\"errors\":", req.errors);
-  if (req.error_gap_ms) out += ",\"error_gap_ms\":" + std::to_string(*req.error_gap_ms);
-  if (req.generations != 25) out += ",\"generations\":" + std::to_string(req.generations);
-  if (req.population != 32) out += ",\"population\":" + std::to_string(req.population);
-  if (req.target_jitter != 0.25) out += ",\"target_jitter\":" + json_number(req.target_jitter);
-  if (req.fault_ppm != 1'000'000) out += ",\"fault_ppm\":" + std::to_string(req.fault_ppm);
-  if (req.stuff_ppm != 1'000'000) out += ",\"stuff_ppm\":" + std::to_string(req.stuff_ppm);
-  if (req.jitter_ppm != 1'000'000) out += ",\"jitter_ppm\":" + std::to_string(req.jitter_ppm);
-  if (req.max_rungs != 96) out += ",\"max_rungs\":" + std::to_string(req.max_rungs);
-  if (req.dump) out += ",\"dump\":true";
-  out += "}";
+  if (req.kind == RequestKind::kExplain) w.field("message", req.message);
+  if (req.json) w.field("json", true);
+  if (req.millis != 2000) w.field("millis", req.millis);
+  if (req.seed) w.field("seed", *req.seed);
+  if (req.errors != "none") w.field("errors", req.errors);
+  if (req.error_gap_ms) w.field("error_gap_ms", *req.error_gap_ms);
+  if (req.generations != 25) w.field("generations", req.generations);
+  if (req.population != 32) w.field("population", req.population);
+  if (req.target_jitter != 0.25) w.field("target_jitter", req.target_jitter);
+  if (req.fault_ppm != 1'000'000) w.field("fault_ppm", req.fault_ppm);
+  if (req.stuff_ppm != 1'000'000) w.field("stuff_ppm", req.stuff_ppm);
+  if (req.jitter_ppm != 1'000'000) w.field("jitter_ppm", req.jitter_ppm);
+  if (req.max_rungs != 96) w.field("max_rungs", req.max_rungs);
+  if (req.dump) w.field("dump", true);
+  w.end_object();
   return out;
 }
 
 std::string response_to_jsonl(const ServeResponse& resp) {
   std::string out;
   out.reserve(128 + resp.id.size() + resp.output.size() * 9 / 8 + resp.health_json.size());
-  append_text(out, "{\"id\":", resp.id);
-  out += ",\"kind\":\"" + std::string(to_string(resp.kind)) + "\"";
-  out += ",\"status\":\"" + std::string(to_string(resp.status)) + "\"";
-  out += ",\"exit_code\":" + std::to_string(resp.exit_code);
-  if (!resp.output.empty()) append_text(out, ",\"output\":", resp.output);
+  obs::JsonOut w{out};
+  w.begin_object().field("id", resp.id).field("kind", to_string(resp.kind));
+  w.field("status", to_string(resp.status)).field("exit_code", resp.exit_code);
+  if (!resp.output.empty()) w.field("output", resp.output);
   if (!resp.diagnostics.empty()) {
-    out += ",\"diagnostics\":[";
-    bool first = true;
+    w.key("diagnostics").begin_array();
     for (const Diagnostic& d : resp.diagnostics) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"severity\":\"" + std::string(to_string(d.severity)) + "\"";
-      out += ",\"line\":" + std::to_string(d.line);
-      append_text(out, ",\"message\":", d.message);
-      out += "}";
+      w.begin_object().field("severity", to_string(d.severity)).field("line", d.line);
+      w.field("message", d.message).end_object();
     }
-    out += "]";
+    w.end_array();
   }
-  if (!resp.health_json.empty()) {
-    out += resp.kind == RequestKind::kTelemetry ? ",\"telemetry\":" : ",\"health\":";
-    out += resp.health_json;
-  }
-  out += "}";
+  if (!resp.health_json.empty())
+    w.key(resp.kind == RequestKind::kTelemetry ? "telemetry" : "health").raw(resp.health_json);
+  w.end_object();
   return out;
 }
 

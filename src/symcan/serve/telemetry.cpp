@@ -3,7 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 
 namespace symcan::serve {
 
@@ -14,23 +14,19 @@ void RequestTelemetry::set_id(const std::string& s) {
 }
 
 std::string telemetry_to_jsonl(const RequestTelemetry& t) {
-  std::string out = "{\"id\":\"" + obs::json_escape(t.id) + "\"";
-  out += ",\"kind\":\"" + std::string(to_string(t.kind)) + "\"";
-  out += ",\"outcome\":\"" + std::string(to_string(t.outcome)) + "\"";
-  out += ",\"exit_code\":" + std::to_string(t.exit_code);
-  out += ",\"start_ns\":" + std::to_string(t.start_ns);
-  out += ",\"finish_ns\":" + std::to_string(t.finish_ns);
+  std::string out;
+  obs::JsonOut w{out};
+  w.begin_object().field("id", t.id).field("kind", to_string(t.kind));
+  w.field("outcome", to_string(t.outcome)).field("exit_code", t.exit_code);
+  w.field("start_ns", t.start_ns).field("finish_ns", t.finish_ns);
   // Always 0: handle() answers on the calling thread. Kept because
   // perfbench/src/serve_workload.cpp reads it from every record.
-  out += ",\"queue_wait_ns\":0";
-  out += ",\"service_ns\":" + std::to_string(t.service_ns());
+  w.field("queue_wait_ns", 0).field("service_ns", t.service_ns());
   // The flow: every handle() call is a batch of one. Kept because
   // perfbench/src/serve_workload.cpp reads it from every record.
-  out += ",\"batch_id\":" + std::to_string(t.flow);
-  out += ",\"flow\":" + std::to_string(t.flow);
-  out += ",\"matrix_cache\":" + std::to_string(static_cast<int>(t.matrix_cache));
-  out += ",\"response_bytes\":" + std::to_string(t.response_bytes);
-  out += "}";
+  w.field("batch_id", t.flow).field("flow", t.flow);
+  w.field("matrix_cache", static_cast<int>(t.matrix_cache));
+  w.field("response_bytes", t.response_bytes).end_object();
   return out;
 }
 

@@ -1,11 +1,9 @@
 #include "symcan/sim/trace_export.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <string>
 
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 
 namespace symcan {
 
@@ -29,19 +27,10 @@ double to_us(Duration d) { return static_cast<double>(d.count_ns()) / 1000.0; }
 
 std::string trace_to_jsonl(const Trace& trace) {
   std::string out;
-  char buf[64];
+  obs::JsonOut w{out};
   for (const TraceEvent& e : trace.events()) {
-    out += "{\"t_ns\":";
-    std::snprintf(buf, sizeof buf, "%" PRId64, e.time.count_ns());
-    out += buf;
-    out += ",\"type\":\"";
-    out += type_slug(e.type);
-    out += "\",\"message\":\"";
-    out += obs::json_escape(e.message);
-    out += "\",\"instance\":";
-    std::snprintf(buf, sizeof buf, "%" PRId64, e.instance);
-    out += buf;
-    out += "}\n";
+    w.begin_object().field("t_ns", e.time.count_ns()).field("type", type_slug(e.type));
+    w.field("message", e.message).field("instance", e.instance).end_object().end_line();
   }
   return out;
 }
@@ -49,42 +38,38 @@ std::string trace_to_jsonl(const Trace& trace) {
 std::string sim_trace_to_chrome_json(const Trace& trace, const KMatrix& km) {
   // Track layout: tid 0 is the bus; each ECU (in KMatrix node order) gets
   // the next tid; names that resolve to no sender share a "?" track.
-  std::map<std::string, int> ecu_tid;          // ECU name -> tid
-  std::map<std::string, int> sender_of;        // message name -> tid
-  std::string out = "{\"traceEvents\": [\n  "
-                    "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
-                    "\"args\": {\"name\": \"bus\"}}";
-  int next_tid = 1;
+  std::string out;
+  obs::JsonOut w{out, obs::JsonOut::Layout::kSpaced};
+  const auto thread_name = [&](int tid, const std::string& name) {
+    w.begin_object().field("name", "thread_name").field("ph", "M").field("pid", 1);
+    w.field("tid", tid).key("args").begin_object().field("name", name).end_object().end_object();
+  };
+  w.begin_object().key("traceEvents").begin_array(true);
+  thread_name(0, "bus");
+  std::map<std::string, int> ecu_tid;    // ECU name -> tid
+  std::map<std::string, int> sender_of;  // message name -> tid
   for (const auto& m : km.messages()) {
-    auto [it, inserted] = ecu_tid.emplace(m.sender, next_tid);
-    if (inserted) {
-      char buf[32];
-      out += ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ";
-      std::snprintf(buf, sizeof buf, "%d", next_tid);
-      out += buf;
-      out += ", \"args\": {\"name\": \"";
-      out += obs::json_escape(m.sender);
-      out += "\"}}";
-      ++next_tid;
-    }
+    const int tid = static_cast<int>(ecu_tid.size()) + 1;
+    const auto [it, inserted] = ecu_tid.emplace(m.sender, tid);
+    if (inserted) thread_name(tid, m.sender);
     sender_of.emplace(m.name, it->second);
   }
-  const int unknown_tid = next_tid;
-  bool unknown_used = false;
-
-  const auto tid_of = [&](const std::string& message) {
-    const auto it = sender_of.find(message);
-    if (it != sender_of.end()) return it->second;
-    unknown_used = true;
-    return unknown_tid;
+  const int unknown_tid = static_cast<int>(ecu_tid.size()) + 1;
+  const auto instant = [](const TraceEvent& e) {
+    return e.type == TraceEventType::kRelease || e.type == TraceEventType::kLoss ||
+           e.type == TraceEventType::kRetransmit;
   };
+  const auto& events = trace.events();
+  for (const TraceEvent& e : events) {
+    if (instant(e) && sender_of.count(e.message) == 0) {
+      thread_name(unknown_tid, "?");
+      break;
+    }
+  }
 
   // The bus is serial, so each kTxStart terminates at the next
   // kTxEnd/kError; a following kTxStart first means the trace was cut
   // mid-transmission.
-  const auto& events = trace.events();
-  std::string body;
-  char buf[128];
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
     if (e.type == TraceEventType::kTxStart) {
@@ -98,39 +83,19 @@ std::string sim_trace_to_chrome_json(const Trace& trace, const KMatrix& km) {
           break;
         }
       }
-      body += ",\n  {\"name\": \"";
-      body += obs::json_escape(e.message);
-      body += "\", \"cat\": \"tx\", \"ph\": \"X\", \"ts\": ";
-      body += obs::json_number(to_us(e.time));
-      body += ", \"dur\": ";
-      body += obs::json_number(to_us(end - e.time));
-      std::snprintf(buf, sizeof buf,
-                    ", \"pid\": 1, \"tid\": 0, \"args\": {\"instance\": %" PRId64
-                    ", \"outcome\": \"%s\"}}",
-                    e.instance, outcome);
-      body += buf;
-    } else if (e.type == TraceEventType::kRelease || e.type == TraceEventType::kLoss ||
-               e.type == TraceEventType::kRetransmit) {
-      body += ",\n  {\"name\": \"";
-      body += obs::json_escape(e.message);
-      body += "\", \"cat\": \"";
-      body += type_slug(e.type);
-      body += "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ";
-      body += obs::json_number(to_us(e.time));
-      std::snprintf(buf, sizeof buf, ", \"pid\": 1, \"tid\": %d, \"args\": {\"instance\": %" PRId64 "}}",
-                    tid_of(e.message), e.instance);
-      body += buf;
+      w.begin_object().field("name", e.message).field("cat", "tx").field("ph", "X");
+      w.field("ts", to_us(e.time)).field("dur", to_us(end - e.time)).field("pid", 1);
+      w.field("tid", 0).key("args").begin_object().field("instance", e.instance);
+      w.field("outcome", outcome).end_object().end_object();
+    } else if (instant(e)) {
+      const auto it = sender_of.find(e.message);
+      w.begin_object().field("name", e.message).field("cat", type_slug(e.type));
+      w.field("ph", "i").field("s", "t").field("ts", to_us(e.time)).field("pid", 1);
+      w.field("tid", it != sender_of.end() ? it->second : unknown_tid);
+      w.key("args").begin_object().field("instance", e.instance).end_object().end_object();
     }
   }
-  if (unknown_used) {
-    char tbuf[32];
-    out += ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ";
-    std::snprintf(tbuf, sizeof tbuf, "%d", unknown_tid);
-    out += tbuf;
-    out += ", \"args\": {\"name\": \"?\"}}";
-  }
-  out += body;
-  out += "\n], \"displayTimeUnit\": \"ms\"}\n";
+  w.end_array().field("displayTimeUnit", "ms").end_object().end_line();
   return out;
 }
 

@@ -4,7 +4,7 @@
 #include <cinttypes>
 #include <utility>
 
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 #include "symcan/stream/analyzer.hpp"
 #include "symcan/util/table.hpp"
 
@@ -109,56 +109,36 @@ std::string trace_stats_to_text(const TraceStats& stats) {
 }
 
 std::string trace_stats_to_json(const TraceStats& stats) {
-  std::string out = "{";
-  appendf(out, "\"span_ns\":%" PRId64 ",", stats.span.count_ns());
-  out += "\"average_utilization\":" + obs::json_number(stats.average_utilization) + ",";
-  out += "\"peak_utilization\":" + obs::json_number(stats.peak_utilization) + ",";
-  out += "\"messages\":[";
-  for (std::size_t i = 0; i < stats.messages.size(); ++i) {
-    const MessageTraceStats& m = stats.messages[i];
-    if (i) out += ",";
-    out += "{";
-    appendf(out, "\"name\":\"%s\",", obs::json_escape(m.name).c_str());
-    appendf(out, "\"releases\":%" PRId64 ",", m.releases);
-    appendf(out, "\"completions\":%" PRId64 ",", m.completions);
-    appendf(out, "\"errors\":%" PRId64 ",", m.errors);
-    appendf(out, "\"retransmits\":%" PRId64 ",", m.retransmits);
-    appendf(out, "\"losses\":%" PRId64 ",", m.losses);
-    appendf(out, "\"observed_max_ns\":%" PRId64 ",", m.observed_max.count_ns());
-    appendf(out, "\"observed_min_ns\":%" PRId64 ",",
-            m.latency_samples > 0 ? m.observed_min.count_ns() : 0);
-    appendf(out, "\"latency_mean_ns\":%" PRId64 ",", m.latency_mean().count_ns());
-    appendf(out, "\"latency_samples\":%" PRId64 ",", m.latency_samples);
-    appendf(out, "\"observed_p99_ns\":%" PRId64 ",", m.observed_p99.count_ns());
-    appendf(out, "\"arbitration_wait_max_ns\":%" PRId64 ",", m.arbitration_wait_max.count_ns());
-    appendf(out, "\"arbitration_wait_total_ns\":%" PRId64 ",", m.arbitration_wait_total.count_ns());
-    appendf(out, "\"retransmit_delay_total_ns\":%" PRId64 ",", m.retransmit_delay_total.count_ns());
-    out += "\"latency_us\":{";
-    out += "\"count\":";
-    appendf(out, "%" PRId64 ",", m.latency_us.count);
-    out += "\"sum\":" + obs::json_number(m.latency_us.sum) + ",";
-    out += "\"min\":" + obs::json_number(m.latency_us.min) + ",";
-    out += "\"max\":" + obs::json_number(m.latency_us.max) + ",";
-    out += "\"p50\":" + obs::json_number(m.latency_us.p50) + ",";
-    out += "\"p95\":" + obs::json_number(m.latency_us.p95) + ",";
-    out += "\"p99\":" + obs::json_number(m.latency_us.p99) + ",";
-    out += "\"buckets\":[";
-    for (std::size_t j = 0; j < m.latency_us.buckets.size(); ++j) {
-      if (j) out += ",";
-      out += "[" + obs::json_number(m.latency_us.buckets[j].first) + ",";
-      appendf(out, "%" PRId64 "]", m.latency_us.buckets[j].second);
-    }
-    out += "],";
-    appendf(out, "\"overflow\":%" PRId64 "}}", m.latency_us.overflow);
+  std::string out;
+  obs::JsonOut w{out};
+  w.begin_object().field("span_ns", stats.span.count_ns());
+  w.field("average_utilization", stats.average_utilization);
+  w.field("peak_utilization", stats.peak_utilization).key("messages").begin_array();
+  for (const MessageTraceStats& m : stats.messages) {
+    w.begin_object().field("name", m.name).field("releases", m.releases);
+    w.field("completions", m.completions).field("errors", m.errors);
+    w.field("retransmits", m.retransmits).field("losses", m.losses);
+    w.field("observed_max_ns", m.observed_max.count_ns());
+    w.field("observed_min_ns", m.latency_samples > 0 ? m.observed_min.count_ns() : 0);
+    w.field("latency_mean_ns", m.latency_mean().count_ns());
+    w.field("latency_samples", m.latency_samples);
+    w.field("observed_p99_ns", m.observed_p99.count_ns());
+    w.field("arbitration_wait_max_ns", m.arbitration_wait_max.count_ns());
+    w.field("arbitration_wait_total_ns", m.arbitration_wait_total.count_ns());
+    w.field("retransmit_delay_total_ns", m.retransmit_delay_total.count_ns());
+    const obs::HistogramSnapshot& h = m.latency_us;
+    w.key("latency_us").begin_object().field("count", h.count).field("sum", h.sum);
+    w.field("min", h.min).field("max", h.max);
+    w.field("p50", h.p50).field("p95", h.p95).field("p99", h.p99).key("buckets").begin_array();
+    for (const auto& [le, count] : h.buckets) w.begin_array().value(le).value(count).end_array();
+    w.end_array().field("overflow", h.overflow).end_object().end_object();
   }
-  out += "],\"utilization\":[";
-  for (std::size_t i = 0; i < stats.utilization.size(); ++i) {
-    const UtilizationWindow& w = stats.utilization[i];
-    if (i) out += ",";
-    appendf(out, "{\"start_ns\":%" PRId64 ",\"end_ns\":%" PRId64 ",\"utilization\":%s}",
-            w.start.count_ns(), w.end.count_ns(), obs::json_number(w.utilization).c_str());
+  w.end_array().key("utilization").begin_array();
+  for (const UtilizationWindow& u : stats.utilization) {
+    w.begin_object().field("start_ns", u.start.count_ns()).field("end_ns", u.end.count_ns());
+    w.field("utilization", u.utilization).end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 

@@ -1,10 +1,9 @@
 #include "symcan/sim/validation.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 
 namespace symcan {
 
@@ -54,29 +53,18 @@ std::string validation_to_text(const BoundValidation& v) {
 }
 
 std::string validation_to_json(const BoundValidation& v) {
-  std::string out = "{";
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "\"violations\":%zu,", v.violations);
-  out += buf;
-  out += "\"worst_tightness\":" + obs::json_number(v.worst_tightness) + ",";
-  out += "\"messages\":[";
-  for (std::size_t i = 0; i < v.messages.size(); ++i) {
-    const BoundObservation& o = v.messages[i];
-    if (i) out += ",";
-    out += "{\"name\":\"" + obs::json_escape(o.name) + "\",";
-    std::snprintf(buf, sizeof buf,
-                  "\"bound_ns\":%" PRId64 ",\"observed_max_ns\":%" PRId64
-                  ",\"observed_p99_ns\":%" PRId64 ",\"completions\":%" PRId64 ",",
-                  o.bound.count_ns(), o.observed_max.count_ns(), o.observed_p99.count_ns(),
-                  o.completions);
-    out += buf;
-    out += "\"diverged\":";
-    out += o.diverged ? "true" : "false";
-    out += ",\"violation\":";
-    out += o.violation ? "true" : "false";
-    out += ",\"tightness\":" + obs::json_number(o.tightness()) + "}";
+  std::string out;
+  obs::JsonOut w{out};
+  w.begin_object().field("violations", v.violations).field("worst_tightness", v.worst_tightness);
+  w.key("messages").begin_array();
+  for (const BoundObservation& o : v.messages) {
+    w.begin_object().field("name", o.name).field("bound_ns", o.bound.count_ns());
+    w.field("observed_max_ns", o.observed_max.count_ns());
+    w.field("observed_p99_ns", o.observed_p99.count_ns()).field("completions", o.completions);
+    w.field("diverged", o.diverged).field("violation", o.violation);
+    w.field("tightness", o.tightness()).end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 

@@ -5,7 +5,7 @@
 #include <cinttypes>
 #include <cstdlib>
 
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 #include "symcan/obs/obs.hpp"
 #include "symcan/sim/validation.hpp"
 #include "symcan/util/table.hpp"
@@ -449,56 +449,35 @@ std::string stream_stats_to_text(const StreamStats& stats) {
 }
 
 std::string stream_stats_to_json(const StreamStats& stats) {
-  std::string out = "{";
-  appendf(out, "\"frames\":%" PRId64 ",", stats.frames);
-  appendf(out, "\"health_events\":%" PRId64 ",", stats.health_events);
-  appendf(out, "\"dropped_events\":%" PRId64 ",", stats.dropped_events);
-  appendf(out, "\"active_conditions\":%" PRId64 ",", stats.active_conditions);
-  appendf(out, "\"violations\":%" PRId64 ",", stats.violations);
-  out += "\"messages\":[";
-  for (std::size_t i = 0; i < stats.messages.size(); ++i) {
-    const MessageStreamStats& m = stats.messages[i];
-    if (i) out += ",";
-    out += "{";
-    appendf(out, "\"name\":\"%s\",", obs::json_escape(m.name).c_str());
-    appendf(out, "\"releases\":%" PRId64 ",", m.releases);
-    appendf(out, "\"completions\":%" PRId64 ",", m.completions);
-    appendf(out, "\"errors\":%" PRId64 ",", m.errors);
-    appendf(out, "\"retransmits\":%" PRId64 ",", m.retransmits);
-    appendf(out, "\"losses\":%" PRId64 ",", m.losses);
-    appendf(out, "\"latency_samples\":%" PRId64 ",", m.latency_samples);
-    appendf(out, "\"latency_min_ns\":%" PRId64 ",",
-            m.latency_samples > 0 ? m.latency_min.count_ns() : 0);
-    appendf(out, "\"latency_mean_ns\":%" PRId64 ",", m.latency_mean().count_ns());
-    appendf(out, "\"latency_max_ns\":%" PRId64 ",", m.latency_max.count_ns());
-    appendf(out, "\"period_baseline_ns\":%" PRId64 ",", m.period_baseline.count_ns());
-    appendf(out, "\"period_deviation_ns\":%" PRId64 ",", m.period_deviation.count_ns());
-    appendf(out, "\"response_baseline_ns\":%" PRId64 ",", m.response_baseline.count_ns());
-    out += "\"bound_known\":";
-    out += m.bound_known ? "true" : "false";
-    out += ",\"diverged\":";
-    out += m.diverged ? "true" : "false";
+  std::string out;
+  obs::JsonOut w{out};
+  w.begin_object().field("frames", stats.frames).field("health_events", stats.health_events);
+  w.field("dropped_events", stats.dropped_events);
+  w.field("active_conditions", stats.active_conditions).field("violations", stats.violations);
+  w.key("messages").begin_array();
+  for (const MessageStreamStats& m : stats.messages) {
+    w.begin_object().field("name", m.name).field("releases", m.releases);
+    w.field("completions", m.completions).field("errors", m.errors);
+    w.field("retransmits", m.retransmits).field("losses", m.losses);
+    w.field("latency_samples", m.latency_samples);
+    w.field("latency_min_ns", m.latency_samples > 0 ? m.latency_min.count_ns() : 0);
+    w.field("latency_mean_ns", m.latency_mean().count_ns());
+    w.field("latency_max_ns", m.latency_max.count_ns());
+    w.field("period_baseline_ns", m.period_baseline.count_ns());
+    w.field("period_deviation_ns", m.period_deviation.count_ns());
+    w.field("response_baseline_ns", m.response_baseline.count_ns());
+    w.field("bound_known", m.bound_known).field("diverged", m.diverged);
     if (m.bound_known && !m.diverged && m.bound < Duration::infinite())
-      appendf(out, ",\"bound_ns\":%" PRId64, m.bound.count_ns());
-    appendf(out, ",\"bound_violations\":%" PRId64 ",", m.bound_violations);
-    appendf(out, "\"inflight_evictions\":%" PRId64 ",", m.inflight_evictions);
-    out += "\"active\":[";
-    bool first = true;
-    const auto flag = [&](bool on, const char* name) {
-      if (!on) return;
-      if (!first) out += ",";
-      first = false;
-      out += "\"";
-      out += name;
-      out += "\"";
-    };
-    flag(m.jitter_active, "jitter");
-    flag(m.drift_active, "drift");
-    flag(m.stall_active, "stall");
-    flag(m.arrhythmia_active, "arrhythmia");
-    out += "]}";
+      w.field("bound_ns", m.bound.count_ns());
+    w.field("bound_violations", m.bound_violations);
+    w.field("inflight_evictions", m.inflight_evictions).key("active").begin_array();
+    if (m.jitter_active) w.value("jitter");
+    if (m.drift_active) w.value("drift");
+    if (m.stall_active) w.value("stall");
+    if (m.arrhythmia_active) w.value("arrhythmia");
+    w.end_array().end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 

@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 
 namespace symcan::stream {
 
@@ -48,20 +48,11 @@ std::string to_string(const HealthEvent& e) {
 
 std::string health_events_to_jsonl(const std::vector<HealthEvent>& events) {
   std::string out;
-  char buf[96];
+  obs::JsonOut w{out};
   for (const HealthEvent& e : events) {
-    out += "{\"t_ns\":";
-    std::snprintf(buf, sizeof buf, "%" PRId64, e.time.count_ns());
-    out += buf;
-    out += ",\"event\":\"";
-    out += to_string(e.type);
-    out += "\",\"message\":\"";
-    out += obs::json_escape(e.message);
-    out += "\"";
-    std::snprintf(buf, sizeof buf, ",\"observed_ns\":%" PRId64 ",\"baseline_ns\":%" PRId64
-                                   ",\"frame\":%" PRId64 "}\n",
-                  e.observed_ns, e.baseline_ns, e.frame_index);
-    out += buf;
+    w.begin_object().field("t_ns", e.time.count_ns()).field("event", to_string(e.type));
+    w.field("message", e.message).field("observed_ns", e.observed_ns);
+    w.field("baseline_ns", e.baseline_ns).field("frame", e.frame_index).end_object().end_line();
   }
   return out;
 }

@@ -210,6 +210,10 @@ TEST_F(CliTest, ServeValidatesItsKnobsBeforeReadingRequests) {
       {"serve", "--stdio", "--matrix-cache", "nope"},
       {"serve", "--stdio", "--rta-cache-capacity", "0"},
       {"serve", "--stdio", "--jobs", "100000"},
+      {"serve", "--stdio", "--flight-capacity", "65537"},
+      {"serve", "--stdio", "--window-buckets", "4097"},
+      {"serve", "--stdio", "--window-bucket-ms", "86400001"},
+      {"serve", "--stdio", "--window-bucket-ms", "10000000000000"},
       {"serve", "--stdio", "--frobnicate", "1"},
   };
   for (const auto& args : bad) {
@@ -219,6 +223,18 @@ TEST_F(CliTest, ServeValidatesItsKnobsBeforeReadingRequests) {
     EXPECT_EQ(run_cli(args, in, out_, err_), 2) << args[2];
     EXPECT_EQ(out_.str(), "") << args[2];
   }
+}
+
+TEST_F(CliTest, ServeAcceptsEachAllocationCap) {
+  std::istringstream in{"{\"id\":\"x\",\"kind\":\"health\"}\n"};
+  EXPECT_EQ(run_cli({"serve", "--stdio", "--jobs", "1", "--flight-capacity", "65536",
+                     "--window-buckets", "4096", "--window-bucket-ms", "86400000"},
+                    in, out_, err_),
+            0)
+      << err_.str();
+  EXPECT_NE(out_.str().find("\"status\":\"ok\""), std::string::npos) << out_.str();
+  EXPECT_NE(out_.str().find("\"capacity\":65536"), std::string::npos) << out_.str();
+  EXPECT_NE(out_.str().find("\"window_ms\":353894400000"), std::string::npos) << out_.str();
 }
 
 TEST_F(CliTest, ServeRejectsDegenerateSloObjective) {

@@ -1,15 +1,20 @@
-// JSON string escaping, pinned against hostile names. Metric, message
-// and ECU names flow from user-controlled inputs (CSV / DBC files)
-// straight into every JSON exporter; a single unescaped quote or control
-// byte silently corrupts the whole document for downstream tools. These
-// tests pin obs::json_escape byte-for-byte and prove the exporters route
-// every name through it.
+// The JSON writer, obs::JsonOut, pinned against hostile names. Metric,
+// message and ECU names flow from user-controlled inputs (CSV / DBC
+// files) straight into every JSON exporter; a single unescaped quote or
+// control byte silently corrupts the whole document for downstream
+// tools. These tests pin the writer's escaping, numbers and separators
+// byte-for-byte and prove the exporters route every name through it.
 
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+
+#include "symcan/obs/export.hpp"
 
 #include "symcan/sim/trace.hpp"
 #include "symcan/sim/trace_export.hpp"
@@ -54,17 +59,80 @@ bool json_well_formed(const std::string& s) {
 
 const char kHostile[] = "a\"b\\c\nd\te\x01" "f, \"}], ";
 
+/// `v` as the one value of a compact document.
+template <class T>
+std::string json(const T& v) {
+  std::string out;
+  obs::JsonOut{out}.value(v);
+  return out;
+}
+
 TEST(JsonEscape, PinnedByteForByte) {
-  EXPECT_EQ(obs::json_escape("plain_name-42"), "plain_name-42");
-  EXPECT_EQ(obs::json_escape("\""), "\\\"");
-  EXPECT_EQ(obs::json_escape("\\"), "\\\\");
-  EXPECT_EQ(obs::json_escape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
+  EXPECT_EQ(json("plain_name-42"), "\"plain_name-42\"");
+  EXPECT_EQ(json("\""), "\"\\\"\"");
+  EXPECT_EQ(json("\\"), "\"\\\\\"");
+  EXPECT_EQ(json("\b\f\n\r\t"), "\"\\b\\f\\n\\r\\t\"");
   // Other control bytes take the \u00XX form.
-  EXPECT_EQ(obs::json_escape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(obs::json_escape(std::string(1, '\x1f')), "\\u001f");
+  EXPECT_EQ(json(std::string(1, '\x01')), "\"\\u0001\"");
+  EXPECT_EQ(json(std::string(1, '\x1f')), "\"\\u001f\"");
   // Non-ASCII bytes (UTF-8 continuation etc.) pass through untouched.
-  EXPECT_EQ(obs::json_escape("\xc3\xa9"), "\xc3\xa9");
-  EXPECT_EQ(obs::json_escape(kHostile), "a\\\"b\\\\c\\nd\\te\\u0001f, \\\"}], ");
+  EXPECT_EQ(json("\xc3\xa9"), "\"\xc3\xa9\"");
+  EXPECT_EQ(json(kHostile), "\"a\\\"b\\\\c\\nd\\te\\u0001f, \\\"}], \"");
+}
+
+TEST(JsonOut, EmptyAndNestedContainers) {
+  EXPECT_EQ(json(std::string()), "\"\"");
+  std::string out;
+  obs::JsonOut w{out};
+  w.begin_object().end_object().end_line();
+  w.begin_array().end_array().end_line();
+  w.begin_object().key("a").begin_array().end_array().key("b").begin_object().end_object();
+  w.key("c").begin_array().begin_array().end_array().begin_array().begin_object().end_object();
+  w.end_array().end_array().end_object();
+  EXPECT_EQ(out, "{}\n[]\n{\"a\":[],\"b\":{},\"c\":[[],[{}]]}");
+}
+
+TEST(JsonOut, CommasFollowARawFragment) {
+  std::string out;
+  obs::JsonOut w{out};
+  w.begin_array().raw("{\"x\":1}").value(2).raw("[]").end_array().end_line();
+  w.begin_object().key("h").raw("{}").field("n", 3).end_object();
+  EXPECT_EQ(out, "[{\"x\":1},2,[]]\n{\"h\":{},\"n\":3}");
+}
+
+TEST(JsonOut, IntegersPrintExactlyAtTheirLimits) {
+  EXPECT_EQ(json(std::numeric_limits<std::int64_t>::min()), "-9223372036854775808");
+  EXPECT_EQ(json(std::numeric_limits<std::int64_t>::max()), "9223372036854775807");
+  EXPECT_EQ(json(std::numeric_limits<std::uint64_t>::max()), "18446744073709551615");
+  EXPECT_EQ(json(0), "0");
+  EXPECT_EQ(json(true), "true");
+  EXPECT_EQ(json(false), "false");
+}
+
+TEST(JsonOut, NonFiniteDoublesPrintNull) {
+  EXPECT_EQ(json(std::nan("")), "null");
+  EXPECT_EQ(json(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json(-std::numeric_limits<double>::infinity()), "null");
+}
+
+TEST(JsonOut, DoublesPrintSeventeenSignificantDigits) {
+  EXPECT_EQ(json(0.1), "0.10000000000000001");
+  EXPECT_EQ(json(4.0), "4");
+  EXPECT_EQ(json(-1.5), "-1.5");
+  EXPECT_EQ(json(1e300), "1.0000000000000001e+300");
+}
+
+TEST(JsonOut, SpacedLayoutBreaksOnlyLinesContainers) {
+  std::string out;
+  obs::JsonOut w{out, obs::JsonOut::Layout::kSpaced};
+  w.begin_object(true).key("empty").begin_object(true).end_object();
+  w.key("rows").begin_array(true);
+  w.begin_object().field("a", 1).field("b", "x").end_object();
+  w.begin_array().value(1).value(2).end_array();
+  w.end_array().field("n", 0.5).end_object().end_line();
+  EXPECT_EQ(out,
+            "{\n  \"empty\": {},\n  \"rows\": [\n    {\"a\": 1, \"b\": \"x\"},\n    [1, 2]\n  ],"
+            "\n  \"n\": 0.5\n}\n");
 }
 
 TEST(JsonEscape, MetricsExportSurvivesHostileMetricNames) {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 
 namespace symcan::obs {
 namespace {
@@ -184,9 +185,10 @@ TEST(Export, MetricsJsonContainsEveryMetric) {
 }
 
 TEST(Export, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(json_number(1.0 / 0.0), "null");
+  std::string out;
+  JsonOut w{out};
+  w.begin_array().value("a\"b\\c\nd").value(std::string(1, '\x01')).value(1.0 / 0.0).end_array();
+  EXPECT_EQ(out, "[\"a\\\"b\\\\c\\nd\",\"\\u0001\",null]");
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <optional>
 #include <string>
 
-#include "symcan/obs/export.hpp"
+#include "symcan/obs/json.hpp"
 #include "symcan/util/jsonl.hpp"
 
 namespace symcan::serve {
@@ -265,7 +265,7 @@ TEST(ServeRequestTest, EveryEscapeClassRoundTrips) {
   hostile += "\"\\";
 
   std::string quoted;
-  obs::append_json_quoted(quoted, hostile);
+  obs::JsonOut{quoted}.value(hostile);
   for (const char c : quoted) EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << quoted;
   EXPECT_NE(quoted.find("\\u0000"), std::string::npos);
   EXPECT_NE(quoted.find("\\u001f"), std::string::npos);
