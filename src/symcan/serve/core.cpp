@@ -103,7 +103,7 @@ std::shared_ptr<const KMatrix> ServeCore::matrix_for(const std::string& csv, boo
   return shared;
 }
 
-ServeResponse ServeCore::handle(const ServeRequest& req) {
+ServeResponse ServeCore::handle(const ServeRequest& req, const Diagnostics* rejected) {
   RequestTelemetry t;
   t.set_id(req.id);
   t.kind = req.kind;
@@ -128,6 +128,14 @@ ServeResponse ServeCore::handle(const ServeRequest& req) {
     finish_telemetry(t);
     return r;
   };
+  const auto reject = [&](const Diagnostics& diags) -> ServeResponse& {
+    invalid_.fetch_add(1, std::memory_order_relaxed);
+    obs::count("serve.requests.invalid");
+    resp = invalid_response(req.id, diags);
+    resp.kind = req.kind;
+    return finish(resp);
+  };
+  if (rejected) return reject(*rejected);
 
   try {
     if (req.kind == RequestKind::kHealth) {
@@ -211,23 +219,11 @@ ServeResponse ServeCore::handle(const ServeRequest& req) {
     (rc == 0 ? ok_ : failed_).fetch_add(1, std::memory_order_relaxed);
     return finish(resp);
   } catch (const ParseError& e) {
-    invalid_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("serve.requests.invalid");
-    ServeResponse bad = invalid_response(req.id, e.diagnostics());
-    bad.kind = req.kind;
-    return finish(bad);
+    return reject(e.diagnostics());
   } catch (const std::exception& e) {
-    invalid_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("serve.requests.invalid");
-    resp.status = ResponseStatus::kInvalid;
-    resp.exit_code = 2;
-    Diagnostic d;
-    d.source = "serve";
-    d.message = e.what();
-    resp.diagnostics = {d};
-    resp.output.clear();
-    resp.health_json.clear();
-    return finish(resp);
+    Diagnostics diags{cfg_.policy, "serve"};
+    diags.error(0, e.what());
+    return reject(diags);
   }
 }
 

@@ -117,8 +117,10 @@ class ServeCore {
   /// Answer one request on the calling thread (any thread). Never
   /// throws: malformed or unprocessable requests become kInvalid
   /// responses. Each call draws a fresh flow id, stamps start/finish and
-  /// records the telemetry.
-  ServeResponse handle(const ServeRequest& req);
+  /// records the telemetry. `rejected` carries the diagnostics of a line
+  /// the wire parser refused: the request (what was read of it) is then
+  /// answered and counted as invalid without running.
+  ServeResponse handle(const ServeRequest& req, const Diagnostics* rejected = nullptr);
 
   const analysis::IncrementalRta& rta_cache() const { return rta_; }
   const FlightRecorder& flight_recorder() const { return flight_; }

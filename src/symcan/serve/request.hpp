@@ -91,14 +91,21 @@ struct ServeRequest {
   bool operator==(const ServeRequest&) const = default;
 };
 
-/// Parse one request line. nullopt when the line is unusable; every
-/// problem is a line-numbered diagnostic in `diags` (line_no is the
-/// 1-based position of this line in the request stream).
+/// Parse one request line into `out`. False when the line is unusable;
+/// every problem is a line-numbered diagnostic in `diags` (line_no is the
+/// 1-based position of this line in the request stream). A rejected line
+/// leaves in `out` every value read before it failed, so its answer can
+/// still echo the id and kind.
+bool request_from_jsonl(const std::string& line, std::size_t line_no, Diagnostics& diags,
+                        ServeRequest& out);
+
+/// As above; nullopt when the line is unusable.
 std::optional<ServeRequest> request_from_jsonl(const std::string& line, std::size_t line_no,
                                                Diagnostics& diags);
 
 /// Canonical one-line serialization; request_from_jsonl(result) yields
-/// an equal ServeRequest (fields at their defaults are omitted).
+/// an equal ServeRequest (a key the kind requires is always written, any
+/// other only when it differs from its default).
 std::string request_to_jsonl(const ServeRequest& req);
 
 enum class ResponseStatus : std::uint8_t {
@@ -110,7 +117,7 @@ enum class ResponseStatus : std::uint8_t {
 const char* to_string(ResponseStatus status);
 
 struct ServeResponse {
-  std::string id;  ///< Echo of the request id ("" when unparseable).
+  std::string id;  ///< Echo of the request id ("" when none was read).
   RequestKind kind = RequestKind::kAnalyze;
   ResponseStatus status = ResponseStatus::kOk;
   int exit_code = 0;   ///< The CLI exit code the same invocation returns.

@@ -81,11 +81,13 @@ class StdioLoop {
     return false;
   }
 
-  /// Outside the token: parse and answer on this thread.
+  /// Outside the token: parse and answer on this thread. A rejected line
+  /// is answered by the core too, so it is counted and recorded.
   void serve_line(const std::string& text, std::size_t line_no, std::uint64_t seq) {
     Diagnostics diags{core_.config().policy, "serve request"};
-    const auto req = request_from_jsonl(text, line_no, diags);
-    answer(seq, req ? core_.handle(*req) : invalid_response("", diags));
+    ServeRequest req;
+    const bool ok = request_from_jsonl(text, line_no, diags, req);
+    answer(seq, core_.handle(req, ok ? nullptr : &diags));
   }
 
   /// The in-order writer: park the response at its arrival number, then

@@ -7,9 +7,7 @@
 
 namespace symcan {
 
-namespace {
-
-const char* type_slug(TraceEventType t) {
+const char* event_type_slug(TraceEventType t) {
   switch (t) {
     case TraceEventType::kRelease: return "release";
     case TraceEventType::kTxStart: return "tx_start";
@@ -21,6 +19,8 @@ const char* type_slug(TraceEventType t) {
   return "?";
 }
 
+namespace {
+
 double to_us(Duration d) { return static_cast<double>(d.count_ns()) / 1000.0; }
 
 }  // namespace
@@ -29,7 +29,7 @@ std::string trace_to_jsonl(const Trace& trace) {
   std::string out;
   obs::JsonOut w{out};
   for (const TraceEvent& e : trace.events()) {
-    w.begin_object().field("t_ns", e.time.count_ns()).field("type", type_slug(e.type));
+    w.begin_object().field("t_ns", e.time.count_ns()).field("type", event_type_slug(e.type));
     w.field("message", e.message).field("instance", e.instance).end_object().end_line();
   }
   return out;
@@ -89,7 +89,7 @@ std::string sim_trace_to_chrome_json(const Trace& trace, const KMatrix& km) {
       w.field("outcome", outcome).end_object().end_object();
     } else if (instant(e)) {
       const auto it = sender_of.find(e.message);
-      w.begin_object().field("name", e.message).field("cat", type_slug(e.type));
+      w.begin_object().field("name", e.message).field("cat", event_type_slug(e.type));
       w.field("ph", "i").field("s", "t").field("ts", to_us(e.time)).field("pid", 1);
       w.field("tid", it != sender_of.end() ? it->second : unknown_tid);
       w.key("args").begin_object().field("instance", e.instance).end_object().end_object();

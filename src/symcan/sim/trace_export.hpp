@@ -13,6 +13,10 @@
 
 namespace symcan {
 
+/// The JSONL spelling of an event type ("tx_start", ...), which
+/// stream::trace_from_jsonl reads back.
+const char* event_type_slug(TraceEventType t);
+
 /// One JSON object per line:
 /// {"t_ns":...,"type":"tx_start","message":"...","instance":N}
 /// Message names are JSON-escaped; an empty trace yields an empty string.

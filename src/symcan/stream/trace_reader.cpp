@@ -1,10 +1,14 @@
 #include "symcan/stream/trace_reader.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
+#include "symcan/sim/trace_export.hpp"
 #include "symcan/util/jsonl.hpp"
 
 namespace symcan::stream {
@@ -14,92 +18,38 @@ namespace {
 using jsonl::Cursor;
 
 bool slug_to_type(const std::string& slug, TraceEventType& out) {
-  if (slug == "release") out = TraceEventType::kRelease;
-  else if (slug == "tx_start") out = TraceEventType::kTxStart;
-  else if (slug == "tx_end") out = TraceEventType::kTxEnd;
-  else if (slug == "error") out = TraceEventType::kError;
-  else if (slug == "retransmit") out = TraceEventType::kRetransmit;
-  else if (slug == "loss") out = TraceEventType::kLoss;
-  else return false;
-  return true;
+  for (int i = 0; i <= static_cast<int>(TraceEventType::kLoss); ++i) {
+    out = static_cast<TraceEventType>(i);
+    if (slug == event_type_slug(out)) return true;
+  }
+  return false;
 }
+
+/// The line grammar's keys; bit i of read_object's mask is kKeys[i].
+constexpr std::string_view kKeys[] = {"t_ns", "type", "message", "instance"};
 
 /// One trace line -> one event. Returns false when the line is unusable
 /// (already diagnosed).
-bool parse_line(const char* begin, const char* end, std::size_t line_no, TraceEvent& out,
-                Diagnostics& diags) {
-  Cursor c{begin, end};
-  if (!c.eat('{')) {
-    diags.error(line_no, "expected a JSON object");
-    return false;
-  }
-  bool have_t = false, have_type = false, have_message = false, have_instance = false;
-  std::string key, slug;
+bool parse_line(std::string_view line, std::size_t line_no, TraceEvent& out, Diagnostics& diags) {
+  std::string slug;
   std::int64_t t_ns = 0;
-
-  c.skip_ws();
-  if (!c.eat('}')) {
-    while (true) {
-      if (!jsonl::parse_string(c, line_no, "key", key, diags)) return false;
-      if (!c.eat(':')) {
-        diags.error(line_no, "expected ':' after key \"" + key + "\"");
-        return false;
-      }
-      if (key == "t_ns") {
-        if (have_t) {
-          diags.error(line_no, "duplicate key \"t_ns\"");
-          return false;
-        }
-        if (!jsonl::parse_i64(c, line_no, "t_ns", t_ns, diags)) return false;
-        have_t = true;
-      } else if (key == "type") {
-        if (have_type) {
-          diags.error(line_no, "duplicate key \"type\"");
-          return false;
-        }
-        if (!jsonl::parse_string(c, line_no, "type", slug, diags)) return false;
-        have_type = true;
-      } else if (key == "message") {
-        if (have_message) {
-          diags.error(line_no, "duplicate key \"message\"");
-          return false;
-        }
-        if (!jsonl::parse_string(c, line_no, "message", out.message, diags)) return false;
-        have_message = true;
-      } else if (key == "instance") {
-        if (have_instance) {
-          diags.error(line_no, "duplicate key \"instance\"");
-          return false;
-        }
-        if (!jsonl::parse_i64(c, line_no, "instance", out.instance, diags)) return false;
-        have_instance = true;
-      } else {
-        diags.warning(line_no, "unknown key \"" + key + "\" ignored");
-        if (!jsonl::skip_scalar(c, line_no, diags)) return false;
-        if (diags.policy() == DiagnosticPolicy::kStrict) return false;
-      }
-      if (c.eat(',')) continue;
-      if (c.eat('}')) break;
-      diags.error(line_no, "expected ',' or '}'");
-      return false;
+  const auto seen = jsonl::read_object(line, line_no, diags, kKeys, [&](std::size_t i, Cursor& at) {
+    const char* key = kKeys[i].data();  // NUL-terminated literals
+    switch (i) {
+      case 0: return jsonl::parse_i64(at, line_no, key, t_ns, diags);
+      case 1: return jsonl::parse_string(at, line_no, key, slug, diags);
+      case 2: return jsonl::parse_string(at, line_no, key, out.message, diags);
+      default: return jsonl::parse_i64(at, line_no, key, out.instance, diags);
     }
-  }
-  c.skip_ws();
-  if (!c.done()) {
-    diags.error(line_no, "trailing characters after object");
-    return false;
-  }
-  if (!have_t || !have_type || !have_message || !have_instance) {
+  });
+  if (!seen) return false;
+  if (*seen != (1u << std::size(kKeys)) - 1) {
     std::string missing;
-    const auto need = [&](bool have, const char* name) {
-      if (have) return;
+    for (std::size_t i = 0; i < std::size(kKeys); ++i) {
+      if (*seen >> i & 1) continue;
       if (!missing.empty()) missing += ", ";
-      missing += name;
-    };
-    need(have_t, "t_ns");
-    need(have_type, "type");
-    need(have_message, "message");
-    need(have_instance, "instance");
+      missing += kKeys[i];
+    }
     diags.error(line_no, "missing key(s): " + missing);
     return false;
   }
@@ -107,13 +57,11 @@ bool parse_line(const char* begin, const char* end, std::size_t line_no, TraceEv
     diags.error(line_no, "t_ns must be non-negative");
     return false;
   }
-  TraceEventType type;
-  if (!slug_to_type(slug, type)) {
+  if (!slug_to_type(slug, out.type)) {
     diags.error(line_no, "unknown event type '" + slug + "'");
     return false;
   }
   out.time = Duration::ns(t_ns);
-  out.type = type;
   return true;
 }
 
@@ -125,36 +73,26 @@ std::optional<Trace> trace_from_jsonl(const std::string& text, Diagnostics& diag
   std::size_t line_no = 0;
   Duration prev = Duration::zero();
   bool warned_backwards = false;
-  const char* p = text.data();
-  const char* end = text.data() + text.size();
-  while (p != end) {
+  for (std::size_t at = 0; at < text.size();) {
     ++line_no;
-    const char* nl = p;
-    while (nl != end && *nl != '\n') ++nl;
-    const char* line_end = nl;
-    if (line_end != p && line_end[-1] == '\r') --line_end;
-    const bool blank = [&] {
-      for (const char* q = p; q != line_end; ++q)
-        if (*q != ' ' && *q != '\t') return false;
-      return true;
-    }();
-    if (!blank) {
-      if (diags.exhausted()) {
-        diags.error(0, "too many problems; giving up");
-        return std::nullopt;
-      }
-      TraceEvent e;
-      if (parse_line(p, line_end, line_no, e, diags)) {
-        if (e.time < prev && !warned_backwards)  {
-          diags.warning(line_no, "timestamps run backwards (first at this line); "
-                                 "the stream analyzer tolerates but cannot re-order them");
-          warned_backwards = true;
-        }
-        prev = e.time;
-        trace.record(e.time, e.type, std::move(e.message), e.instance);
-      }
+    const std::size_t nl = std::min(text.find('\n', at), text.size());
+    std::string_view line{text.data() + at, nl - at};
+    at = nl + 1;
+    if (line.ends_with('\r')) line.remove_suffix(1);
+    if (line.find_first_not_of(" \t") == std::string_view::npos) continue;
+    if (diags.exhausted()) {
+      diags.error(0, "too many problems; giving up");
+      return std::nullopt;
     }
-    p = nl == end ? end : nl + 1;
+    TraceEvent e;
+    if (!parse_line(line, line_no, e, diags)) continue;
+    if (e.time < prev && !warned_backwards) {
+      diags.warning(line_no, "timestamps run backwards (first at this line); "
+                             "the stream analyzer tolerates but cannot re-order them");
+      warned_backwards = true;
+    }
+    prev = e.time;
+    trace.record(e.time, e.type, std::move(e.message), e.instance);
   }
   if (!diags.ok()) return std::nullopt;
   return trace;

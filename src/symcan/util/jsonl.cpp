@@ -1,5 +1,6 @@
 #include "symcan/util/jsonl.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -201,6 +202,53 @@ bool skip_scalar(Cursor& c, std::size_t line_no, Diagnostics& diags) {
     return false;
   }
   return true;
+}
+
+std::optional<std::uint64_t> read_object(std::string_view line, std::size_t line_no,
+                                         Diagnostics& diags,
+                                         std::span<const std::string_view> keys,
+                                         ValueReader read_value) {
+  Cursor c{line.data(), line.data() + line.size()};
+  if (!c.eat('{')) {
+    diags.error(line_no, "expected a JSON object");
+    return std::nullopt;
+  }
+  std::uint64_t seen = 0;
+  std::string key;
+  if (!c.eat('}')) {
+    while (true) {
+      if (!parse_string(c, line_no, "key", key, diags)) return std::nullopt;
+      if (!c.eat(':')) {
+        diags.error(line_no, "expected ':' after key \"" + key + "\"");
+        return std::nullopt;
+      }
+      const auto i = static_cast<std::size_t>(std::find(keys.begin(), keys.end(), key) -
+                                              keys.begin());
+      if (i == keys.size()) {
+        diags.warning(line_no, "unknown key \"" + key + "\" ignored");
+        if (!skip_scalar(c, line_no, diags)) return std::nullopt;
+        if (diags.policy() == DiagnosticPolicy::kStrict) return std::nullopt;
+      } else {
+        const std::uint64_t bit = std::uint64_t{1} << i;
+        if (seen & bit) {
+          diags.error(line_no, "duplicate key \"" + key + "\"");
+          return std::nullopt;
+        }
+        if (!read_value.call(read_value.fn, i, c)) return std::nullopt;
+        seen |= bit;
+      }
+      if (c.eat(',')) continue;
+      if (c.eat('}')) break;
+      diags.error(line_no, "expected ',' or '}'");
+      return std::nullopt;
+    }
+  }
+  c.skip_ws();
+  if (!c.done()) {
+    diags.error(line_no, "trailing characters after object");
+    return std::nullopt;
+  }
+  return seen;
 }
 
 }  // namespace symcan::jsonl

@@ -1,11 +1,15 @@
 #pragma once
 
-// Shared single-line JSON scanning primitives for the JSONL trust
-// boundaries (stream/trace_reader.cpp, serve/request.cpp). Both readers
-// accept "one flat JSON object per line" grammars, and both must turn
-// every malformed construct into a line-numbered diagnostic — never a
-// crash, never a silently skewed value — so the escape/number handling
-// lives here once instead of being forked per reader.
+// The one reader for the JSONL trust boundaries (stream/trace_reader.cpp,
+// serve/request.cpp). Both accept "one flat JSON object per line"
+// grammars, and both must turn every malformed construct into a
+// line-numbered diagnostic — never a crash, never a silently skewed value.
+// read_object owns the object loop both grammars share: the braces, key
+// and ':' parsing, duplicate keys, unknown keys (a warning, the value
+// skipped, the line stopped under strict), the ',' or '}' separator and
+// trailing characters. A caller passes its key list and reads only the
+// values it knows; its own post-checks (missing keys, kind rules) run on
+// the mask of keys seen. The escape and number handling lives here too.
 //
 // These are deliberately not a general JSON parser: values are scalars
 // only (the readers reject nested containers where their grammars do not
@@ -16,7 +20,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "symcan/util/diagnostics.hpp"
 
@@ -66,5 +74,29 @@ bool parse_bool(Cursor& c, std::size_t line_no, const char* what, bool& out, Dia
 /// (nothing in the line grammars nests, and skipping them faithfully
 /// would turn these readers into full JSON parsers).
 bool skip_scalar(Cursor& c, std::size_t line_no, Diagnostics& diags);
+
+/// read_object's value hook, `bool(std::size_t index, Cursor&)`, held by
+/// reference (no allocation): it reads the value of keys[index] at the
+/// cursor and returns false, after diagnosing, when the value is unusable.
+struct ValueReader {
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ValueReader>)
+  ValueReader(F&& f)  // implicit: callers pass a lambda
+      : fn{&f}, call{[](void* g, std::size_t i, Cursor& c) {
+          return (*static_cast<std::remove_reference_t<F>*>(g))(i, c);
+        }} {}
+
+  void* fn;
+  bool (*call)(void*, std::size_t, Cursor&);
+};
+
+/// One flat object spanning the whole line. A key in `keys` (at most 64)
+/// has its value read by `read_value`; the first bad value stops the
+/// line. Returns the mask of keys seen (bit i for keys[i]), or nullopt
+/// once the line has failed (already diagnosed).
+std::optional<std::uint64_t> read_object(std::string_view line, std::size_t line_no,
+                                         Diagnostics& diags,
+                                         std::span<const std::string_view> keys,
+                                         ValueReader read_value);
 
 }  // namespace symcan::jsonl

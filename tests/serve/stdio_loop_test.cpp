@@ -271,6 +271,44 @@ TEST_P(StdioLoopTest, TiedInputIsFlushedOnlyByTheWriter) {
 
 INSTANTIATE_TEST_SUITE_P(Jobs, StdioLoopTest, ::testing::Values(1, 4));
 
+// A line the wire parser rejects is answered by the core like any other
+// invalid request: the response echoes the id and kind read before the
+// line failed, and the line is counted and recorded.
+TEST(StdioRejectedLineTest, KeepsItsIdAndKindAndIsCounted) {
+  std::istringstream in{R"({"id":"e1","kind":"explain","matrix_csv":"c"})"
+                        "\n"
+                        R"({"id":"k1","kind":"frobnicate"})"
+                        "\n"
+                        "not json\n"
+                        R"({"id":"h","kind":"health"})"
+                        "\n"};
+  std::ostringstream out;
+  ServeConfig cfg;
+  cfg.jobs = 1;
+  ServeCore core{cfg};
+  ASSERT_EQ(run_stdio_serve(core, in, out), 0);
+  const std::vector<std::string> lines = split_lines(out.str());
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(field(lines[0], "id"), "e1");
+  EXPECT_EQ(field(lines[0], "kind"), "explain");
+  EXPECT_EQ(field(lines[0], "status"), "invalid");
+  EXPECT_NE(lines[0].find(R"(missing key \"message\" for explain request)"), std::string::npos)
+      << lines[0];
+  // The kind never parsed, so the answer carries the default kind.
+  EXPECT_EQ(field(lines[1], "id"), "k1");
+  EXPECT_EQ(field(lines[1], "kind"), "analyze");
+  EXPECT_EQ(field(lines[2], "id"), "");
+  EXPECT_EQ(field(lines[2], "status"), "invalid");
+  EXPECT_EQ(int_field(lines[3], "requests", "invalid"), 3);
+  EXPECT_EQ(int_field(lines[3], "requests", "handled"), 3);
+  EXPECT_EQ(core.handled(), 4);
+  EXPECT_EQ(core.flight_recorder().recorded(), 4);
+  const std::string flight = core.flight_recorder().dump_jsonl();
+  EXPECT_NE(flight.find(R"("id":"e1","kind":"explain","outcome":"invalid","exit_code":2)"),
+            std::string::npos)
+      << flight;
+}
+
 /// A slow head-of-line request, a malformed line, then fast requests.
 std::vector<std::string> ordering_lines(const std::string& csv) {
   std::vector<std::string> lines = {slow_line(csv, "slow"), "this is not json"};
