@@ -8,7 +8,10 @@
 namespace symcan::serve {
 
 void RequestTelemetry::set_id(const std::string& s) {
-  const std::size_t n = s.size() < sizeof id - 1 ? s.size() : sizeof id - 1;
+  std::size_t n = s.size() < sizeof id - 1 ? s.size() : sizeof id - 1;
+  // Cut before a character, not inside one: back off over the at most
+  // three UTF-8 continuation bytes of the character the cut would split.
+  for (int k = 0; k < 3 && n > 0 && n < s.size() && (s[n] & 0xC0) == 0x80; ++k) --n;
   std::memcpy(id, s.data(), n);
   id[n] = '\0';
 }

@@ -23,7 +23,8 @@
 namespace symcan::serve {
 
 struct RequestTelemetry {
-  /// Truncating copy of the client correlation id (39 bytes + NUL).
+  /// Truncating copy of the client correlation id (at most 39 bytes +
+  /// NUL, cut between UTF-8 characters).
   char id[40] = {};
   RequestKind kind = RequestKind::kAnalyze;
   ResponseStatus outcome = ResponseStatus::kOk;

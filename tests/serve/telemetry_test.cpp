@@ -55,6 +55,23 @@ TEST(RequestTelemetryTest, SetIdTruncatesAndTerminates) {
   EXPECT_STREQ(t.id, "");
 }
 
+TEST(RequestTelemetryTest, SetIdCutsBetweenUtf8Characters) {
+  RequestTelemetry t;
+  // A two-byte character at bytes 38-39 would be split by a 39-byte cut.
+  t.set_id(std::string(38, 'x') + "\xc3\xa9");
+  EXPECT_EQ(std::string(t.id), std::string(38, 'x'));
+  // A four-byte character starting at byte 36.
+  t.set_id(std::string(36, 'x') + "\xf0\x9f\x98\x80" + "tail");
+  EXPECT_EQ(std::string(t.id), std::string(36, 'x'));
+  // A character that ends exactly at the cut is kept whole.
+  t.set_id(std::string(37, 'x') + "\xc3\xa9" + "tail");
+  EXPECT_EQ(std::string(t.id), std::string(37, 'x') + "\xc3\xa9");
+  // The escaped id in the flight-recorder line stays whole characters.
+  t.set_id(std::string(38, 'x') + "\xc3\xa9");
+  EXPECT_NE(telemetry_to_jsonl(t).find("\"id\":\"" + std::string(38, 'x') + "\""),
+            std::string::npos);
+}
+
 TEST(RequestTelemetryTest, JsonlCarriesTheDecomposition) {
   RequestTelemetry t;
   t.set_id("r1");
