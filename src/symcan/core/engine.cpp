@@ -47,7 +47,8 @@ Engine::Engine(System sys, EngineConfig cfg) : sys_{std::move(sys)}, cfg_{std::m
 SystemResult Engine::analyze_all_resources() {
   SYMCAN_OBS_SPAN("engine.analyze_resources");
   SystemResult r;
-  for (const auto& [name, km] : buses_) r.buses.emplace(name, CanRta{km, cfg_.bus}.analyze());
+  for (const auto& [name, km] : buses_)
+    r.buses.emplace(name, analysis::analyze_uncached(km, cfg_.bus));
   for (const auto& [name, tasks] : ecus_) {
     if (tasks.empty()) {
       r.ecus.emplace(name, EcuResult{});

@@ -14,7 +14,7 @@ Duration max_single_jitter(KMatrix km, const CanRtaConfig& rta, std::size_t inde
   CanMessage& m = km.messages().at(index);
   return largest_feasible(base, m.period, resolution, [&](Duration j) {
     m.jitter = j;
-    return CanRta{km, rta}.analyze().all_schedulable();
+    return analysis::analyze_uncached(km, rta).all_schedulable();
   });
 }
 
@@ -24,7 +24,7 @@ BudgetReport allocate_jitter_budgets(const KMatrix& km, const CanRtaConfig& rta,
   KMatrix uniform = km;
   const auto ok = [&](double fraction) {
     assume_jitter_fraction(uniform, fraction, true);
-    return CanRta{uniform, rta}.analyze().all_schedulable();
+    return analysis::analyze_uncached(uniform, rta).all_schedulable();
   };
   if (!ok(0.0))
     throw std::invalid_argument(

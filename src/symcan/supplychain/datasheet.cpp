@@ -141,7 +141,7 @@ Duration max_own_jitter(const KMatrix& km, const CanRtaConfig& rta, const std::s
   if (!index) throw std::invalid_argument("unknown message '" + message + "'");
   KMatrix own = km;
   own.messages()[*index].jitter = Duration::zero();
-  if (!CanRta{own, rta}.analyze().all_schedulable()) return Duration::zero();
+  if (!analysis::analyze_uncached(own, rta).all_schedulable()) return Duration::zero();
   return max_single_jitter(std::move(own), rta, *index, Duration::zero(), tolerance);
 }
 
@@ -166,7 +166,7 @@ std::vector<SendJitterRequirement> derive_send_jitter_requirements(const KMatrix
 
 std::vector<ArrivalRequirement> derive_arrival_guarantees(const KMatrix& km,
                                                           const CanRtaConfig& rta) {
-  const BusResult res = CanRta{km, rta}.analyze();
+  const BusResult res = analysis::analyze_uncached(km, rta);
   std::vector<ArrivalRequirement> out;
   for (std::size_t i = 0; i < km.size(); ++i) {
     const auto& m = km.messages()[i];

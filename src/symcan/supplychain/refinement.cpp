@@ -33,7 +33,7 @@ void RefinementSession::freeze_priority(const std::string& message) {
   record("freeze " + message);
 }
 
-BusResult RefinementSession::analyze() const { return CanRta{km_, rta_}.analyze(); }
+BusResult RefinementSession::analyze() const { return analysis::analyze_uncached(km_, rta_); }
 
 Duration RefinementSession::slack_budget(const std::string& message) const {
   const BusResult res = analyze();

@@ -50,7 +50,7 @@ RiskScenario evaluate(const KMatrix& km, const std::vector<SupplierRisk>& risks,
   RiskScenario s;
   s.overruns = std::move(overruns);
   s.probability = scenario_probability(risks, s.overruns);
-  const BusResult res = CanRta{apply_scenario(km, risks, s.overruns), cfg.rta}.analyze();
+  const BusResult res = analysis::analyze_uncached(apply_scenario(km, risks, s.overruns), cfg.rta);
   s.misses = res.miss_count();
   s.penalty = cfg.penalty_per_miss * static_cast<double>(s.misses);
   return s;

@@ -2,11 +2,13 @@
 // CSV, a whole-bus CanRta::analyze, the `analyze` table render, mixing a
 // solved rung ladder, a warm IncrementalRta::analyze_prob whose every
 // ladder is a cache hit, the KMatrix::validate a serve request repeats
-// on its memoized matrix, and a warm analyze request through
-// ServeCore::handle. The global operator new is replaced with a counting
-// shim (as in obs_overhead_test.cpp) and each ceiling is the count the
-// current code reaches on the case-study bus (second call), so a change
-// that brings back per-atom or per-message allocations fails here.
+// on its memoized matrix, a warm analyze request through
+// ServeCore::handle, and one allocate_jitter_budgets search. The global
+// operator new is replaced with a counting shim (as in
+// obs_overhead_test.cpp) and each ceiling is the count the current code
+// reaches on the case-study bus (second call), so a change that brings
+// back per-atom or per-message allocations, or a copy of the matrix per
+// analysis, fails here.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "symcan/can/kmatrix_io.hpp"
 #include "symcan/pipeline/stages.hpp"
 #include "symcan/serve/core.hpp"
+#include "symcan/supplychain/budget.hpp"
 #include "symcan/workload/powertrain.hpp"
 
 namespace {
@@ -95,6 +98,7 @@ constexpr long kMixLadderCeiling = 425;
 constexpr long kWarmAnalyzeProbCeiling = 435;
 constexpr long kValidateCeiling = 2;
 constexpr long kWarmServeAnalyzeCeiling = 46;
+constexpr long kAllocateJitterBudgetsCeiling = 4396;
 
 TEST(AllocBudget, ParseTheCaseStudyCsv) {
   const std::string csv = kmatrix_to_csv(generate_powertrain(PowertrainConfig::case_study()));
@@ -192,6 +196,21 @@ TEST(AllocBudget, WarmServeAnalyzeHit) {
       << "the matrix memo must hit";
   EXPECT_EQ(core.rta_cache().stats().misses, core.rta_cache().stats().hits);
   EXPECT_LE(n, kWarmServeAnalyzeCeiling);
+}
+
+TEST(AllocBudget, AllocateJitterBudgetsOnTheCaseStudy) {
+  // Every bisection probe of the joint and the per-message searches is a
+  // whole-bus analysis; none may copy the matrix.
+  const KMatrix km = generate_powertrain(PowertrainConfig::case_study());
+  CanRtaConfig cfg;
+  cfg.worst_case_stuffing = true;
+  cfg.deadline_override = DeadlinePolicy::kPeriod;
+  const BudgetReport cold = allocate_jitter_budgets(km, cfg);
+  BudgetReport warm;
+  const long n = allocations([&] { warm = allocate_jitter_budgets(km, cfg); });
+  EXPECT_EQ(warm.joint_fraction, cold.joint_fraction);
+  EXPECT_EQ(warm.individual_budget, cold.individual_budget);
+  EXPECT_LE(n, kAllocateJitterBudgetsCeiling) << km.size() << " messages";
 }
 
 }  // namespace
