@@ -280,6 +280,8 @@ TEST(StdioRejectedLineTest, KeepsItsIdAndKindAndIsCounted) {
                         R"({"id":"k1","kind":"frobnicate"})"
                         "\n"
                         "not json\n"
+                        R"({"id":"half\q","kind":"analyze"})"
+                        "\n"
                         R"({"id":"h","kind":"health"})"
                         "\n"};
   std::ostringstream out;
@@ -288,7 +290,7 @@ TEST(StdioRejectedLineTest, KeepsItsIdAndKindAndIsCounted) {
   ServeCore core{cfg};
   ASSERT_EQ(run_stdio_serve(core, in, out), 0);
   const std::vector<std::string> lines = split_lines(out.str());
-  ASSERT_EQ(lines.size(), 4u);
+  ASSERT_EQ(lines.size(), 5u);
   EXPECT_EQ(field(lines[0], "id"), "e1");
   EXPECT_EQ(field(lines[0], "kind"), "explain");
   EXPECT_EQ(field(lines[0], "status"), "invalid");
@@ -299,10 +301,12 @@ TEST(StdioRejectedLineTest, KeepsItsIdAndKindAndIsCounted) {
   EXPECT_EQ(field(lines[1], "kind"), "analyze");
   EXPECT_EQ(field(lines[2], "id"), "");
   EXPECT_EQ(field(lines[2], "status"), "invalid");
-  EXPECT_EQ(int_field(lines[3], "requests", "invalid"), 3);
-  EXPECT_EQ(int_field(lines[3], "requests", "handled"), 3);
-  EXPECT_EQ(core.handled(), 4);
-  EXPECT_EQ(core.flight_recorder().recorded(), 4);
+  // An id that fails to parse is not echoed in part.
+  EXPECT_EQ(field(lines[3], "id"), "");
+  EXPECT_EQ(int_field(lines[4], "requests", "invalid"), 4);
+  EXPECT_EQ(int_field(lines[4], "requests", "handled"), 4);
+  EXPECT_EQ(core.handled(), 5);
+  EXPECT_EQ(core.flight_recorder().recorded(), 5);
   const std::string flight = core.flight_recorder().dump_jsonl();
   EXPECT_NE(flight.find(R"("id":"e1","kind":"explain","outcome":"invalid","exit_code":2)"),
             std::string::npos)
